@@ -605,8 +605,10 @@ let bench_maintenance_batch ~quick () =
         Printf.sprintf
           {|{"policy": %S, "events": %d, "pages_written": %d, "pages_per_event": %.4f, "elapsed_s": %.6f, "events_per_s": %.1f, "deltas_buffered": %d, "deltas_merged": %d, "deltas_annihilated": %d, "deltas_flushed": %d}|}
           name events writes (per_event r) dt eps
-          s.Storage.Stats.s_deltas_buffered s.Storage.Stats.s_deltas_merged
-          s.Storage.Stats.s_deltas_annihilated s.Storage.Stats.s_deltas_flushed)
+          Storage.Stats.(summary_count s Deltas_buffered)
+          Storage.Stats.(summary_count s Deltas_merged)
+          Storage.Stats.(summary_count s Deltas_annihilated)
+          Storage.Stats.(summary_count s Deltas_flushed))
       series
   in
   let _, batched = List.nth series 1 in
@@ -779,7 +781,9 @@ let bench_serving ~quick () =
     let outcomes = List.map (fun t -> (t, Resilience.Front.await front t)) tickets in
     let elapsed = Unix.gettimeofday () -. t0 in
     let c = Resilience.Front.counters front in
-    let stale = (Resilience.Front.stats front).Storage.Stats.s_stale_epoch_served in
+    let stale =
+      Storage.Stats.(summary_count (Resilience.Front.stats front) Stale_epoch_served)
+    in
     Resilience.Front.shutdown front;
     let admitted_lat =
       List.filter_map
@@ -971,13 +975,14 @@ let bench_replication ~quick () =
     let applied = Replication.Replica.applied_records replica in
     let s = Storage.Stats.snapshot stats in
     assert (
-      s.Storage.Stats.s_frames_shipped
-      = s.Storage.Stats.s_frames_applied + s.Storage.Stats.s_frames_dropped
-        + s.Storage.Stats.s_frames_retried);
+      Storage.Stats.(
+        summary_count s Frames_shipped
+        = summary_count s Frames_applied + summary_count s Frames_dropped
+          + summary_count s Frames_retried));
     assert (Replication.Replica.lag_bytes replica = 0);
     Replication.Replica.close replica;
     Durability.Db.close db;
-    (float_of_int applied /. dt, !lags, s.Storage.Stats.s_frames_shipped)
+    (float_of_int applied /. dt, !lags, Storage.Stats.(summary_count s Frames_shipped))
   in
   let series =
     List.map
@@ -1109,10 +1114,11 @@ let bench_failover_smoke () =
         `Never_seeded)
   in
   let s = Storage.Stats.snapshot stats in
+  let frames c = Storage.Stats.summary_count s c in
   let balanced =
-    s.Storage.Stats.s_frames_shipped
-    = s.Storage.Stats.s_frames_applied + s.Storage.Stats.s_frames_dropped
-      + s.Storage.Stats.s_frames_retried
+    Storage.Stats.(
+      frames Frames_shipped
+      = frames Frames_applied + frames Frames_dropped + frames Frames_retried)
   in
   let promoted, never_seeded, divergences, promote_json =
     match outcome with
@@ -1135,9 +1141,12 @@ let bench_failover_smoke () =
   let json =
     Printf.sprintf
       {|{"bench": "failover-smoke", "seed": %d, "kill_after_frames": %d, "frames_lost_in_flight": %d, "frames_shipped": %d, "frames_applied": %d, "frames_dropped": %d, "frames_retried": %d, "balanced": %b, "applied_bytes": %d, "primary_committed_bytes": %d, "final_lag_bytes": %d, "promoted": %b, "never_seeded": %b, "divergences": %d, "promotion": %s}|}
-      seed kill_after lost s.Storage.Stats.s_frames_shipped
-      s.Storage.Stats.s_frames_applied s.Storage.Stats.s_frames_dropped
-      s.Storage.Stats.s_frames_retried balanced applied_bytes committed
+      seed kill_after lost
+      (frames Storage.Stats.Frames_shipped)
+      (frames Storage.Stats.Frames_applied)
+      (frames Storage.Stats.Frames_dropped)
+      (frames Storage.Stats.Frames_retried)
+      balanced applied_bytes committed
       (committed - applied_bytes) promoted never_seeded divergences
       promote_json
   in

@@ -280,7 +280,7 @@ let pending_bytes t =
 let buffer_delta ?stats t pi proj d =
   let buf = t.pending.(pi) in
   let k = Relation.Tuple.to_string proj in
-  (match stats with Some st -> Storage.Stats.note_delta_buffered st | None -> ());
+  (match stats with Some st -> Storage.Stats.(incr st Deltas_buffered) | None -> ());
   match Hashtbl.find_opt buf k with
   | None ->
     Hashtbl.replace buf k (proj, d);
@@ -290,11 +290,11 @@ let buffer_delta ?stats t pi proj d =
     if net = 0 then begin
       Hashtbl.remove buf k;
       t.pending_total <- t.pending_total - 1;
-      match stats with Some st -> Storage.Stats.note_delta_annihilated st | None -> ()
+      match stats with Some st -> Storage.Stats.(incr st Deltas_annihilated) | None -> ()
     end
     else begin
       Hashtbl.replace buf k (proj, net);
-      match stats with Some st -> Storage.Stats.note_delta_merged st | None -> ()
+      match stats with Some st -> Storage.Stats.(incr st Deltas_merged) | None -> ()
     end
 
 let flush_unlocked ?stats t =
@@ -313,7 +313,7 @@ let flush_unlocked ?stats t =
     t.pending;
   t.pending_total <- 0;
   (match stats with
-  | Some st when !flushed > 0 -> Storage.Stats.note_deltas_flushed st !flushed
+  | Some st when !flushed > 0 -> Storage.Stats.(add st Deltas_flushed !flushed)
   | _ -> ());
   !flushed
 

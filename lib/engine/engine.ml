@@ -181,10 +181,10 @@ let index_fresh ~env t a =
   match with_lock t (fun () -> t.freshness) with
   | Catch_up ->
     ignore (Core.Asr.flush ~stats a);
-    Storage.Stats.note_catchup_flush stats;
+    Storage.Stats.(incr stats Catchup_flushes);
     true
   | Degrade ->
-    Storage.Stats.note_freshness_degradation stats;
+    Storage.Stats.(incr stats Freshness_degradations);
     false
 
 (* May this environment walk the index's B+ trees right now?
@@ -593,7 +593,7 @@ let candidates ?env t path ~i ~j ~dir =
         | _ -> None)
       indexes
   in
-  if !degraded then Storage.Stats.note_fallback env.Core.Exec.stats;
+  if !degraded then Storage.Stats.(incr env.Core.Exec.stats Fallbacks);
   (* Cheapest first; on a cost tie a supported plan beats navigation
      (matching equation 35's dispatch when the model cannot separate
      them). *)
@@ -695,12 +695,12 @@ let run_backward ?env t plan ~target =
    crashed query. *)
 
 let nav_fallback ~env t path ~i ~j oid =
-  Storage.Stats.note_fallback env.Core.Exec.stats;
+  Storage.Stats.(incr env.Core.Exec.stats Fallbacks);
   invalidate_plans t;
   run_forward_exn ~env t (Plan.Nav { path; i; j }) oid
 
 let scan_fallback ~env t path ~i ~j ~target =
-  Storage.Stats.note_fallback env.Core.Exec.stats;
+  Storage.Stats.(incr env.Core.Exec.stats Fallbacks);
   invalidate_plans t;
   run_backward_exn ~env t (Plan.Extent_scan { path; i; j }) ~target
 

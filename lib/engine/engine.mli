@@ -122,8 +122,8 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
     visited partition the oracle calls healthy, cached plans through
     now-unhealthy indexes are re-planned, and the execution guards
     refuse stale stitches.  When a usable index is priced out this way
-    the degradation is recorded via {!Storage.Stats.note_fallback} on
-    the environment's stats.  Bumps the generation. *)
+    the degradation is counted as {!Storage.Stats.Fallbacks} in the
+    environment's stats.  Bumps the generation. *)
 
 val clear_health : t -> unit
 (** Trust every registered index again.  Bumps the generation. *)
@@ -137,10 +137,10 @@ val clear_health : t -> unit
 
     - [Catch_up] (the default): drain the index's buffers on first use
       ({!Core.Asr.flush}, charged to the querying operation's stats and
-      recorded via {!Storage.Stats.note_catchup_flush});
+      counted as {!Storage.Stats.Catchup_flushes});
     - [Degrade]: refuse the stale index — the planner prices it out and
       a cached plan degrades to navigation / extent scan (recorded via
-      {!Storage.Stats.note_freshness_degradation}), leaving the flush
+      {!Storage.Stats.Freshness_degradations}), leaving the flush
       to the maintenance manager's own policy. *)
 type freshness_mode = Catch_up | Degrade
 
@@ -227,8 +227,8 @@ val forward :
   ?env:Core.Exec.env -> t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
 (** Plan (cached) and execute as one accounting operation.  If a
     concurrent [unregister] or health change invalidates the chosen
-    stitch mid-flight, execution degrades to graph navigation (recorded
-    via {!Storage.Stats.note_fallback}) instead of failing. *)
+    stitch mid-flight, execution degrades to graph navigation (counted
+    as {!Storage.Stats.Fallbacks}) instead of failing. *)
 
 val backward :
   ?env:Core.Exec.env ->

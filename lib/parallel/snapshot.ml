@@ -91,8 +91,6 @@ let advance src =
     shared = Gom.Frozen.shared frozen;
   }
 
-let capture ?sizes ~specs base = advance (source ?sizes ~specs base)
-
 let epoch t = t.epoch
 let store t = t.view
 let engine t = t.engine

@@ -59,14 +59,6 @@ val source_engine : source -> Engine.t
 val source_indexes : source -> Core.Asr.t list
 val source_maintenance : source -> Core.Maintenance.t
 
-val capture :
-  ?sizes:(Gom.Schema.type_name -> int) -> specs:spec list -> Gom.Store.t -> t
-(** One-shot [advance (source ~specs base)] — a standalone frozen
-    snapshot for callers without a publication loop (tests, ad-hoc
-    tools).  Unlike the old deep-copy capture this shares the base's
-    ASR trees; later base mutations simply degrade the snapshot's
-    index probes to navigation (answers are unchanged). *)
-
 val epoch : t -> int
 (** The base's {!Gom.Store.epoch} at publication time. *)
 

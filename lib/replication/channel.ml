@@ -10,7 +10,7 @@ let create ?fault ?stats () =
   let fault = match fault with Some f -> f | None -> Durability.Fault.real () in
   { fault; stats; q = Queue.create (); held = None; sends = 0 }
 
-let note f t = match t.stats with Some s -> f s | None -> ()
+let note t c = match t.stats with Some s -> Storage.Stats.incr s c | None -> ()
 
 (* Enqueue one delivery; a held-back frame rides out right after it,
    which is exactly the adjacent swap [Reorder_frames] models. *)
@@ -31,20 +31,20 @@ let send t frame =
   t.sends <- t.sends + 1;
   match action with
   | Durability.Fault.Deliver ->
-    note Storage.Stats.note_frame_shipped t;
+    note t Storage.Stats.Frames_shipped;
     enqueue t encoded
   | Durability.Fault.Drop ->
-    note Storage.Stats.note_frame_shipped t;
-    note Storage.Stats.note_frame_dropped t
+    note t Storage.Stats.Frames_shipped;
+    note t Storage.Stats.Frames_dropped
   | Durability.Fault.Duplicate ->
     (* Two copies travelled: both count as shipped, and the receiver
        will apply one and reject the other. *)
-    note Storage.Stats.note_frame_shipped t;
-    note Storage.Stats.note_frame_shipped t;
+    note t Storage.Stats.Frames_shipped;
+    note t Storage.Stats.Frames_shipped;
     enqueue t encoded;
     enqueue t encoded
   | Durability.Fault.Reorder ->
-    note Storage.Stats.note_frame_shipped t;
+    note t Storage.Stats.Frames_shipped;
     (match t.held with
     | Some h ->
       t.held <- None;
@@ -52,7 +52,7 @@ let send t frame =
     | None -> ());
     t.held <- Some encoded
   | Durability.Fault.Corrupt k ->
-    note Storage.Stats.note_frame_shipped t;
+    note t Storage.Stats.Frames_shipped;
     enqueue t (Durability.Fault.corrupt_tail encoded k)
 
 let recv t =
@@ -72,7 +72,7 @@ let sends t = t.sends
 let discard t =
   let n = in_flight t in
   for _ = 1 to n do
-    note Storage.Stats.note_frame_dropped t
+    note t Storage.Stats.Frames_dropped
   done;
   Queue.clear t.q;
   t.held <- None;

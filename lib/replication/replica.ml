@@ -200,7 +200,7 @@ let create ?fault ?stats ?(policy = Core.Maintenance.Every_k_events 32)
 
 exception Bail of reject
 
-let note f t = match t.stats with Some s -> f s | None -> ()
+let note t c = match t.stats with Some s -> Storage.Stats.incr s c | None -> ()
 
 let diverge t ~off what =
   t.r_diverged <- Some (Printf.sprintf "byte %d: %s" off what);
@@ -368,8 +368,8 @@ let offer t encoded =
     with Bail r -> Rejected r
   in
   (match result with
-  | Applied _ -> note Storage.Stats.note_frame_applied t
-  | Rejected _ -> note Storage.Stats.note_frame_retried t);
+  | Applied _ -> note t Storage.Stats.Frames_applied
+  | Rejected _ -> note t Storage.Stats.Frames_retried);
   result
 
 (* ---------------- observation ---------------- *)

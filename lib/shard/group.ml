@@ -39,7 +39,7 @@ let install_fanout stores =
              ignore (Durability.Wal.replay stores.(k) [ record ] : int)
            done))
 
-let assemble ?jobs ~placement ~stores ~managers ~envs () =
+let create_on ?jobs ~placement ~stores ~managers ~envs () =
   let n = Placement.shards placement in
   if Array.length stores <> n || Array.length managers <> n || Array.length envs <> n
   then invalid_arg "Group: placement/shard array length mismatch";
@@ -50,11 +50,10 @@ let assemble ?jobs ~placement ~stores ~managers ~envs () =
     envs;
   let engines = Array.map (fun env -> Engine.create env) envs in
   let quarantines =
-    Array.mapi
-      (fun k engine ->
+    Array.map
+      (fun engine ->
         let q = Integrity.Quarantine.create () in
         Integrity.Quarantine.attach q engine;
-        ignore k;
         q)
       engines
   in
@@ -77,9 +76,6 @@ let assemble ?jobs ~placement ~stores ~managers ~envs () =
     closed = false;
   }
 
-let create_on ?jobs ~placement ~stores ~managers ~envs () =
-  assemble ?jobs ~placement ~stores ~managers ~envs ()
-
 let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
   let n = Placement.shards placement in
   let stores = Array.init n (fun k -> if k = 0 then store else Gom.Store.copy store) in
@@ -91,7 +87,7 @@ let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
       stores
   in
   let managers = Array.map Core.Maintenance.create envs in
-  let t = assemble ?jobs ~placement ~stores ~managers ~envs () in
+  let t = create_on ?jobs ~placement ~stores ~managers ~envs () in
   (match policy with
   | Some p -> Array.iter (fun m -> Core.Maintenance.set_policy m p) managers
   | None -> ());

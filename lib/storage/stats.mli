@@ -136,120 +136,73 @@ val segment_accesses : t -> string -> int
 (** Buffered accesses recorded for the segment (hits + misses +
     prefetch hits) — the sample size behind {!segment_hit_ratio}. *)
 
-(** {2 Integrity counters}
+(** {2 Event counters}
 
-    Cumulative robustness counters, recorded alongside page traffic so
-    benchmark trajectories show how often the degraded paths fire:
-    partition scrub audits performed, planner degradations forced by a
-    quarantined access support relation, and transient-fault retries. *)
+    Cumulative counters recorded alongside page traffic, so benchmark
+    trajectories show how often the degraded, deferred, overload and
+    replication paths fire.  Each counter is one constructor here and
+    one JSON key in {!summary_to_json}; listing order is key order. *)
 
-val note_scrub : t -> unit
-(** Record one partition audit by the integrity scrubber. *)
+type counter =
+  | Scrubs  (** One partition audit by the integrity scrubber. *)
+  | Fallbacks
+      (** One degraded planning decision: a quarantined index was
+          excluded and the planner fell back to navigation, an extent
+          scan or an alternate index. *)
+  | Retries  (** One bounded retry of a transiently failing read. *)
+  | Deltas_buffered
+      (** One typed delta (+tuple/−tuple for one partition) entering a
+          write-behind maintenance buffer. *)
+  | Deltas_merged
+      (** One delta that coalesced with a pending delta on the same
+          projected tuple (refcount deltas summed; net still non-zero). *)
+  | Deltas_annihilated
+      (** One annihilation: a pending delta's net refcount reached zero,
+          so the pair vanished without touching a page. *)
+  | Deltas_flushed  (** Net deltas applied to partition trees by a flush. *)
+  | Catchup_flushes
+      (** One catch-up flush forced by the planner's freshness watermark
+          (or an integrity audit) before using a stale index. *)
+  | Freshness_degradations
+      (** One planning decision that refused a stale index and degraded
+          to navigation / extent scan instead of flushing. *)
+  | Shed
+      (** One query rejected by admission control (bounded-queue
+          overflow under any shed policy, or a per-client rate limit).
+          The serving benchmark gate checks {e offered = answered + shed
+          + timed_out}. *)
+  | Timed_out
+      (** One query whose deadline expired — either while queued or at a
+          cooperative cancellation checkpoint mid-evaluation. *)
+  | Breaker_open  (** One call short-circuited by an open circuit breaker. *)
+  | Stale_epoch_served
+      (** One query answered from the previous published epoch while
+          brownout mode defers snapshot publication (bounded staleness). *)
+  | Frames_shipped
+      (** One encoded frame handed to the WAL-shipping channel, per copy
+          (a duplicated delivery counts twice).  At quiescence {e shipped
+          = applied + dropped + retried} balances exactly; the CI
+          failover gate checks it. *)
+  | Frames_applied  (** One delivered frame the replica verified and applied. *)
+  | Frames_dropped  (** One frame copy lost in flight or discarded at teardown. *)
+  | Frames_retried
+      (** One delivered frame the replica rejected, obliging the primary
+          to rewind and resend. *)
 
-val note_fallback : t -> unit
-(** Record one degraded planning decision: a quarantined index was
-    excluded and the planner fell back to navigation, an extent scan or
-    an alternate index. *)
+val counters : counter list
+(** Every counter, in JSON key order. *)
 
-val note_retry : t -> unit
-(** Record one bounded retry of a transiently failing read. *)
+val counter_name : counter -> string
+(** The counter's JSON key, e.g. ["frames_shipped"]. *)
 
-val scrubs : t -> int
-val fallbacks : t -> int
-val retries : t -> int
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to counter [c]. *)
 
-(** {2 Deferred-maintenance counters}
+val incr : t -> counter -> unit
+(** [incr t c] is [add t c 1]. *)
 
-    Trajectory counters for the write-behind maintenance pipeline: how
-    many typed deltas entered the buffers, how often buffering coalesced
-    or outright annihilated work before it ever touched a page, how many
-    net deltas were eventually applied by bulk flushes, and how often
-    the planner's freshness watermark fired. *)
-
-val note_delta_buffered : t -> unit
-(** Record one typed delta (+tuple/−tuple for one partition) entering a
-    write-behind buffer. *)
-
-val note_delta_merged : t -> unit
-(** Record one delta that coalesced with a pending delta on the same
-    projected tuple (refcount deltas summed; net still non-zero). *)
-
-val note_delta_annihilated : t -> unit
-(** Record one annihilation: a pending delta's net refcount reached
-    zero, so the pair vanished without touching a page. *)
-
-val note_deltas_flushed : t -> int -> unit
-(** Record [n] net deltas applied to partition trees by a flush. *)
-
-val note_catchup_flush : t -> unit
-(** Record one catch-up flush forced by the planner's freshness
-    watermark (or an integrity audit) before using a stale index. *)
-
-val note_freshness_degradation : t -> unit
-(** Record one planning decision that refused a stale index and
-    degraded to navigation / extent scan instead of flushing. *)
-
-val deltas_buffered : t -> int
-val deltas_merged : t -> int
-val deltas_annihilated : t -> int
-val deltas_flushed : t -> int
-val catchup_flushes : t -> int
-val freshness_degradations : t -> int
-
-(** {2 Overload counters}
-
-    Resilience-layer counters: every query turned away or cut short by
-    admission control is visible here, so overload behaviour can be
-    audited next to page traffic ({e offered = answered + shed +
-    timed_out} is checked by the serving benchmark gate). *)
-
-val note_shed : t -> unit
-(** Record one query rejected by admission control (bounded-queue
-    overflow under any shed policy, or a per-client rate limit). *)
-
-val note_timed_out : t -> unit
-(** Record one query whose deadline expired — either while queued or at
-    a cooperative cancellation checkpoint mid-evaluation. *)
-
-val note_breaker_open : t -> unit
-(** Record one call short-circuited by an open circuit breaker. *)
-
-val note_stale_epoch_served : t -> unit
-(** Record one query answered from the previous published epoch while
-    brownout mode defers snapshot publication (bounded staleness). *)
-
-val shed : t -> int
-val timed_out : t -> int
-val breaker_open : t -> int
-val stale_epoch_served : t -> int
-
-(** {2 Replication counters}
-
-    Frame accounting for the WAL-shipping channel.  Every encoded frame
-    put on the wire counts as shipped (a duplicated delivery counts
-    twice — two copies travelled); each delivered copy is then either
-    applied by the replica, dropped in flight or at teardown, or
-    rejected and retried (stale/duplicate sequence, CRC damage, gap).
-    At quiescence {e shipped = applied + dropped + retried} balances
-    exactly; the CI failover gate checks it. *)
-
-val note_frame_shipped : t -> unit
-(** Record one encoded frame handed to the channel (per copy). *)
-
-val note_frame_applied : t -> unit
-(** Record one delivered frame the replica verified and applied. *)
-
-val note_frame_dropped : t -> unit
-(** Record one frame copy lost in flight or discarded at teardown. *)
-
-val note_frame_retried : t -> unit
-(** Record one delivered frame the replica rejected, obliging the
-    primary to rewind and resend. *)
-
-val frames_shipped : t -> int
-val frames_applied : t -> int
-val frames_dropped : t -> int
-val frames_retried : t -> int
+val count : t -> counter -> int
+(** The counter's cumulative value. *)
 
 (** {2 Shard-routing counters}
 
@@ -257,7 +210,9 @@ val frames_retried : t -> int
     grouped} batches partition their probes by owner shard (each probe
     answered exactly once), {e scattered} ones fan every probe to every
     shard and union the answers.  [grouped + scatter] equals the number
-    of routed batches — the shard regression tests check the balance. *)
+    of routed batches — the shard regression tests check the balance.
+    Unlike the {!counter}s these are summary record fields
+    ([s_shard_grouped], [s_shard_scatter]), read by name. *)
 
 val note_shard_grouped : t -> unit
 (** Record one batch routed with probes grouped by owner shard. *)
@@ -265,12 +220,12 @@ val note_shard_grouped : t -> unit
 val note_shard_scatter : t -> unit
 (** Record one batch scattered to every shard. *)
 
-val shard_grouped : t -> int
-val shard_scatter : t -> int
-
 val reset : t -> unit
 (** Clears everything, including totals, segment tallies and the buffer
     pool. *)
+
+type counts
+(** The event counters' values, one per {!counter}. *)
 
 type summary = {
   s_op_reads : int;
@@ -285,23 +240,7 @@ type summary = {
   s_prefetched : int;
   s_prefetch_hits : int;
   s_buffer_capacity : int;
-  s_scrubs : int;
-  s_fallbacks : int;
-  s_retries : int;
-  s_deltas_buffered : int;
-  s_deltas_merged : int;
-  s_deltas_annihilated : int;
-  s_deltas_flushed : int;
-  s_catchup_flushes : int;
-  s_freshness_degradations : int;
-  s_shed : int;
-  s_timed_out : int;
-  s_breaker_open : int;
-  s_stale_epoch_served : int;
-  s_frames_shipped : int;
-  s_frames_applied : int;
-  s_frames_dropped : int;
-  s_frames_retried : int;
+  s_counts : counts;  (** Read with {!summary_count}. *)
   s_shard_grouped : int;
   s_shard_scatter : int;
 }
@@ -309,6 +248,9 @@ type summary = {
     [t] (which keeps mutating). *)
 
 val snapshot : t -> summary
+
+val summary_count : summary -> counter -> int
+(** The counter's value at {!snapshot} time. *)
 
 val merge : summary -> summary -> summary
 (** Field-wise sum of two summaries ([s_buffer_capacity] takes the
@@ -327,7 +269,7 @@ val zero : summary
 val absorb : t -> summary -> unit
 (** Fold a (worker sheaf) summary into this accountant's {e cumulative}
     counters: totals (physical and logical), buffer hit/miss/eviction/
-    prefetch tallies and integrity counters are added; the
+    prefetch tallies and event counters are added; the
     per-operation counters and the buffer pool are untouched. *)
 
 val summary_hit_ratio : summary -> float

@@ -341,7 +341,7 @@ let prop_advance_equals_capture =
       | victim :: _ when n >= 1 -> Gom.Store.delete store victim
       | _ -> ());
       let snap2 = Snapshot.advance src in
-      let snap_ref = Snapshot.capture ~specs:(specs_for path) store in
+      let snap_ref = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
       let sources = Gom.Store_view.extent ~deep:true (Snapshot.store snap_ref) t0 in
       let targets =
         Gom.Store_view.extent ~deep:true (Snapshot.store snap_ref) tn
@@ -393,7 +393,7 @@ let test_plan_cache_stress () =
         (Workload.Generator.spec ~seed:(100 + it) ~counts:[ 5; 6; 7 ] ~defined:[ 5; 5 ]
            ~fan:[ 2; 2 ] ())
     in
-    let snap = Snapshot.capture ~specs:(specs_for path) store in
+    let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
     let sstore = Snapshot.store snap in
     let engine = Snapshot.engine snap in
     let m = Gom.Path.arity path - 1 in
@@ -442,24 +442,36 @@ let test_plan_cache_stress () =
 (* ---------------- accounting sheaves ---------------- *)
 
 let test_stats_algebra () =
-  let s1 =
-    { Storage.Stats.zero with s_total_reads = 3; s_buffer_hits = 2; s_fallbacks = 1 }
+  let module S = Storage.Stats in
+  (* Counter [i] holds [k * (i + 1)]: distinct per counter, so a sum
+     landing in the wrong slot shows. *)
+  let counted k =
+    let t = S.create () in
+    List.iteri (fun i c -> S.add t c (k * (i + 1))) S.counters;
+    S.snapshot t
   in
-  let s2 = { Storage.Stats.zero with s_total_reads = 4; s_total_writes = 5; s_scrubs = 2 } in
-  let m = Storage.Stats.merge s1 s2 in
-  check_int "merge sums reads" 7 m.Storage.Stats.s_total_reads;
+  let each what expect get =
+    List.iteri
+      (fun i c -> check_int (what ^ " " ^ S.counter_name c) (expect i) (get c))
+      S.counters
+  in
+  let s1 = { (counted 1) with s_total_reads = 3; s_buffer_hits = 2 } in
+  let s2 = { (counted 10) with s_total_reads = 4; s_total_writes = 5 } in
+  let m = S.merge s1 s2 in
+  check_int "merge sums reads" 7 m.S.s_total_reads;
   check_int "merge sums writes" 5 m.s_total_writes;
   check_int "merge sums hits" 2 m.s_buffer_hits;
-  check_int "merge sums integrity" 3 (m.s_scrubs + m.s_fallbacks);
-  check "merge commutes" true (Storage.Stats.merge s2 s1 = m);
-  check "zero is unit" true
-    (Storage.Stats.merge Storage.Stats.zero s1 = s1
-    && Storage.Stats.merge s1 Storage.Stats.zero = s1);
-  let t = Storage.Stats.create () in
-  Storage.Stats.absorb t m;
-  let snap = Storage.Stats.snapshot t in
+  each "merge sums" (fun i -> 11 * (i + 1)) (S.summary_count m);
+  check "merge commutes" true (S.merge s2 s1 = m);
+  check "zero is unit" true (S.merge S.zero s1 = s1 && S.merge s1 S.zero = s1);
+  let t = S.create () in
+  S.absorb t m;
+  let snap = S.snapshot t in
   check_int "absorb folds totals" 7 snap.s_total_reads;
-  check_int "absorb folds writes" 5 snap.s_total_writes
+  check_int "absorb folds writes" 5 snap.s_total_writes;
+  each "absorb adds once" (fun i -> 11 * (i + 1)) (S.count t);
+  S.reset t;
+  each "reset zeroes" (fun _ -> 0) (S.count t)
 
 (* The server's merged accounting equals the sequential sum over the
    same chunk decomposition: parallel fan-out loses or double-counts
@@ -476,7 +488,7 @@ let test_stats_sheaves_sum () =
   (* Sequential replay: same contiguous ceil-split chunking (part of the
      server's documented contract), one private sheaf per chunk, fresh
      snapshot so the plan cache starts equally cold. *)
-  let snap = Snapshot.capture ~specs:(specs_for path) store in
+  let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
   let probes = List.sort_uniq Gom.Oid.compare sources in
   let len = List.length probes in
   let k = max 1 (min jobs len) in
@@ -500,7 +512,9 @@ let test_stats_sheaves_sum () =
   check_int "reads: parallel merge = sequential sum" seq.Storage.Stats.s_total_reads
     par.Storage.Stats.s_total_reads;
   check_int "writes: parallel merge = sequential sum" seq.s_total_writes par.s_total_writes;
-  check_int "fallbacks: parallel merge = sequential sum" seq.s_fallbacks par.s_fallbacks
+  check_int "fallbacks: parallel merge = sequential sum"
+    Storage.Stats.(summary_count seq Fallbacks)
+    Storage.Stats.(summary_count par Fallbacks)
 
 let suite =
   [

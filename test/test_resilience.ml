@@ -93,7 +93,7 @@ let prop_deadline_exact_or_expired =
     (fun spec ->
       let store, path = Workload.Generator.build spec in
       let n = Gom.Path.length path in
-      let snap = Snapshot.capture ~specs:(specs_for path) store in
+      let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
       let engine = Snapshot.engine snap in
       let sources = Gom.Store.extent ~deep:true store (Gom.Path.type_at path 0) in
       let targets =
@@ -158,7 +158,7 @@ let test_serve_deadlined_exact_and_timeout () =
   check "first-checkpoint budgets all time out" true
     (List.for_all (fun s -> s = Server.Timed_out) strangled);
   check_int "timeouts visible in merged accounting" 2
-    (Server.stats server).Storage.Stats.s_timed_out;
+    Storage.Stats.(summary_count (Server.stats server) Timed_out);
   Server.shutdown server
 
 (* ---------------- pool exception isolation ---------------- *)
@@ -238,7 +238,7 @@ let test_breaker_protocol () =
   check "open after k failures" true (Breaker.state b = Breaker.Open);
   check_int "one trip" 1 (Breaker.trips b);
   check "open short-circuits" true (Breaker.call ~stats b (fun () -> 1) = Error `Open);
-  check_int "breaker_open counted" 1 (Storage.Stats.breaker_open stats);
+  check_int "breaker_open counted" 1 Storage.Stats.(count stats Breaker_open);
   now := 1.0;
   check "backoff elapsed -> half-open" true (Breaker.state b = Breaker.Half_open);
   check "failed probe re-opens" true (Breaker.call b boom = Error (`Failed transient));
@@ -318,7 +318,7 @@ let test_policy_reject_newest () =
   check "accounting balances" true
     (c.Front.offered = 3 && c.answered = 2 && c.shed = 1 && c.timed_out = 0
    && c.failed = 0);
-  check_int "shed visible in merged stats" 1 (Front.stats front).Storage.Stats.s_shed;
+  check_int "shed visible in merged stats" 1 Storage.Stats.(summary_count (Front.stats front) Shed);
   Front.shutdown front;
   Server.shutdown server
 
@@ -373,7 +373,7 @@ let test_queue_expiry_is_timeout () =
   let c = Front.counters front in
   check "timeout counted once" true (c.Front.timed_out = 1 && c.answered = 1);
   check_int "timed_out in merged stats" 1
-    (Front.stats front).Storage.Stats.s_timed_out;
+    Storage.Stats.(summary_count (Front.stats front) Timed_out);
   Front.shutdown front;
   Server.shutdown server
 
@@ -453,8 +453,8 @@ let prop_accounting_identity =
       && c.Front.offered = List.length !tickets
       && c.Front.offered = c.answered + c.shed + c.timed_out + c.failed
       && c.failed = 0
-      && s.Storage.Stats.s_shed = c.shed
-      && s.Storage.Stats.s_timed_out = c.timed_out)
+      && Storage.Stats.(summary_count s Shed) = c.shed
+      && Storage.Stats.(summary_count s Timed_out) = c.timed_out)
 
 (* ---------------- brownout ---------------- *)
 
@@ -495,7 +495,7 @@ let test_brownout_defers_publication () =
     (Gom.Store_view.mem (Snapshot.store (Server.pin server)) o);
   let s = Front.stats front in
   check "stale serving surfaced in stats" true
-    (s.Storage.Stats.s_stale_epoch_served >= 2);
+    (Storage.Stats.(summary_count s Stale_epoch_served) >= 2);
   List.iter (fun t -> check "all answered" true (is_answer (Front.await front t))) tickets;
   Front.shutdown front;
   Server.shutdown server
@@ -544,7 +544,7 @@ let test_brownout_breaker_open_keeps_serving () =
     (is_answer (Front.await front t1) && is_answer (Front.await front t2));
   check "refresh was short-circuited, lag persists" true (Server.lag server > 0);
   check "breaker_open counted" true
-    ((Front.stats front).Storage.Stats.s_breaker_open >= 1);
+    (Storage.Stats.(summary_count (Front.stats front) Breaker_open) >= 1);
   Front.shutdown front;
   Server.shutdown server
 
@@ -586,29 +586,32 @@ let test_spawned_dispatcher_smoke () =
 
 let test_overload_stats_algebra () =
   let t = Storage.Stats.create () in
-  Storage.Stats.note_shed t;
-  Storage.Stats.note_shed t;
-  Storage.Stats.note_timed_out t;
-  Storage.Stats.note_breaker_open t;
-  Storage.Stats.note_stale_epoch_served t;
+  Storage.Stats.(incr t Shed);
+  Storage.Stats.(incr t Shed);
+  Storage.Stats.(incr t Timed_out);
+  Storage.Stats.(incr t Breaker_open);
+  Storage.Stats.(incr t Stale_epoch_served);
   let s = Storage.Stats.snapshot t in
-  check_int "shed snapshot" 2 s.Storage.Stats.s_shed;
-  check_int "timed_out snapshot" 1 s.s_timed_out;
+  check_int "shed snapshot" 2 Storage.Stats.(summary_count s Shed);
+  check_int "timed_out snapshot" 1 Storage.Stats.(summary_count s Timed_out);
   let m = Storage.Stats.merge s s in
   check "merge sums overload counters" true
-    (m.Storage.Stats.s_shed = 4 && m.s_timed_out = 2 && m.s_breaker_open = 2
-   && m.s_stale_epoch_served = 2);
+    Storage.Stats.(
+      summary_count m Shed = 4
+      && summary_count m Timed_out = 2
+      && summary_count m Breaker_open = 2
+      && summary_count m Stale_epoch_served = 2);
   check "zero is unit on overload counters" true
     (Storage.Stats.merge Storage.Stats.zero s = s);
   let acc = Storage.Stats.create () in
   Storage.Stats.absorb acc m;
-  check_int "absorb folds shed" 4 (Storage.Stats.shed acc);
+  check_int "absorb folds shed" 4 Storage.Stats.(count acc Shed);
   let json = Storage.Stats.summary_to_json s in
   List.iter
     (fun key -> check (key ^ " in JSON") true (contains ~needle:("\"" ^ key ^ "\"") json))
     [ "shed"; "timed_out"; "breaker_open"; "stale_epoch_served" ];
   Storage.Stats.reset t;
-  check_int "reset clears overload counters" 0 (Storage.Stats.shed t)
+  check_int "reset clears overload counters" 0 Storage.Stats.(count t Shed)
 
 (* ---------------- scrub deadline ---------------- *)
 

@@ -370,11 +370,11 @@ let test_quarantine_degrades_one_shard () =
       Array.iteri
         (fun k (s : Storage.Stats.summary) ->
           if k = victim then
-            check "victim recorded fallbacks" true (s.Storage.Stats.s_fallbacks > 0)
+            check "victim recorded fallbacks" true (Storage.Stats.(summary_count s Fallbacks) > 0)
           else
             check_int
               (Printf.sprintf "shard %d clean" k)
-              0 s.Storage.Stats.s_fallbacks)
+              0 Storage.Stats.(summary_count s Fallbacks))
         (G.shard_summaries grp);
       (* The router's own ledger balances: one grouped batch plus one
          scattered batch were routed, and the merged accountant carries
@@ -383,7 +383,7 @@ let test_quarantine_degrades_one_shard () =
       check_int "one grouped batch" 1 total.Storage.Stats.s_shard_grouped;
       check_int "one scattered batch" 1 total.Storage.Stats.s_shard_scatter;
       check "merged accountant keeps the fallbacks" true
-        (total.Storage.Stats.s_fallbacks > 0))
+        (Storage.Stats.(summary_count total Fallbacks) > 0))
 
 (* ---------------- per-shard durability ---------------- *)
 

@@ -355,6 +355,55 @@ let test_heap_delete_forgets () =
   check "placement dropped" true
     (try ignore (H.page_of heap o); false with Not_found -> true)
 
+(* CI gates and [db status] read these keys by name: the list and its
+   order are part of the interface. *)
+let stats_json_keys =
+  [
+    "op_reads"; "op_writes"; "total_reads"; "total_writes"; "total_accesses";
+    "logical_reads"; "logical_writes"; "buffer_hits"; "buffer_misses";
+    "buffer_evictions"; "prefetched"; "prefetch_hits"; "buffer_hit_ratio";
+    "buffer_capacity"; "scrubs"; "fallbacks"; "retries"; "deltas_buffered";
+    "deltas_merged"; "deltas_annihilated"; "deltas_flushed"; "catchup_flushes";
+    "freshness_degradations"; "shed"; "timed_out"; "breaker_open";
+    "stale_epoch_served"; "frames_shipped"; "frames_applied"; "frames_dropped";
+    "frames_retried"; "shard_grouped"; "shard_scatter";
+  ]
+
+let json_keys json =
+  String.sub json 1 (String.length json - 2)
+  |> String.split_on_char ','
+  |> List.map (fun field -> List.nth (String.split_on_char '"' field) 1)
+
+let test_stats_json_golden () =
+  Alcotest.(check (list string))
+    "zero summary keys" stats_json_keys
+    (json_keys (S.summary_to_json S.zero));
+  (* Counter [i] (in [S.counters] order) holds [i + 1]: pins which key
+     each constructor prints under, byte for byte. *)
+  let st = S.create ~buffer_capacity:4 () in
+  S.begin_op st;
+  S.read st 1;
+  S.read st 2;
+  S.write st 3;
+  S.begin_op st;
+  S.read st 1;
+  List.iteri (fun i c -> S.add st c (i + 1)) S.counters;
+  S.note_shard_grouped st;
+  S.note_shard_scatter st;
+  Alcotest.(check string)
+    "counted summary"
+    ({|{"op_reads": 0, "op_writes": 0, "total_reads": 2, "total_writes": 1, |}
+   ^ {|"total_accesses": 3, "logical_reads": 3, "logical_writes": 1, |}
+   ^ {|"buffer_hits": 1, "buffer_misses": 2, "buffer_evictions": 0, |}
+   ^ {|"prefetched": 0, "prefetch_hits": 0, "buffer_hit_ratio": 0.3333, |}
+   ^ {|"buffer_capacity": 4, "scrubs": 1, "fallbacks": 2, "retries": 3, |}
+   ^ {|"deltas_buffered": 4, "deltas_merged": 5, "deltas_annihilated": 6, |}
+   ^ {|"deltas_flushed": 7, "catchup_flushes": 8, "freshness_degradations": 9, |}
+   ^ {|"shed": 10, "timed_out": 11, "breaker_open": 12, "stale_epoch_served": 13, |}
+   ^ {|"frames_shipped": 14, "frames_applied": 15, "frames_dropped": 16, |}
+   ^ {|"frames_retried": 17, "shard_grouped": 1, "shard_scatter": 1, "mode": "x"}|})
+    (S.summary_to_json ~extra:[ ("mode", {|"x"|}) ] (S.snapshot st))
+
 let suite =
   [
     Alcotest.test_case "config" `Quick test_config;
@@ -377,6 +426,7 @@ let suite =
     Alcotest.test_case "buffer segment namespacing" `Quick test_buffer_segment_namespacing;
     Alcotest.test_case "stats prefetch accounting" `Quick test_stats_prefetch_accounting;
     Alcotest.test_case "stats segment hit ratio" `Quick test_stats_segment_hit_ratio;
+    Alcotest.test_case "stats JSON keys golden" `Quick test_stats_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
     Alcotest.test_case "recluster slices and abort" `Quick test_recluster_slices_and_abort;
