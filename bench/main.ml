@@ -1433,7 +1433,6 @@ let bench_clustering ?(buffer_pages = 16) ~quick () =
     | Engine.Plan.Stitch _ -> "asr"
     | Engine.Plan.Nav _ -> "nav"
     | Engine.Plan.Extent_scan _ -> "extent"
-    | Engine.Plan.Union _ | Engine.Plan.Distinct _ -> "other"
   in
   let cold_choice = Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Fwd in
   let cold_kind = kind_of cold_choice in

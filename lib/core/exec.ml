@@ -109,6 +109,53 @@ let backward_scan env path ~i ~j ~target =
 (* Index-supported evaluation                                          *)
 (* ------------------------------------------------------------------ *)
 
+type dir = Fwd | Bwd
+
+type step =
+  | Lookup of { part : int; enter : int; leave : int }
+  | Scan of { part : int; enter : int; leave : int }
+
+let stitch_steps index dir ~i ~j =
+  let path = Asr.path index in
+  check_range path ~i ~j;
+  let col = Gom.Path.column_of_object_position path in
+  let start, goal, next =
+    match dir with Fwd -> (col i, col j, 1) | Bwd -> (col j, col i, -1)
+  in
+  (* A partition's clustering column and far column, in walk order. *)
+  let ends part =
+    let lo, hi = Asr.partition_bounds index part in
+    match dir with Fwd -> (lo, hi) | Bwd -> (hi, lo)
+  in
+  let rec go part enter =
+    let near, far = ends part in
+    let leave = match dir with Fwd -> min far goal | Bwd -> max far goal in
+    let step =
+      if enter = near then Lookup { part; enter; leave } else Scan { part; enter; leave }
+    in
+    if leave = goal then [ step ] else step :: go (part + next) leave
+  in
+  (* Start in the partition clustered on the start column if there is
+     one, else in the partition holding it.  [partition_index_of_column]
+     prefers the partition starting at a column; a backward walk wants
+     the one ending there, its predecessor. *)
+  let p = Asr.partition_index_of_column index start in
+  let ending_here = dir = Bwd && fst (Asr.partition_bounds index p) = start in
+  go (if ending_here then p - 1 else p) start
+
+type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
+
+let lookup_each env index dir part _keys =
+  (match dir with Fwd -> Asr.lookup_fwd | Bwd -> Asr.lookup_bwd) ~stats:env.stats index part
+
+let lookup_many env index dir part keys =
+  let lookup = match dir with Fwd -> Asr.lookup_fwd_many | Bwd -> Asr.lookup_bwd_many in
+  let fetched = lookup ~stats:env.stats index part keys in
+  fun key ->
+    match List.find_opt (fun (k, _) -> Gom.Value.equal k key) fetched with
+    | Some (_, rows) -> rows
+    | None -> []
+
 let distinct_at rows col_in_part =
   rows
   |> List.filter_map (fun (row : Relation.Tuple.t) ->
@@ -116,67 +163,49 @@ let distinct_at rows col_in_part =
          if Gom.Value.is_null v then None else Some v)
   |> sort_values
 
-let forward_supported env index ~i ~j oid =
-  let stats = env.stats in
-  let path = Asr.path index in
-  check_range path ~i ~j;
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let rec go pidx cur frontier =
-    checkpoint env;
-    if frontier = [] then []
-    else
-      let lo, hi = Asr.partition_bounds index pidx in
-      let rows =
-        if cur > lo then
-          (* Entered the partition away from its clustering column:
-             every page must be inspected. *)
-          Asr.scan_partition ~stats index pidx
-          |> List.filter (fun (row : Relation.Tuple.t) ->
-                 List.exists (Gom.Value.equal row.(cur - lo)) frontier)
-        else List.concat_map (fun key -> Asr.lookup_fwd ~stats index pidx key) frontier
-      in
-      let stop = min hi cj in
-      let frontier' = distinct_at rows (stop - lo) in
-      if stop >= cj then frontier' else go (pidx + 1) stop frontier'
+let stitch env index ~lookup steps frontiers =
+  let visit frontiers step =
+    let (Lookup { part; enter; leave } | Scan { part; enter; leave }) = step in
+    let lo, _ = Asr.partition_bounds index part in
+    let select =
+      match step with
+      | Scan _ ->
+        (* Entered away from the clustering column: every leaf page is
+           read, once for all probes. *)
+        let rows = Asr.scan_partition ~stats:env.stats index part in
+        fun frontier ->
+          List.filter
+            (fun (row : Relation.Tuple.t) ->
+              List.exists (Gom.Value.equal row.(enter - lo)) frontier)
+            rows
+      | Lookup _ -> List.concat_map (lookup part (List.concat (Array.to_list frontiers)))
+    in
+    Array.map
+      (function [] -> [] | frontier -> distinct_at (select frontier) (leave - lo))
+      frontiers
   in
-  let pidx = Asr.partition_index_of_column index ci in
-  go pidx ci [ Gom.Value.Ref oid ]
+  let rec go frontiers = function
+    | [] -> frontiers
+    | step :: rest ->
+      (* Cancellation checkpoint between partition rounds: a round
+         either happens whole or not at all, so every frontier is still
+         exact when Deadline.Expired propagates. *)
+      checkpoint env;
+      if Array.for_all List.is_empty frontiers then frontiers
+      else go (visit frontiers step) rest
+  in
+  go frontiers steps
+
+(* One probe, per-key lookups: the paper's reference cost. *)
+let supported env index dir ~i ~j probe =
+  let steps = stitch_steps index dir ~i ~j in
+  (stitch env index ~lookup:(lookup_each env index dir) steps [| [ probe ] |]).(0)
+
+let forward_supported env index ~i ~j oid =
+  supported env index Fwd ~i ~j (Gom.Value.Ref oid)
 
 let backward_supported env index ~i ~j ~target =
-  let stats = env.stats in
-  let path = Asr.path index in
-  check_range path ~i ~j;
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  (* Index of the partition whose clustering end matches [col] if any,
-     else the one containing it. *)
-  let part_ending col =
-    let k = ref (-1) in
-    for idx = 0 to Asr.partition_count index - 1 do
-      let _, hi = Asr.partition_bounds index idx in
-      if !k < 0 && hi = col then k := idx
-    done;
-    if !k >= 0 then !k else Asr.partition_index_of_column index col
-  in
-  let rec go pidx cur frontier =
-    checkpoint env;
-    if frontier = [] then []
-    else
-      let lo, hi = Asr.partition_bounds index pidx in
-      let rows =
-        if cur < hi then
-          Asr.scan_partition ~stats index pidx
-          |> List.filter (fun (row : Relation.Tuple.t) ->
-                 List.exists (Gom.Value.equal row.(cur - lo)) frontier)
-        else List.concat_map (fun key -> Asr.lookup_bwd ~stats index pidx key) frontier
-      in
-      let stop = max lo ci in
-      let frontier' = distinct_at rows (stop - lo) in
-      if stop <= ci then frontier' else go (pidx - 1) stop frontier'
-  in
-  let pidx = part_ending cj in
-  go pidx cj [ target ] |> List.map Gom.Value.oid_exn |> sort_oids
+  supported env index Bwd ~i ~j target |> List.map Gom.Value.oid_exn |> sort_oids
 
 let forward ?index env path ~i ~j oid =
   match index with

@@ -91,14 +91,65 @@ val backward_scan :
 (** Exhaustive evaluation of [Q^(i,j)(bw)]: scans the [ti] extent and
     tests reachability of [target] at position [j]. *)
 
+(** {2 The stitch walk (section 5.6)}
+
+    Defined once, here: the planner prices and health-checks the
+    {!step}s of {!stitch_steps}, and every executor runs them through
+    {!stitch}. *)
+
+type dir = Fwd | Bwd
+
+(** One partition visit.  [enter] and [leave] are the (relation)
+    columns where the walk enters and leaves partition [part]. *)
+type step =
+  | Lookup of { part : int; enter : int; leave : int }
+      (** Entered at the clustering column: key lookups. *)
+  | Scan of { part : int; enter : int; leave : int }
+      (** Entered at an interior column: every leaf page is read. *)
+
+val stitch_steps : Asr.t -> dir -> i:int -> j:int -> step list
+(** The partitions a [Q^(i,j)] walk over the index visits, in order:
+    forward from object position [i] to [j], backward from [j] to [i].
+    @raise Invalid_argument unless [0 <= i < j <= n]. *)
+
+(** [lookup part keys] prepares the lookups of [keys] (every probe's)
+    in partition [part]; the function it returns gives one key's rows. *)
+type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
+
+val stitch :
+  env ->
+  Asr.t ->
+  lookup:lookup ->
+  step list ->
+  Gom.Value.t list array ->
+  Gom.Value.t list array
+(** [stitch env index ~lookup steps frontiers] runs the walk for one
+    frontier per probe and returns each probe's final frontier
+    (distinct, sorted, NULL-free).  A [Scan] reads its partition once
+    and filters it for every probe; a [Lookup] prepares [lookup] once
+    with the keys of all frontiers, then asks it for each probe's keys.
+    Stops as soon as every frontier is empty; calls {!checkpoint} once
+    per partition round. *)
+
+val lookup_each : env -> Asr.t -> dir -> lookup
+(** One {!Asr.lookup_fwd} (or {!Asr.lookup_bwd}) each time a probe asks
+    for a key: the paper's per-probe reference cost. *)
+
+val lookup_many : env -> Asr.t -> dir -> lookup
+(** One {!Asr.lookup_fwd_many} (or {!Asr.lookup_bwd_many}) over all the
+    keys up front: sorted keys share descents and leaf pages, the
+    batched executors' lookup. *)
+
 val forward_supported :
   env -> Asr.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
-(** Index evaluation of [Q^(i,j)(fw)].  The caller must ensure
+(** Index evaluation of [Q^(i,j)(fw)]: {!stitch_steps} run through
+    {!stitch} with {!lookup_each}.  The caller must ensure
     {!Asr.supports}; results on supported ranges agree with
     {!forward_scan} (property-tested). *)
 
 val backward_supported :
   env -> Asr.t -> i:int -> j:int -> target:Gom.Value.t -> Gom.Oid.t list
+(** Backward analogue of {!forward_supported}; distinct, sorted. *)
 
 val forward :
   ?index:Asr.t ->

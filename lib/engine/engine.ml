@@ -15,17 +15,14 @@ module QC = Costmodel.Query_cost
 (* ------------------------------------------------------------------ *)
 
 module Plan = struct
-  type dir = Fwd | Bwd
+  type dir = Core.Exec.dir = Fwd | Bwd
 
   let dir_to_string = function Fwd -> "fw" | Bwd -> "bw"
 
-  (* One partition visit while stitching a decomposed extension back
-     together.  [enter] is the column at which the walk enters the
-     partition: at a clustering boundary the visit is a key lookup, at
-     an interior column every leaf page must be scanned (section 5.6). *)
-  type step =
-    | Lookup of { part : int; enter : int }
-    | Scan of { part : int; enter : int }
+  (* The section 5.6 walk is defined once, in Core.Exec. *)
+  type step = Core.Exec.step =
+    | Lookup of { part : int; enter : int; leave : int }
+    | Scan of { part : int; enter : int; leave : int }
 
   type t =
     | Nav of { path : Gom.Path.t; i : int; j : int }
@@ -39,14 +36,12 @@ module Plan = struct
         j : int;  (** Object positions within the {e index's} path. *)
         steps : step list;
       }  (** Prefix/suffix stitch across the index's decomposition. *)
-    | Union of t list  (** Merge sub-plan answers, duplicate-free. *)
-    | Distinct of t
 
   let step_to_string = function
-    | Lookup { part; enter } -> Printf.sprintf "lookup(p%d@c%d)" part enter
-    | Scan { part; enter } -> Printf.sprintf "scan(p%d@c%d)" part enter
+    | Lookup { part; enter; _ } -> Printf.sprintf "lookup(p%d@c%d)" part enter
+    | Scan { part; enter; _ } -> Printf.sprintf "scan(p%d@c%d)" part enter
 
-  let rec to_string = function
+  let to_string = function
     | Nav { path; i; j } ->
       Printf.sprintf "nav fw(%d,%d) over %s" i j (Gom.Path.to_string path)
     | Extent_scan { path; i; j } ->
@@ -57,8 +52,6 @@ module Plan = struct
         (Core.Decomposition.to_string (Core.Asr.decomposition index))
         (Gom.Path.to_string (Core.Asr.path index))
         (String.concat " ; " (List.map step_to_string steps))
-    | Union ps -> "union(" ^ String.concat " | " (List.map to_string ps) ^ ")"
-    | Distinct p -> "distinct(" ^ to_string p ^ ")"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -256,11 +249,9 @@ let register t a =
         t.generation <- t.generation + 1
       end)
 
-let rec plan_uses a (p : Plan.t) =
+let plan_uses a (p : Plan.t) =
   match p with
   | Plan.Stitch { index; _ } -> index == a
-  | Plan.Union ps -> List.exists (plan_uses a) ps
-  | Plan.Distinct p -> plan_uses a p
   | Plan.Nav _ | Plan.Extent_scan _ -> false
 
 let unregister t a =
@@ -295,12 +286,10 @@ let stitch_usable t index steps =
 
 (* A plan is live when every index it stitches through is still
    registered and fully healthy over the partitions it visits. *)
-let rec plan_live_with indexes health (p : Plan.t) =
+let plan_live_with indexes health (p : Plan.t) =
   match p with
   | Plan.Nav _ | Plan.Extent_scan _ -> true
   | Plan.Stitch { index; steps; _ } -> stitch_usable_with indexes health index steps
-  | Plan.Union ps -> List.for_all (plan_live_with indexes health) ps
-  | Plan.Distinct p -> plan_live_with indexes health p
 
 let cache_info t =
   with_lock t (fun () ->
@@ -466,51 +455,6 @@ let analytic_decomposition path dec =
   in
   Core.Decomposition.make ~m:n bounds
 
-(* Static partition walks, mirroring Exec.forward_supported /
-   backward_supported exactly. *)
-
-let forward_steps index ~ci ~cj =
-  let rec go pidx cur acc =
-    let lo, hi = Core.Asr.partition_bounds index pidx in
-    let s =
-      if cur > lo then Plan.Scan { part = pidx; enter = cur }
-      else Plan.Lookup { part = pidx; enter = cur }
-    in
-    let stop = min hi cj in
-    if stop >= cj then List.rev (s :: acc) else go (pidx + 1) stop (s :: acc)
-  in
-  go (Core.Asr.partition_index_of_column index ci) ci []
-
-(* Index of the partition whose clustering end matches [col] if any,
-   else the one containing it (same rule as Exec). *)
-let part_ending index col =
-  let k = ref (-1) in
-  for idx = 0 to Core.Asr.partition_count index - 1 do
-    let _, hi = Core.Asr.partition_bounds index idx in
-    if !k < 0 && hi = col then k := idx
-  done;
-  if !k >= 0 then !k else Core.Asr.partition_index_of_column index col
-
-let backward_steps index ~ci ~cj =
-  let rec go pidx cur acc =
-    let lo, hi = Core.Asr.partition_bounds index pidx in
-    let s =
-      if cur < hi then Plan.Scan { part = pidx; enter = cur }
-      else Plan.Lookup { part = pidx; enter = cur }
-    in
-    let stop = max lo ci in
-    if stop <= ci then List.rev (s :: acc) else go (pidx - 1) stop (s :: acc)
-  in
-  go (part_ending index cj) cj []
-
-let steps_for index dir ~i ~j =
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  match (dir : Plan.dir) with
-  | Fwd -> forward_steps index ~ci ~cj
-  | Bwd -> backward_steps index ~ci ~cj
-
 let qkind = function Plan.Fwd -> QC.Fw | Plan.Bwd -> QC.Bw
 
 (* Buffer warmth, summarised per segment as a decile bucket (-1 when
@@ -565,7 +509,7 @@ let candidates ?env t path ~i ~j ~dir =
         match embedding_offset ~index_path:ipath ~query_path:path with
         | Some off when Core.Asr.supports a ~i:(off + i) ~j:(off + j) ->
           let pi = off + i and pj = off + j in
-          let steps = steps_for a dir ~i:pi ~j:pj in
+          let steps = Core.Exec.stitch_steps a dir ~i:pi ~j:pj in
           if not (stitch_usable_with indexes health a steps) then begin
             (* The index embeds the path and supports the range, but is
                quarantined over a partition this walk would visit: plan
@@ -650,18 +594,25 @@ let choose ?env t path ~i ~j ~dir = fst (choose_aux ?env t path ~i ~j ~dir)
 (* Execution: one probe                                                *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_forward_exn ~env t plan oid =
+(* Run a stitch plan's own steps, one frontier per probe, behind the
+   execution guards: the partitions the planner health-checked are, by
+   construction, the partitions read. *)
+let run_stitch ~env t index steps ~lookup probes =
+  if not (stitch_usable t index steps) then raise Stale_plan;
+  with_index_trees ~env t index (fun () ->
+      Core.Exec.stitch env index ~lookup steps
+        (Array.of_list (List.map (fun p -> [ p ]) probes)))
+
+let oids vs = List.map Gom.Value.oid_exn vs |> List.sort_uniq Gom.Oid.compare
+
+let run_forward_exn ~env t plan oid =
   match (plan : Plan.t) with
   | Nav { path; i; j } -> Core.Exec.forward_scan env path ~i ~j oid
-  | Stitch { index; i; j; steps; _ } ->
-    if not (stitch_usable t index steps) then raise Stale_plan;
-    with_index_trees ~env t index (fun () ->
-        Core.Exec.forward_supported env index ~i ~j oid)
-  | Extent_scan _ -> invalid_arg "Engine.run_forward: backward plan"
-  | Union ps ->
-    List.concat_map (fun p -> run_forward_exn ~env t p oid) ps
-    |> List.sort_uniq Gom.Value.compare
-  | Distinct p -> List.sort_uniq Gom.Value.compare (run_forward_exn ~env t p oid)
+  | Stitch { index; dir = Fwd; steps; _ } ->
+    let lookup = Core.Exec.lookup_each env index Fwd in
+    (run_stitch ~env t index steps ~lookup [ Gom.Value.Ref oid ]).(0)
+  | Stitch { dir = Bwd; _ } | Extent_scan _ ->
+    invalid_arg "Engine.run_forward: backward plan"
 
 let run_forward ?env t plan oid =
   let env = resolve_env t env in
@@ -669,18 +620,13 @@ let run_forward ?env t plan oid =
   with Stale_plan ->
     invalid_arg "Engine.run_forward: plan uses an unregistered or quarantined index"
 
-let rec run_backward_exn ~env t plan ~target =
+let run_backward_exn ~env t plan ~target =
   match (plan : Plan.t) with
   | Extent_scan { path; i; j } -> Core.Exec.backward_scan env path ~i ~j ~target
-  | Stitch { index; i; j; steps; _ } ->
-    if not (stitch_usable t index steps) then raise Stale_plan;
-    with_index_trees ~env t index (fun () ->
-        Core.Exec.backward_supported env index ~i ~j ~target)
-  | Nav _ -> invalid_arg "Engine.run_backward: forward plan"
-  | Union ps ->
-    List.concat_map (fun p -> run_backward_exn ~env t p ~target) ps
-    |> List.sort_uniq Gom.Oid.compare
-  | Distinct p -> List.sort_uniq Gom.Oid.compare (run_backward_exn ~env t p ~target)
+  | Stitch { index; dir = Bwd; steps; _ } ->
+    let lookup = Core.Exec.lookup_each env index Bwd in
+    oids (run_stitch ~env t index steps ~lookup [ target ]).(0)
+  | Stitch { dir = Fwd; _ } | Nav _ -> invalid_arg "Engine.run_backward: forward plan"
 
 let run_backward ?env t plan ~target =
   let env = resolve_env t env in
@@ -722,113 +668,18 @@ let backward ?env t path ~i ~j ~target =
 (* Execution: batched probes                                           *)
 (* ------------------------------------------------------------------ *)
 
-let distinct_at rows col =
-  rows
-  |> List.filter_map (fun (row : Relation.Tuple.t) ->
-         let v = row.(col) in
-         if Gom.Value.is_null v then None else Some v)
-  |> List.sort_uniq Gom.Value.compare
-
-let assoc_rows fetched key =
-  match List.find_opt (fun (k, _) -> Gom.Value.equal k key) fetched with
-  | Some (_, rows) -> rows
-  | None -> []
-
-let is_empty = function [] -> true | _ :: _ -> false
-
-(* Walk the partitions once for the whole batch ([frontiers] holds one
-   frontier per probe): a partition entered at an interior column is
-   scanned once and filtered per probe, a clustering-boundary entry
-   turns into one sorted multi-key lookup sharing descents and leaf
-   pages across probes.  The per-probe results are exactly those of
-   Exec.forward_supported / backward_supported. *)
-
-let batch_select ~stats index pidx ~interior ~col_in_part ~lookup_many frontiers =
-  if interior then begin
-    let rows = Core.Asr.scan_partition ~stats index pidx in
-    fun frontier ->
-      List.filter
-        (fun (row : Relation.Tuple.t) ->
-          List.exists (Gom.Value.equal row.(col_in_part)) frontier)
-        rows
-  end
-  else begin
-    let keys = Array.to_list frontiers |> List.concat in
-    let fetched = lookup_many ~stats index pidx keys in
-    fun frontier -> List.concat_map (assoc_rows fetched) frontier
-  end
-
-let advance frontiers select ~col_in_part =
-  Array.map
-    (fun f -> if is_empty f then [] else distinct_at (select f) col_in_part)
-    frontiers
-
-let batch_stitch_fwd ~env index ~i ~j frontiers =
-  let stats = env.Core.Exec.stats in
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let lookup_many ~stats index pidx keys =
-    Core.Asr.lookup_fwd_many ~stats index pidx keys
-  in
-  let rec go pidx cur frontiers =
-    (* Cancellation checkpoint between partition rounds: a whole round's
-       descents and merges either happen or don't, so every frontier is
-       still exact when Deadline.Expired propagates. *)
-    Core.Exec.checkpoint env;
-    if Array.for_all is_empty frontiers then frontiers
-    else begin
-      let lo, hi = Core.Asr.partition_bounds index pidx in
-      let select =
-        batch_select ~stats index pidx ~interior:(cur > lo) ~col_in_part:(cur - lo)
-          ~lookup_many frontiers
-      in
-      let stop = min hi cj in
-      let frontiers' = advance frontiers select ~col_in_part:(stop - lo) in
-      if stop >= cj then frontiers' else go (pidx + 1) stop frontiers'
-    end
-  in
-  go (Core.Asr.partition_index_of_column index ci) ci frontiers
-
-let batch_stitch_bwd ~env index ~i ~j frontiers =
-  let stats = env.Core.Exec.stats in
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let lookup_many ~stats index pidx keys =
-    Core.Asr.lookup_bwd_many ~stats index pidx keys
-  in
-  let rec go pidx cur frontiers =
-    Core.Exec.checkpoint env;
-    if Array.for_all is_empty frontiers then frontiers
-    else begin
-      let lo, hi = Core.Asr.partition_bounds index pidx in
-      let select =
-        batch_select ~stats index pidx ~interior:(cur < hi) ~col_in_part:(cur - lo)
-          ~lookup_many frontiers
-      in
-      let stop = max lo ci in
-      let frontiers' = advance frontiers select ~col_in_part:(stop - lo) in
-      if stop <= ci then frontiers' else go (pidx - 1) stop frontiers'
-    end
-  in
-  go (part_ending index cj) cj frontiers
-
 let forward_batch ?env t path ~i ~j oids =
   let env = resolve_env t env in
   let c = choose ~env t path ~i ~j ~dir:Plan.Fwd in
   Storage.Stats.begin_op env.Core.Exec.stats;
   let probes = List.sort_uniq Gom.Oid.compare oids in
   match c.chosen with
-  | Plan.Stitch { index; i = pi; j = pj; steps; _ } -> (
+  | Plan.Stitch { index; steps; _ } -> (
     try
-      if not (stitch_usable t index steps) then raise Stale_plan;
-      with_index_trees ~env t index (fun () ->
-          let frontiers =
-            Array.of_list (List.map (fun o -> [ Gom.Value.Ref o ]) probes)
-          in
-          let finals = batch_stitch_fwd ~env index ~i:pi ~j:pj frontiers in
-          List.mapi (fun k o -> (o, finals.(k))) probes)
+      let lookup = Core.Exec.lookup_many env index Fwd in
+      let refs = List.map (fun o -> Gom.Value.Ref o) probes in
+      let finals = run_stitch ~env t index steps ~lookup refs in
+      List.mapi (fun k o -> (o, finals.(k))) probes
     with Stale_plan ->
       List.map (fun o -> (o, nav_fallback ~env t path ~i ~j o)) probes)
   | plan ->
@@ -845,18 +696,11 @@ let backward_batch ?env t path ~i ~j ~targets =
   Storage.Stats.begin_op env.Core.Exec.stats;
   let probes = List.sort_uniq Gom.Value.compare targets in
   match c.chosen with
-  | Plan.Stitch { index; i = pi; j = pj; steps; _ } -> (
+  | Plan.Stitch { index; steps; _ } -> (
     try
-      if not (stitch_usable t index steps) then raise Stale_plan;
-      with_index_trees ~env t index (fun () ->
-          let frontiers = Array.of_list (List.map (fun v -> [ v ]) probes) in
-          let finals = batch_stitch_bwd ~env index ~i:pi ~j:pj frontiers in
-          List.mapi
-            (fun k v ->
-              ( v,
-                finals.(k) |> List.map Gom.Value.oid_exn
-                |> List.sort_uniq Gom.Oid.compare ))
-            probes)
+      let lookup = Core.Exec.lookup_many env index Bwd in
+      let finals = run_stitch ~env t index steps ~lookup probes in
+      List.mapi (fun k v -> (v, oids finals.(k))) probes
     with Stale_plan ->
       List.map (fun v -> (v, scan_fallback ~env t path ~i ~j ~target:v)) probes)
   | plan ->
@@ -890,7 +734,7 @@ let explain t path ~i ~j ~dir =
     x_dir = dir;
     x_choice = choice;
     x_cached = cached;
-    x_generation = t.generation;
+    x_generation = generation t;
   }
 
 let explanation_to_string x =

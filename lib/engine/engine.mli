@@ -20,12 +20,14 @@
     {2 Batched execution}
 
     {!forward_batch} / {!backward_batch} evaluate many probes as one
-    accounting operation: probes are sorted by clustering key, partition
-    scans happen once per batch instead of once per probe, and
-    clustering-boundary lookups go through
-    {!Core.Asr.lookup_fwd_many} so sorted keys share B+ tree descents
-    and leaf pages.  Per-probe answers equal those of
-    {!Core.Exec.forward_supported} / {!Core.Exec.backward_supported}.
+    accounting operation: a stitch plan runs its own steps through
+    {!Core.Exec.stitch} with one frontier per probe, scanning each
+    partition once per batch and looking keys up through
+    {!Core.Exec.lookup_many}, so sorted keys share B+ tree descents and
+    leaf pages.  Per-probe execution runs the same steps with
+    {!Core.Exec.lookup_each}, charging exactly what
+    {!Core.Exec.forward_supported} / {!Core.Exec.backward_supported}
+    charge.  Either way the partitions read are the ones planned.
 
     {2 Domain safety}
 
@@ -46,18 +48,15 @@
 
 (** Physical plan IR. *)
 module Plan : sig
-  type dir = Fwd | Bwd
+  type dir = Core.Exec.dir = Fwd | Bwd
 
   val dir_to_string : dir -> string
 
-  (** One partition visit while stitching a decomposed extension back
-      together.  [enter] is the column at which the walk enters the
-      partition: at a clustering boundary the visit is a key lookup, at
-      an interior column every leaf page must be scanned (section
-      5.6). *)
-  type step =
-    | Lookup of { part : int; enter : int }
-    | Scan of { part : int; enter : int }
+  (** One partition visit of the section 5.6 walk, as listed by
+      {!Core.Exec.stitch_steps}. *)
+  type step = Core.Exec.step =
+    | Lookup of { part : int; enter : int; leave : int }
+    | Scan of { part : int; enter : int; leave : int }
 
   type t =
     | Nav of { path : Gom.Path.t; i : int; j : int }
@@ -70,9 +69,9 @@ module Plan : sig
         i : int;
         j : int;  (** Object positions within the {e index's} path. *)
         steps : step list;
+            (** The walk, priced and health-checked at planning time;
+                execution runs exactly these steps. *)
       }  (** Prefix/suffix stitch across the index's decomposition. *)
-    | Union of t list  (** Merge sub-plan answers, duplicate-free. *)
-    | Distinct of t
 
   val step_to_string : step -> string
   val to_string : t -> string

@@ -238,6 +238,194 @@ let test_batch_saves_pages () =
   let batched = Storage.Stats.op_accesses stats in
   check "batched reads fewer pages" true (batched < per_probe)
 
+(* ---------------- stitch walk golden ---------------- *)
+
+(* Pins the section 5.6 walk end to end over one fixed base with a
+   3-step path (the middle step set-valued, so m = 4): for every
+   decomposition, range and direction, the stitch the planner prices,
+   the logical pages of per-probe Exec.*_supported summed over every
+   source (or target), and the logical pages of one Engine batch over
+   the same probes.  Navigation is priced out, except that a forward
+   single step costs one page by equation 31 and no stitch beats it:
+   those batches run navigation, marked "(nav)".  Running the stitch
+   plan itself through the engine, probe by probe, must charge exactly
+   what Exec charges. *)
+let stitch_golden_lines () =
+  let spec =
+    Workload.Generator.spec ~seed:11 ~set_valued:[ false; true; false ]
+      ~counts:[ 40; 60; 90; 120 ] ~defined:[ 36; 50; 80 ] ~fan:[ 1; 2; 1 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let n = Gom.Path.length path in
+  let heap = Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) store in
+  let env = E.make store heap in
+  let stats = env.E.stats in
+  let config = Storage.Config.make ~page_size:256 () in
+  let extent k = Gom.Store.extent ~deep:true store (Gom.Path.type_at path k) in
+  let pages f probes =
+    List.fold_left
+      (fun acc p ->
+        Storage.Stats.begin_op stats;
+        ignore (f p);
+        acc + Storage.Stats.op_logical_reads stats)
+      0 probes
+  in
+  let batch_pages f =
+    ignore (f ());
+    Storage.Stats.op_logical_reads stats
+  in
+  List.concat_map
+    (fun dec ->
+      let a = Core.Asr.create ~config store path Core.Extension.Full dec in
+      let engine = Engine.create env in
+      Engine.register engine a;
+      pin_expensive_nav engine path;
+      List.concat_map
+        (fun (i, j) ->
+          let sources = extent i in
+          let targets = List.map (fun o -> V.Ref o) (extent j) in
+          let line dir ~exec ~engine_run ~batch =
+            let stitch =
+              List.find_map
+                (fun (c : Engine.candidate) ->
+                  match c.Engine.plan with
+                  | Engine.Plan.Stitch _ -> Some c.Engine.plan
+                  | _ -> None)
+                (Engine.candidates engine path ~i ~j ~dir)
+              |> Option.get
+            in
+            let chosen = (Engine.choose engine path ~i ~j ~dir).Engine.chosen in
+            let probe = exec () in
+            let run = engine_run stitch in
+            if run <> probe then
+              Alcotest.failf "%s: engine stitch charged %d pages, Exec %d"
+                (Engine.Plan.to_string stitch) run probe;
+            Printf.sprintf "%s | probe %d batch %d%s" (Engine.Plan.to_string stitch) probe
+              (batch ())
+              (match chosen with Engine.Plan.Stitch _ -> "" | _ -> " (nav)")
+          in
+          [
+            line Engine.Plan.Fwd
+              ~exec:(fun () -> pages (fun o -> E.forward_supported env a ~i ~j o) sources)
+              ~engine_run:(fun p -> pages (Engine.run_forward engine p) sources)
+              ~batch:(fun () ->
+                batch_pages (fun () -> Engine.forward_batch engine path ~i ~j sources));
+            line Engine.Plan.Bwd
+              ~exec:(fun () ->
+                pages (fun target -> E.backward_supported env a ~i ~j ~target) targets)
+              ~engine_run:(fun p ->
+                pages (fun target -> Engine.run_backward engine p ~target) targets)
+              ~batch:(fun () ->
+                batch_pages (fun () -> Engine.backward_batch engine path ~i ~j ~targets));
+          ])
+        (all_ranges n))
+    (D.all ~m:(Gom.Path.arity path - 1))
+
+let stitch_golden =
+  String.concat "\n"
+    [
+      "asr fw(0,1) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 136 batch 1 (nav)";
+      "asr bw(0,1) full/(0,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 1560 batch 26";
+      "asr fw(0,2) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 136 batch 15";
+      "asr bw(0,2) full/(0,4) on T0.A1.A2.A3 [scan(p0@c3)] | probe 2340 batch 26";
+      "asr fw(0,3) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 136 batch 15";
+      "asr bw(0,3) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c4)] | probe 393 batch 25";
+      "asr fw(1,2) full/(0,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 1560 batch 3 (nav)";
+      "asr bw(1,2) full/(0,4) on T0.A1.A2.A3 [scan(p0@c3)] | probe 2340 batch 26";
+      "asr fw(1,3) full/(0,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 1560 batch 6 (nav)";
+      "asr bw(1,3) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c4)] | probe 393 batch 25";
+      "asr fw(2,3) full/(0,4) on T0.A1.A2.A3 [scan(p0@c3)] | probe 2340 batch 3 (nav)";
+      "asr bw(2,3) full/(0,4) on T0.A1.A2.A3 [lookup(p0@c4)] | probe 393 batch 25";
+      "asr fw(0,1) full/(0,1,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 86 batch 1 (nav)";
+      "asr bw(0,1) full/(0,1,4) on T0.A1.A2.A3 [lookup(p0@c1)] | probe 128 batch 6";
+      "asr fw(0,2) full/(0,1,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1)] | probe 173 batch 4 (nav)";
+      "asr bw(0,2) full/(0,1,4) on T0.A1.A2.A3 [scan(p1@c3) ; lookup(p0@c1)] | probe 1684 batch 23";
+      "asr fw(0,3) full/(0,1,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1)] | probe 173 batch 20";
+      "asr bw(0,3) full/(0,1,4) on T0.A1.A2.A3 [lookup(p1@c4) ; lookup(p0@c1)] | probe 376 batch 22";
+      "asr fw(1,2) full/(0,1,4) on T0.A1.A2.A3 [lookup(p1@c1)] | probe 138 batch 3 (nav)";
+      "asr bw(1,2) full/(0,1,4) on T0.A1.A2.A3 [scan(p1@c3)] | probe 1530 batch 17";
+      "asr fw(1,3) full/(0,1,4) on T0.A1.A2.A3 [lookup(p1@c1)] | probe 138 batch 15";
+      "asr bw(1,3) full/(0,1,4) on T0.A1.A2.A3 [lookup(p1@c4)] | probe 263 batch 16";
+      "asr fw(2,3) full/(0,1,4) on T0.A1.A2.A3 [scan(p1@c3)] | probe 1530 batch 3 (nav)";
+      "asr bw(2,3) full/(0,1,4) on T0.A1.A2.A3 [lookup(p1@c4)] | probe 263 batch 16";
+      "asr fw(0,1) full/(0,2,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 87 batch 1 (nav)";
+      "asr bw(0,1) full/(0,2,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 420 batch 7";
+      "asr fw(0,2) full/(0,2,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c2)] | probe 159 batch 17";
+      "asr bw(0,2) full/(0,2,4) on T0.A1.A2.A3 [scan(p1@c3) ; lookup(p0@c2)] | probe 1333 batch 21";
+      "asr fw(0,3) full/(0,2,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c2)] | probe 159 batch 17";
+      "asr bw(0,3) full/(0,2,4) on T0.A1.A2.A3 [lookup(p1@c4) ; lookup(p0@c2)] | probe 382 batch 21";
+      "asr fw(1,2) full/(0,2,4) on T0.A1.A2.A3 [scan(p0@c1) ; lookup(p1@c2)] | probe 539 batch 3 (nav)";
+      "asr bw(1,2) full/(0,2,4) on T0.A1.A2.A3 [scan(p1@c3) ; lookup(p0@c2)] | probe 1333 batch 21";
+      "asr fw(1,3) full/(0,2,4) on T0.A1.A2.A3 [scan(p0@c1) ; lookup(p1@c2)] | probe 539 batch 6 (nav)";
+      "asr bw(1,3) full/(0,2,4) on T0.A1.A2.A3 [lookup(p1@c4) ; lookup(p0@c2)] | probe 382 batch 21";
+      "asr fw(2,3) full/(0,2,4) on T0.A1.A2.A3 [scan(p1@c3)] | probe 1170 batch 3 (nav)";
+      "asr bw(2,3) full/(0,2,4) on T0.A1.A2.A3 [lookup(p1@c4)] | probe 260 batch 13";
+      "asr fw(0,1) full/(0,3,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 94 batch 1 (nav)";
+      "asr bw(0,1) full/(0,3,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 1200 batch 20";
+      "asr fw(0,2) full/(0,3,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 94 batch 11";
+      "asr bw(0,2) full/(0,3,4) on T0.A1.A2.A3 [lookup(p0@c3)] | probe 210 batch 21";
+      "asr fw(0,3) full/(0,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c3)] | probe 190 batch 17";
+      "asr bw(0,3) full/(0,3,4) on T0.A1.A2.A3 [lookup(p1@c4) ; lookup(p0@c3)] | probe 413 batch 28";
+      "asr fw(1,2) full/(0,3,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 1200 batch 3 (nav)";
+      "asr bw(1,2) full/(0,3,4) on T0.A1.A2.A3 [lookup(p0@c3)] | probe 210 batch 21";
+      "asr fw(1,3) full/(0,3,4) on T0.A1.A2.A3 [scan(p0@c1) ; lookup(p1@c3)] | probe 1349 batch 6 (nav)";
+      "asr bw(1,3) full/(0,3,4) on T0.A1.A2.A3 [lookup(p1@c4) ; lookup(p0@c3)] | probe 413 batch 28";
+      "asr fw(2,3) full/(0,3,4) on T0.A1.A2.A3 [lookup(p1@c3)] | probe 190 batch 3 (nav)";
+      "asr bw(2,3) full/(0,3,4) on T0.A1.A2.A3 [lookup(p1@c4)] | probe 249 batch 7";
+      "asr fw(0,1) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 86 batch 1 (nav)";
+      "asr bw(0,1) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p0@c1)] | probe 128 batch 6";
+      "asr fw(0,2) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1) ; lookup(p2@c2)] | probe 235 batch 4 (nav)";
+      "asr bw(0,2) full/(0,1,2,4) on T0.A1.A2.A3 [scan(p2@c3) ; lookup(p1@c2) ; lookup(p0@c1)] | probe 1469 batch 24";
+      "asr fw(0,3) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1) ; lookup(p2@c2)] | probe 235 batch 21";
+      "asr bw(0,3) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c2) ; lookup(p0@c1)] | probe 480 batch 24";
+      "asr fw(1,2) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p1@c1) ; lookup(p2@c2)] | probe 246 batch 3 (nav)";
+      "asr bw(1,2) full/(0,1,2,4) on T0.A1.A2.A3 [scan(p2@c3) ; lookup(p1@c2)] | probe 1315 batch 18";
+      "asr fw(1,3) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p1@c1) ; lookup(p2@c2)] | probe 246 batch 17";
+      "asr bw(1,3) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c2)] | probe 367 batch 18";
+      "asr fw(2,3) full/(0,1,2,4) on T0.A1.A2.A3 [scan(p2@c3)] | probe 1170 batch 3 (nav)";
+      "asr bw(2,3) full/(0,1,2,4) on T0.A1.A2.A3 [lookup(p2@c4)] | probe 260 batch 13";
+      "asr fw(0,1) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 86 batch 1 (nav)";
+      "asr bw(0,1) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p0@c1)] | probe 128 batch 6";
+      "asr fw(0,2) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1)] | probe 168 batch 4 (nav)";
+      "asr bw(0,2) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p1@c3) ; lookup(p0@c1)] | probe 354 batch 21";
+      "asr fw(0,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1) ; lookup(p2@c3)] | probe 264 batch 7 (nav)";
+      "asr bw(0,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c3) ; lookup(p0@c1)] | probe 515 batch 28";
+      "asr fw(1,2) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p1@c1)] | probe 135 batch 3 (nav)";
+      "asr bw(1,2) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p1@c3)] | probe 200 batch 15";
+      "asr fw(1,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p1@c1) ; lookup(p2@c3)] | probe 284 batch 6 (nav)";
+      "asr bw(1,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c3)] | probe 402 batch 22";
+      "asr fw(2,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p2@c3)] | probe 190 batch 3 (nav)";
+      "asr bw(2,3) full/(0,1,3,4) on T0.A1.A2.A3 [lookup(p2@c4)] | probe 249 batch 7";
+      "asr fw(0,1) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 87 batch 1 (nav)";
+      "asr bw(0,1) full/(0,2,3,4) on T0.A1.A2.A3 [scan(p0@c1)] | probe 420 batch 7";
+      "asr fw(0,2) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c2)] | probe 159 batch 14";
+      "asr bw(0,2) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p1@c3) ; lookup(p0@c2)] | probe 358 batch 18";
+      "asr fw(0,3) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c2) ; lookup(p2@c3)] | probe 255 batch 20";
+      "asr bw(0,3) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c3) ; lookup(p0@c2)] | probe 517 batch 25";
+      "asr fw(1,2) full/(0,2,3,4) on T0.A1.A2.A3 [scan(p0@c1) ; lookup(p1@c2)] | probe 534 batch 3 (nav)";
+      "asr bw(1,2) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p1@c3) ; lookup(p0@c2)] | probe 358 batch 18";
+      "asr fw(1,3) full/(0,2,3,4) on T0.A1.A2.A3 [scan(p0@c1) ; lookup(p1@c2) ; lookup(p2@c3)] | probe 683 batch 6 (nav)";
+      "asr bw(1,3) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p2@c4) ; lookup(p1@c3) ; lookup(p0@c2)] | probe 517 batch 25";
+      "asr fw(2,3) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p2@c3)] | probe 190 batch 3 (nav)";
+      "asr bw(2,3) full/(0,2,3,4) on T0.A1.A2.A3 [lookup(p2@c4)] | probe 249 batch 7";
+      "asr fw(0,1) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0)] | probe 86 batch 1 (nav)";
+      "asr bw(0,1) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p0@c1)] | probe 128 batch 6";
+      "asr fw(0,2) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1) ; lookup(p2@c2)] | probe 235 batch 4 (nav)";
+      "asr bw(0,2) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p2@c3) ; lookup(p1@c2) ; lookup(p0@c1)] | probe 494 batch 21";
+      "asr fw(0,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p0@c0) ; lookup(p1@c1) ; lookup(p2@c2) ; lookup(p3@c3)] | probe 331 batch 7 (nav)";
+      "asr bw(0,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p3@c4) ; lookup(p2@c3) ; lookup(p1@c2) ; lookup(p0@c1)] | probe 615 batch 28";
+      "asr fw(1,2) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p1@c1) ; lookup(p2@c2)] | probe 241 batch 3 (nav)";
+      "asr bw(1,2) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p2@c3) ; lookup(p1@c2)] | probe 340 batch 15";
+      "asr fw(1,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p1@c1) ; lookup(p2@c2) ; lookup(p3@c3)] | probe 390 batch 6 (nav)";
+      "asr bw(1,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p3@c4) ; lookup(p2@c3) ; lookup(p1@c2)] | probe 502 batch 22";
+      "asr fw(2,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p3@c3)] | probe 190 batch 3 (nav)";
+      "asr bw(2,3) full/(0,1,2,3,4) on T0.A1.A2.A3 [lookup(p3@c4)] | probe 249 batch 7";
+    ]
+
+let test_stitch_golden () =
+  let got = String.concat "\n" (stitch_golden_lines ()) in
+  Alcotest.(check string) "stitch plans and pages" stitch_golden got
+
 (* ---------------- explain ---------------- *)
 
 let test_explain () =
@@ -282,4 +470,5 @@ let suite =
     Alcotest.test_case "foreign index rejected" `Quick test_register_other_store_rejected;
     Alcotest.test_case "batched probes save pages" `Quick test_batch_saves_pages;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "stitch walk golden" `Quick test_stitch_golden;
   ]

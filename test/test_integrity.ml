@@ -54,10 +54,8 @@ let contains s sub =
   let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let rec uses_stitch = function
+let uses_stitch = function
   | Engine.Plan.Stitch _ -> true
-  | Engine.Plan.Union ps -> List.exists uses_stitch ps
-  | Engine.Plan.Distinct p -> uses_stitch p
   | Engine.Plan.Nav _ | Engine.Plan.Extent_scan _ -> false
 
 (* Engine answers must equal the forced scan oracle over every range,

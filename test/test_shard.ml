@@ -313,10 +313,8 @@ let test_identical_across_shard_counts () =
 
 (* ---------------- router degradation under quarantine -------------- *)
 
-let rec uses_stitch = function
+let uses_stitch = function
   | Engine.Plan.Stitch _ -> true
-  | Engine.Plan.Union ps -> List.exists uses_stitch ps
-  | Engine.Plan.Distinct p -> uses_stitch p
   | Engine.Plan.Nav _ | Engine.Plan.Extent_scan _ -> false
 
 let test_quarantine_degrades_one_shard () =
