@@ -19,7 +19,9 @@ and body =
   | Inner of inner
 
 and leaf = {
-  mutable entries : entry list; (* sorted by (key, tuple) *)
+  mutable entries : entry array;
+      (* sorted by (key, tuple); a change installs a fresh array, so an
+         array is never written once it is stored here *)
   mutable next : node option;
   mutable prev : node option;
 }
@@ -46,7 +48,47 @@ let cmp_entry t a b =
   if c <> 0 then c else cmp_tuple a b
 
 let new_leaf t =
-  { page = Pager.alloc t.pager; body = Leaf { entries = []; next = None; prev = None } }
+  { page = Pager.alloc t.pager; body = Leaf { entries = [||]; next = None; prev = None } }
+
+(* Binary search: the first index of [es] whose entry is not [below],
+   where [below] holds on a prefix of [es]. *)
+let bisect es below =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if below es.(mid) then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length es)
+
+(* [tup]'s own slot when present, else its insertion point. *)
+let search t es tup = bisect es (fun e -> cmp_entry t e.tup tup < 0)
+
+let found es i tup = i < Array.length es && cmp_tuple es.(i).tup tup = 0
+
+(* The first entry with key [key], or where it would be. *)
+let lower_bound t es key = bisect es (fun e -> Gom.Value.compare (t.key_of e.tup) key < 0)
+
+(* A run of [key] may extend into the next leaf as long as this leaf
+   holds no entry beyond the key (duplicate runs can start exactly at a
+   leaf boundary, so an empty prefix is not a stop). *)
+let run_continues t es key =
+  let n = Array.length es in
+  n = 0 || Gom.Value.compare (t.key_of es.(n - 1).tup) key <= 0
+
+(* Copies of [es] with [e] inserted at / the entry at [i] deleted. *)
+let array_insert es i e =
+  let n = Array.length es in
+  let r = Array.make (n + 1) e in
+  Array.blit es 0 r 0 i;
+  Array.blit es i r (i + 1) (n - i);
+  r
+
+let array_remove es i =
+  let n = Array.length es in
+  let r = Array.sub es 0 (n - 1) in
+  Array.blit es (i + 1) r i (n - 1 - i);
+  r
 
 let create ~config ~pager ~tuple_bytes ~key_of =
   if tuple_bytes <= 0 then invalid_arg "Bptree.create: tuple_bytes must be positive";
@@ -59,8 +101,8 @@ let create ~config ~pager ~tuple_bytes ~key_of =
       inner_cap;
       pager;
       tuple_bytes;
-      root = { page = Pager.alloc pager; body = Leaf { entries = []; next = None; prev = None } };
-      first_leaf = { page = 0; body = Leaf { entries = []; next = None; prev = None } };
+      root = { page = Pager.alloc pager; body = Leaf { entries = [||]; next = None; prev = None } };
+      first_leaf = { page = 0; body = Leaf { entries = [||]; next = None; prev = None } };
       cardinal = 0;
     }
   in
@@ -102,7 +144,7 @@ let prefetch_chain ?(will_follow = fun _ -> true) stats node =
                [iter] skips them without a read. *)
             let acc =
               match nx.body with
-              | Leaf { entries = []; _ } -> acc
+              | Leaf { entries = [||]; _ } -> acc
               | Leaf _ | Inner _ -> nx.page :: acc
             in
             ahead (n - 1) nx acc
@@ -156,7 +198,10 @@ let bulk_load t tuples =
     let leaves =
       chunk t.leaf_cap entries
       |> List.map (fun es ->
-             { page = Pager.alloc t.pager; body = Leaf { entries = es; next = None; prev = None } })
+             {
+               page = Pager.alloc t.pager;
+               body = Leaf { entries = Array.of_list es; next = None; prev = None };
+             })
     in
     (* Chain the leaves. *)
     let rec link = function
@@ -172,7 +217,7 @@ let bulk_load t tuples =
     link leaves;
     let min_of node =
       match node.body with
-      | Leaf l -> (List.hd l.entries).tup
+      | Leaf l -> l.entries.(0).tup
       | Inner i -> fst (List.hd i.children)
     in
     let rec build level =
@@ -206,19 +251,6 @@ let route ~before children =
 (* Insert                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec insert_entries t tup = function
-  | [] -> ([ { tup; count = 1 } ], true)
-  | e :: rest as all ->
-    let c = cmp_entry t tup e.tup in
-    if c = 0 then begin
-      e.count <- e.count + 1;
-      (all, false)
-    end
-    else if c < 0 then ({ tup; count = 1 } :: all, true)
-    else
-      let rest', fresh = insert_entries t tup rest in
-      (e :: rest', fresh)
-
 let split_list l =
   let len = List.length l in
   let k = (len + 1) / 2 in
@@ -236,13 +268,19 @@ let insert ?stats t tup =
     read stats node.page;
     match node.body with
     | Leaf l ->
-      let entries, fresh = insert_entries t tup l.entries in
-      l.entries <- entries;
-      if fresh then t.cardinal <- t.cardinal + 1;
-      write stats node.page;
-      if List.length l.entries <= t.leaf_cap then None
+      let es = l.entries in
+      let i = search t es tup in
+      if found es i tup then es.(i).count <- es.(i).count + 1
       else begin
-        let left, right = split_list l.entries in
+        l.entries <- array_insert es i { tup; count = 1 };
+        t.cardinal <- t.cardinal + 1
+      end;
+      write stats node.page;
+      let n = Array.length l.entries in
+      if n <= t.leaf_cap then None
+      else begin
+        let k = (n + 1) / 2 in
+        let left = Array.sub l.entries 0 k and right = Array.sub l.entries k (n - k) in
         let rnode =
           { page = Pager.alloc t.pager; body = Leaf { entries = right; next = l.next; prev = Some node } }
         in
@@ -252,7 +290,7 @@ let insert ?stats t tup =
         l.entries <- left;
         l.next <- Some rnode;
         write stats rnode.page;
-        Some ((List.hd right).tup, rnode)
+        Some (right.(0).tup, rnode)
       end
     | Inner i ->
       let child = route ~before:(fun sep -> cmp_entry t sep tup <= 0) i.children in
@@ -281,7 +319,7 @@ let insert ?stats t tup =
   | Some (sep, rnode) ->
     let old_min =
       match t.root.body with
-      | Leaf l -> ( match l.entries with e :: _ -> e.tup | [] -> sep)
+      | Leaf l -> if Array.length l.entries > 0 then l.entries.(0).tup else sep
       | Inner i -> fst (List.hd i.children)
     in
     let new_root =
@@ -310,27 +348,18 @@ let remove ?stats t tup =
     read stats node.page;
     match node.body with
     | Leaf l ->
-      let found = ref false in
-      let entries =
-        List.filter_map
-          (fun e ->
-            if (not !found) && cmp_entry t tup e.tup = 0 then begin
-              found := true;
-              e.count <- e.count - 1;
-              if e.count <= 0 then begin
-                t.cardinal <- t.cardinal - 1;
-                None
-              end
-              else Some e
-            end
-            else Some e)
-          l.entries
-      in
-      if !found then begin
-        l.entries <- entries;
+      let es = l.entries in
+      let i = search t es tup in
+      if found es i tup then begin
+        let e = es.(i) in
+        e.count <- e.count - 1;
+        if e.count <= 0 then begin
+          t.cardinal <- t.cardinal - 1;
+          l.entries <- array_remove es i
+        end;
         write stats node.page
       end;
-      if entries = [] && not is_root then begin
+      if Array.length l.entries = 0 && not is_root then begin
         unlink_leaf t node l;
         true
       end
@@ -378,32 +407,29 @@ let rec descend_for_key ?stats t key node =
     in
     descend_for_key ?stats t key child
 
+(* Push the entries of [es] with key [key] onto [acc], last first. *)
+let collect_run t es key acc =
+  let n = Array.length es in
+  let rec go i acc =
+    if i < n && Gom.Value.compare (t.key_of es.(i).tup) key = 0 then go (i + 1) (es.(i).tup :: acc)
+    else acc
+  in
+  go (lower_bound t es key) acc
+
 let lookup ?stats t key =
   let leaf = descend_for_key ?stats t key t.root in
-  let acc = ref [] in
-  let rec walk node ~charged =
+  let rec walk node ~charged acc =
     match node.body with
-    | Inner _ -> ()
+    | Inner _ -> acc
     | Leaf l ->
       if not charged then read stats node.page;
-      List.iter
-        (fun e ->
-          if Gom.Value.compare (t.key_of e.tup) key = 0 then acc := e.tup :: !acc)
-        l.entries;
-      (* The run may extend into the next leaf as long as this leaf
-         holds no entry beyond the key (duplicate runs can start exactly
-         at a leaf boundary, so an empty prefix is not a stop). *)
-      let continue_right =
-        match List.rev l.entries with
-        | [] -> true
-        | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0
-      in
-      if continue_right then
-        match l.next with Some nx -> walk nx ~charged:false | None -> ()
+      let acc = collect_run t l.entries key acc in
+      if run_continues t l.entries key then
+        match l.next with Some nx -> walk nx ~charged:false acc | None -> acc
+      else acc
   in
   (* The descent already read the first leaf page. *)
-  walk leaf ~charged:true;
-  List.rev !acc
+  List.rev (walk leaf ~charged:true [])
 
 (* Serve many point lookups at once, in ascending key order, sharing
    tree descents between adjacent keys: when the next key falls strictly
@@ -419,53 +445,36 @@ let lookup_many ?stats t keys =
     (fun key ->
       let resume =
         match !cursor with
-        | Some node -> (
-          match node.body with
-          | Leaf { entries = first :: _ as es; _ } -> (
-            match List.rev es with
-            | last :: _
-              when Gom.Value.compare (t.key_of first.tup) key < 0
-                   && Gom.Value.compare (t.key_of last.tup) key >= 0 ->
-              (* The run for [key], if any, starts in this leaf. *)
-              Some node
-            | _ -> None)
-          | Leaf _ | Inner _ -> None)
-        | None -> None
+        | Some ({ body = Leaf { entries = es; _ }; _ } as node)
+          when Array.length es > 0
+               && Gom.Value.compare (t.key_of es.(0).tup) key < 0
+               && Gom.Value.compare (t.key_of es.(Array.length es - 1).tup) key >= 0 ->
+          (* The run for [key], if any, starts in this leaf. *)
+          Some node
+        | Some _ | None -> None
       in
       let leaf =
         match resume with
         | Some node -> node
         | None -> descend_for_key ?stats t key t.root
       in
-      let acc = ref [] in
-      let rec walk node =
+      let rec walk node acc =
         match node.body with
-        | Inner _ -> ()
+        | Inner _ -> acc
         | Leaf l ->
           read stats node.page;
           prefetch_chain stats node
             ~will_follow:(fun n ->
               match n.body with
               | Inner _ -> false
-              | Leaf l -> (
-                match List.rev l.entries with
-                | [] -> true
-                | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0));
+              | Leaf l -> run_continues t l.entries key);
           cursor := Some node;
-          List.iter
-            (fun e ->
-              if Gom.Value.compare (t.key_of e.tup) key = 0 then acc := e.tup :: !acc)
-            l.entries;
-          let continue_right =
-            match List.rev l.entries with
-            | [] -> true
-            | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0
-          in
-          if continue_right then
-            match l.next with Some nx -> walk nx | None -> ()
+          let acc = collect_run t l.entries key acc in
+          if run_continues t l.entries key then
+            match l.next with Some nx -> walk nx acc | None -> acc
+          else acc
       in
-      walk leaf;
-      (key, List.rev !acc))
+      (key, List.rev (walk leaf [])))
     keys
 
 let find_entry t tup =
@@ -473,15 +482,12 @@ let find_entry t tup =
   let rec walk node =
     match node.body with
     | Inner _ -> None
-    | Leaf l -> (
-      match List.find_opt (fun e -> cmp_tuple e.tup tup = 0) l.entries with
-      | Some e -> Some e
-      | None ->
-        let past =
-          List.exists (fun e -> cmp_entry t e.tup tup > 0) l.entries
-        in
-        if past then None
-        else ( match l.next with Some nx -> walk nx | None -> None))
+    | Leaf l ->
+      let es = l.entries in
+      let i = search t es tup in
+      if found es i tup then Some es.(i)
+      else if i < Array.length es then None (* an entry past [tup] *)
+      else ( match l.next with Some nx -> walk nx | None -> None)
   in
   walk (descend_for_key t key t.root)
 
@@ -494,10 +500,10 @@ let iter ?stats t f =
     match node.body with
     | Inner _ -> ()
     | Leaf l ->
-      if l.entries <> [] then begin
+      if Array.length l.entries > 0 then begin
         read stats node.page;
         prefetch_chain stats node;
-        List.iter (fun e -> f e.tup) l.entries
+        Array.iter (fun e -> f e.tup) l.entries
       end;
       ( match l.next with Some nx -> walk nx | None -> ())
   in
@@ -512,15 +518,35 @@ let scan ?stats t =
 (* Bulk apply                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The separator right after [child] among [children], if any. *)
+let rec next_separator child = function
+  | (_, c) :: ((sep, _) :: _) when c == child -> Some sep
+  | _ :: rest -> next_separator child rest
+  | [] -> None
+
+(* The leaf [insert] and [remove] route [tup] to, with the separator
+   that bounds that leaf on the right (exclusive; [None] at the right
+   edge of the tree). *)
+let leaf_for ?stats t tup =
+  let rec go node hi =
+    read stats node.page;
+    match node.body with
+    | Leaf _ -> (node, hi)
+    | Inner i ->
+      let child = route ~before:(fun sep -> cmp_entry t sep tup <= 0) i.children in
+      go child (match next_separator child i.children with Some _ as sep -> sep | None -> hi)
+  in
+  go t.root None
+
 (* The write-side sibling of [lookup_many]: apply many signed refcount
    deltas in one pass.  Deltas are sorted by (clustering key, tuple) and
    coalesced, then a single descent finds the first target leaf and the
-   pass rides the leaf chain rightwards — consecutive deltas landing on
-   the same leaf charge its page once per operation, exactly like sorted
-   probes sharing leaves in [lookup_many].  Structural damage (emptied
-   or over-full leaves) is repaired once at the end: over-full leaves
-   split in bulk into fresh pages, emptied leaves are dropped from the
-   chain, and the inner levels are rebuilt bulk-load style. *)
+   pass moves rightwards — consecutive deltas landing on the same leaf
+   charge its page once per operation, exactly like sorted probes
+   sharing leaves in [lookup_many].  Structural damage (emptied or
+   over-full leaves) is repaired once at the end: over-full leaves split
+   in bulk into fresh pages, emptied leaves are dropped from the chain,
+   and the inner levels are rebuilt bulk-load style. *)
 let apply_many ?stats t deltas =
   let deltas = List.filter (fun (_, d) -> d <> 0) deltas in
   let deltas = List.sort (fun (a, _) (b, _) -> cmp_entry t a b) deltas in
@@ -539,63 +565,45 @@ let apply_many ?stats t deltas =
   | [] -> ()
   | (first, _) :: _ ->
     let structural = ref false in
-    (* One root descent for the batch; afterwards the cursor only moves
-       right along the chain.  Whether the next delta still belongs to
-       the current leaf is decided against the next leaf's minimum — the
-       parent separator's knowledge, so peeking costs no page access;
-       only leaves actually applied to are charged. *)
-    let cursor = ref (descend_for_key ?stats t (t.key_of first) t.root) in
-    let rec seek node tup =
-      match node.body with
-      | Inner _ -> node
-      | Leaf l -> (
-        match l.next with
-        | None -> node
-        | Some nx -> (
-          match nx.body with
-          | Leaf { entries = e :: _; _ } when cmp_entry t e.tup tup <= 0 -> seek nx tup
-          | Leaf _ | Inner _ -> node))
-    in
+    (* One charged root descent for the batch.  Each delta then goes to
+       the leaf [insert] and [remove] would route it to: the cursor
+       stays while the delta is below the leaf's upper separator and is
+       re-routed once it reaches it.  Separators are the parent's
+       knowledge, so re-routing costs no page access; only leaves
+       actually applied to are charged. *)
+    let cursor = ref (leaf_for ?stats t first) in
     let apply_one (tup, d) =
-      cursor := seek !cursor tup;
-      let node = !cursor in
+      (match !cursor with
+      | _, Some hi when cmp_entry t hi tup <= 0 -> cursor := leaf_for t tup
+      | _ -> ());
+      let node = fst !cursor in
       match node.body with
       | Inner _ -> assert false
       | Leaf l ->
         read stats node.page;
-        let changed = ref false in
-        let rec go = function
-          | [] ->
-            if d > 0 then begin
-              t.cardinal <- t.cardinal + 1;
-              changed := true;
-              [ { tup; count = d } ]
-            end
-            else []
-          | e :: rest ->
-            let c = cmp_entry t tup e.tup in
-            if c = 0 then begin
-              e.count <- e.count + d;
-              changed := true;
-              if e.count <= 0 then begin
-                t.cardinal <- t.cardinal - 1;
-                rest
-              end
-              else e :: rest
-            end
-            else if c < 0 then
-              if d > 0 then begin
-                t.cardinal <- t.cardinal + 1;
-                changed := true;
-                { tup; count = d } :: e :: rest
-              end
-              else e :: rest
-            else e :: go rest
+        let es = l.entries in
+        let i = search t es tup in
+        let changed =
+          if found es i tup then begin
+            let e = es.(i) in
+            e.count <- e.count + d;
+            if e.count <= 0 then begin
+              t.cardinal <- t.cardinal - 1;
+              l.entries <- array_remove es i
+            end;
+            true
+          end
+          else if d > 0 then begin
+            t.cardinal <- t.cardinal + 1;
+            l.entries <- array_insert es i { tup; count = d };
+            true
+          end
+          else false
         in
-        l.entries <- go l.entries;
-        if !changed then begin
+        if changed then begin
           write stats node.page;
-          if l.entries = [] || List.length l.entries > t.leaf_cap then structural := true
+          let n = Array.length l.entries in
+          if n = 0 || n > t.leaf_cap then structural := true
         end
     in
     List.iter apply_one deltas;
@@ -608,21 +616,22 @@ let apply_many ?stats t deltas =
         | Inner _ -> List.rev acc
         | Leaf l ->
           let nxt = l.next in
+          let n = Array.length l.entries in
           let acc =
-            if l.entries = [] then acc
-            else if List.length l.entries <= t.leaf_cap then node :: acc
+            if n = 0 then acc
+            else if n <= t.leaf_cap then node :: acc
             else begin
-              match chunk t.leaf_cap l.entries with
+              match chunk t.leaf_cap (Array.to_list l.entries) with
               | [] -> acc
               | first_chunk :: rest ->
-                l.entries <- first_chunk;
+                l.entries <- Array.of_list first_chunk;
                 write stats node.page;
                 List.fold_left
                   (fun acc es ->
                     let n =
                       {
                         page = Pager.alloc t.pager;
-                        body = Leaf { entries = es; next = None; prev = None };
+                        body = Leaf { entries = Array.of_list es; next = None; prev = None };
                       }
                     in
                     write stats n.page;
@@ -658,7 +667,7 @@ let apply_many ?stats t deltas =
         link leaves;
         let min_of node =
           match node.body with
-          | Leaf l -> (List.hd l.entries).tup
+          | Leaf l -> l.entries.(0).tup
           | Inner i -> fst (List.hd i.children)
         in
         let rec build level =
@@ -696,7 +705,7 @@ let leaf_pages t =
     match node.body with
     | Inner _ -> ()
     | Leaf l ->
-      if l.entries <> [] then incr n;
+      if Array.length l.entries > 0 then incr n;
       ( match l.next with Some nx -> walk nx | None -> ())
   in
   walk t.first_leaf;
@@ -727,25 +736,21 @@ let check_invariants t =
   let rec check_node ~lo ~hi node =
     match node.body with
     | Leaf l ->
-      if List.length l.entries > t.leaf_cap then
-        fail "leaf %d over capacity (%d > %d)" node.page (List.length l.entries)
-          t.leaf_cap
+      let es = l.entries in
+      if Array.length es > t.leaf_cap then
+        fail "leaf %d over capacity (%d > %d)" node.page (Array.length es) t.leaf_cap
       else
         let in_bounds e =
           (match lo with Some b -> cmp_entry t e.tup b >= 0 | None -> true)
           && (match hi with Some b -> cmp_entry t e.tup b < 0 | None -> true)
         in
-        if not (List.for_all in_bounds l.entries) then
+        if not (Array.for_all in_bounds es) then
           fail "leaf %d violates separator bounds" node.page
         else
-          let rec sorted = function
-            | a :: (b :: _ as rest) ->
-              if cmp_entry t a.tup b.tup >= 0 then
-                fail "leaf %d entries out of order" node.page
-              else sorted rest
-            | [ _ ] | [] -> Ok ()
+          let rec sorted i =
+            i + 1 >= Array.length es || (cmp_entry t es.(i).tup es.(i + 1).tup < 0 && sorted (i + 1))
           in
-          sorted l.entries
+          if sorted 0 then Ok () else fail "leaf %d entries out of order" node.page
     | Inner i ->
       if i.children = [] then fail "inner %d has no children" node.page
       else if List.length i.children > t.inner_cap then
@@ -776,13 +781,33 @@ let check_invariants t =
       | Leaf l -> ( match l.next with Some nx -> chain nx (node :: acc) | None -> List.rev (node :: acc))
     in
     let chain_leaves = chain t.first_leaf [] in
-    if List.length tree_leaves <> List.length chain_leaves then
+    (* [unlink_leaf] relies on the back links and on [first_leaf] being
+       the head of the chain. *)
+    let rec back_linked prev = function
+      | [] -> true
+      | node :: rest -> (
+        match node.body with
+        | Leaf l ->
+          (match (l.prev, prev) with
+          | None, None -> true
+          | Some p, Some q -> p == q
+          | Some _, None | None, Some _ -> false)
+          && back_linked (Some node) rest
+        | Inner _ -> false)
+    in
+    if not (t.first_leaf == List.hd tree_leaves) then fail "first_leaf is not the leftmost leaf"
+    else if List.length tree_leaves <> List.length chain_leaves then
       fail "leaf chain length %d differs from tree leaves %d" (List.length chain_leaves)
         (List.length tree_leaves)
     else if not (List.for_all2 (fun a b -> a == b) tree_leaves chain_leaves) then
       fail "leaf chain order differs from tree order"
+    else if not (back_linked None chain_leaves) then fail "leaf prev links differ from the chain"
     else
-      let all = List.concat_map (fun n -> match n.body with Leaf l -> l.entries | Inner _ -> []) tree_leaves in
+      let all =
+        List.concat_map
+          (fun n -> match n.body with Leaf l -> Array.to_list l.entries | Inner _ -> [])
+          tree_leaves
+      in
       let rec sorted = function
         | a :: (b :: _ as rest) ->
           if cmp_entry t a.tup b.tup >= 0 then fail "entries out of global order"

@@ -14,6 +14,11 @@
     touch to a {!Stats.t}, which is how query and update costs are
     measured.
 
+    A leaf's entries are an array sorted by (key, tuple), replaced by a
+    fresh array on every change and never written in place.  Searches
+    inside a leaf are binary.  That is CPU work only: the pages charged,
+    their order and the pages allocated do not depend on it.
+
     Duplicate tuples are reference-counted: a decomposition partition is
     the {e projection} of the extension, so the same projected tuple can
     be contributed by several extension tuples (Definition 3.8). *)
@@ -103,4 +108,5 @@ val tuple_bytes : t -> int
 
 val check_invariants : t -> (unit, string) result
 (** Structural check used by the test suite: ordering within and across
-    leaves, capacity bounds, separator consistency, leaf chaining. *)
+    leaves, capacity bounds, separator consistency, leaf chaining
+    (forward and back links, with the first leaf at the head). *)

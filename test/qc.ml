@@ -28,3 +28,10 @@ let () =
   Printf.eprintf "QCheck seed: %d (reproduce with ASR_QCHECK_SEED=%d)\n%!" seed seed
 
 let to_alcotest test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
+
+(* Iteration counts that CI raises for fuzz runs: the positive integer
+   in environment variable [name], else [default]. *)
+let iters_env name default =
+  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> default

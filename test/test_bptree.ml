@@ -178,6 +178,237 @@ let prop_random_ops =
         (fun (a, b) n acc -> acc && B.refcount t (tup a b) = n)
         model true)
 
+(* ---------------- apply_many routing ---------------- *)
+
+let key n = V.Ref (Gom.Oid.of_int n)
+
+(* After [remove (6,0)] the middle leaf's first entry (8,2) sits above
+   its separator (6,0).  [apply_many] must still put (7,2) where
+   [insert] would — right of that separator — or lookups never find it. *)
+let test_apply_many_routes_by_separator () =
+  let t = make_tree () in
+  B.bulk_load t [ tup 1 7; tup 6 0; tup 9 8; tup 9 8; tup 8 2; tup 3 8 ];
+  B.insert t (tup 3 3);
+  B.remove t (tup 6 0);
+  B.apply_many t [ (tup 7 2, 1); (tup 3 5, -2) ];
+  check "invariants" true (ok_invariants t);
+  check_int "refcount" 1 (B.refcount t (tup 7 2));
+  check "lookup finds the delta" true (B.lookup t (key 7) = [ tup 7 2 ])
+
+(* ---------------- model-based histories ---------------- *)
+
+type op =
+  | Bulk of (int * int) list
+  | Ins of int * int
+  | Rem of int * int
+  | Apply of ((int * int) * int) list
+
+let pp_pair (a, b) = Printf.sprintf "(%d,%d)" a b
+
+let pp_op = function
+  | Bulk l -> "bulk_load [" ^ String.concat ";" (List.map pp_pair l) ^ "]"
+  | Ins (a, b) -> "insert " ^ pp_pair (a, b)
+  | Rem (a, b) -> "remove " ^ pp_pair (a, b)
+  | Apply ds ->
+    "apply_many ["
+    ^ String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%s,%+d" (pp_pair p) d) ds)
+    ^ "]"
+
+(* Small domains so duplicate keys, leaf boundaries and emptied leaves
+   are common on 4-entry leaves. *)
+let max_a = 8
+let max_b = 6
+
+let gen_pair = QCheck.Gen.(pair (int_bound (max_a - 1)) (int_bound (max_b - 1)))
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun l -> Bulk l) (list_size (int_bound 24) gen_pair));
+        (4, map (fun (a, b) -> Ins (a, b)) gen_pair);
+        (4, map (fun (a, b) -> Rem (a, b)) gen_pair);
+        (2, map (fun l -> Apply l) (list_size (int_bound 10) (pair gen_pair (int_range (-3) 3))));
+        (* Drain every pair whose first (or last) column is in [lo, lo + w]:
+           this empties whole leaves, the first one included. *)
+        ( 1,
+          map
+            (fun (first, lo, w) ->
+              Apply
+                (List.concat
+                   (List.init max_a (fun a ->
+                        List.filter_map
+                          (fun b ->
+                            let c = if first then a else b in
+                            if lo <= c && c <= lo + w then Some ((a, b), -3) else None)
+                          (List.init max_b Fun.id)))))
+            (triple bool (int_bound (max_a - 1)) (int_bound 3)) );
+      ])
+
+let arb_history =
+  let gen =
+    QCheck.Gen.(
+      triple bool (list_size (int_bound 30) gen_op)
+        (list_size (int_bound 4) (list_size (int_bound 6) (int_bound (max max_a max_b)))))
+  in
+  QCheck.make gen
+    ~print:(fun (last, ops, _) ->
+      Printf.sprintf "keyed on the %s column:\n  %s" (if last then "last" else "first")
+        (String.concat "\n  " (List.map pp_op ops)))
+    ~shrink:(fun (last, ops, sets) yield ->
+      QCheck.Shrink.list ops (fun ops' -> yield (last, ops', sets)))
+
+(* The reference: a multiset of pairs, with [apply_many]'s documented
+   semantics (net delta per tuple; a negative net on an absent tuple is
+   ignored; counts at or below zero disappear). *)
+let model_apply model (p, d) =
+  let n = Option.value ~default:0 (Hashtbl.find_opt model p) in
+  if n + d > 0 then Hashtbl.replace model p (n + d)
+  else Hashtbl.remove model p
+
+let run_model model = function
+  | Bulk l ->
+    Hashtbl.reset model;
+    List.iter (fun p -> model_apply model (p, 1)) l
+  | Ins (a, b) -> model_apply model ((a, b), 1)
+  | Rem (a, b) -> model_apply model ((a, b), -1)
+  | Apply ds ->
+    let net = Hashtbl.create 8 in
+    List.iter
+      (fun (p, d) -> Hashtbl.replace net p (d + Option.value ~default:0 (Hashtbl.find_opt net p)))
+      ds;
+    Hashtbl.iter (fun p d -> if d <> 0 then model_apply model (p, d)) net
+
+let run_tree t = function
+  | Bulk l -> B.bulk_load t (List.map (fun (a, b) -> tup a b) l)
+  | Ins (a, b) -> B.insert t (tup a b)
+  | Rem (a, b) -> B.remove t (tup a b)
+  | Apply ds -> B.apply_many t (List.map (fun ((a, b), d) -> (tup a b, d)) ds)
+
+(* The maintenance-fuzz CI job raises the count via ASR_BPTREE_COUNT. *)
+let prop_model =
+  QCheck.Test.make ~name:"bulk_load/insert/remove/apply_many agree with a multiset"
+    ~count:(Qc.iters_env "ASR_BPTREE_COUNT" 300) arb_history (fun (last, ops, sets) ->
+      let col = if last then 1 else 0 in
+      let t =
+        B.create ~config:small_config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+          ~key_of:(fun tu -> tu.(col))
+      in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (fun op ->
+          run_tree t op;
+          run_model model op)
+        ops;
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (match B.check_invariants t with Ok () -> () | Error m -> fail "invariant: %s" m);
+      let key_of (a, b) = if last then b else a in
+      let by_entry p q = compare (key_of p, p) (key_of q, q) in
+      let present = Hashtbl.fold (fun p _ acc -> p :: acc) model [] |> List.sort by_entry in
+      let to_tuples = List.map (fun (a, b) -> tup a b) in
+      let expect k = to_tuples (List.filter (fun p -> key_of p = k) present) in
+      if B.cardinal t <> List.length present then
+        fail "cardinal %d, model %d" (B.cardinal t) (List.length present);
+      if B.scan t <> to_tuples present then fail "scan differs from the model";
+      for k = 0 to max max_a max_b do
+        if B.lookup t (key k) <> expect k then fail "lookup %d differs from the model" k
+      done;
+      List.iter
+        (fun ks ->
+          let want = List.map (fun k -> (key k, expect k)) (List.sort_uniq compare ks) in
+          if B.lookup_many t (List.map key ks) <> want then
+            fail "lookup_many [%s] differs from the model"
+              (String.concat ";" (List.map string_of_int ks)))
+        sets;
+      for a = 0 to max_a - 1 do
+        for b = 0 to max_b - 1 do
+          let n = Option.value ~default:0 (Hashtbl.find_opt model (a, b)) in
+          if B.refcount t (tup a b) <> n || B.mem t (tup a b) <> (n > 0) then
+            fail "refcount %s is %d, model %d" (pp_pair (a, b)) (B.refcount t (tup a b)) n
+        done
+      done;
+      true)
+
+(* ---------------- page-accounting golden ---------------- *)
+
+(* Fixed seeded histories on 4-entry leaves through a 3-frame pool, so
+   splits, unlinks, root collapse, key runs across leaves, lookup_many
+   resumes and chain prefetch all happen.  Every operation runs in its
+   own [Stats.begin_op]; the trace pins its logical and physical pages,
+   the pool's hits, evictions and prefetches, and the pager's
+   allocations.  [apply_many] stays out of the trace, so a change to
+   how it routes deltas does not move this golden. *)
+let golden_trace () =
+  let module S = Storage.Stats in
+  let buf = Buffer.create 65536 in
+  for h = 0 to 59 do
+    let rng = Random.State.make [| h |] in
+    let int n = Random.State.int rng n in
+    let pair () = (int 12, int 6) in
+    let col = h mod 2 in
+    let pager = Storage.Pager.create () in
+    let t = B.create ~config:small_config ~pager ~tuple_bytes:16 ~key_of:(fun tu -> tu.(col)) in
+    let stats = S.create ~buffer_capacity:3 () in
+    let bulk n = B.bulk_load t (List.init n (fun _ -> let a, b = pair () in tup a b)) in
+    for i = 0 to 79 do
+      S.begin_op stats;
+      let hits = S.buffer_hits stats
+      and evictions = S.buffer_evictions stats
+      and prefetched = S.prefetched stats in
+      (* Grow for 40 operations, then mostly drain. *)
+      let inserts = if i < 40 then 45 else 15 in
+      let code =
+        match if i = 0 then 0 else int 100 with
+        | r when r < 3 ->
+          bulk (if i = 0 then 8 + int 24 else int 24);
+          'b'
+        | r when r < inserts ->
+          let a, b = pair () in
+          B.insert ~stats t (tup a b);
+          'i'
+        | r when r < 60 ->
+          (match B.scan t with
+          | present when present <> [] && int 10 < 8 ->
+            B.remove ~stats t (List.nth present (int (List.length present)))
+          | _ ->
+            let a, b = pair () in
+            B.remove ~stats t (tup a b));
+          'r'
+        | r when r < 75 ->
+          ignore (B.lookup ~stats t (key (int 12)));
+          'l'
+        | r when r < 88 ->
+          ignore (B.lookup_many ~stats t (List.init (int 7) (fun _ -> key (int 12))));
+          'm'
+        | _ ->
+          ignore (B.scan ~stats t);
+          's'
+      in
+      Printf.bprintf buf "%d.%d %c %d %d %d %d %d %d %d\n" h i code (S.op_logical_reads stats)
+        (S.op_logical_writes stats) (S.op_reads stats)
+        (S.buffer_hits stats - hits)
+        (S.buffer_evictions stats - evictions)
+        (S.prefetched stats - prefetched)
+        (Storage.Pager.allocated pager)
+    done
+  done;
+  Buffer.contents buf
+
+let test_page_golden () =
+  let trace = golden_trace () in
+  (* Column sums first, so a failure says which counter moved. *)
+  let sums = Array.make 7 0 in
+  String.split_on_char '\n' trace
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | _ :: _ :: fields -> List.iteri (fun i f -> sums.(i) <- sums.(i) + int_of_string f) fields
+         | _ -> ());
+  Alcotest.(check (list int))
+    "sums: logical r/w, physical r, hits, evictions, prefetched, allocated"
+    [ 13289; 3187; 9389; 5061; 9717; 2823; 85074 ]
+    (Array.to_list sums);
+  Alcotest.(check string) "trace digest" "455df286da4f8c38935476f7bdc71a4f" (Digest.to_hex (Digest.string trace))
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -193,4 +424,8 @@ let suite =
     Alcotest.test_case "insert page accounting" `Quick test_insert_page_accounting;
     Alcotest.test_case "backward clustering" `Quick test_backward_clustering;
     Qc.to_alcotest prop_random_ops;
+    Alcotest.test_case "apply_many routes by separator" `Quick
+      test_apply_many_routes_by_separator;
+    Qc.to_alcotest prop_model;
+    Alcotest.test_case "page accounting golden" `Quick test_page_golden;
   ]

@@ -27,14 +27,6 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let vset vs = List.sort_uniq V.compare vs
 
-(* CI fuzz counts: the maintenance-fuzz job raises the oracle property
-   to 200 iterations via ASR_MAINT_COUNT; the run seed is printed by
-   [Qc], so any failure reproduces with ASR_QCHECK_SEED. *)
-let iters_env name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | Some _ | None -> default
-
 (* ---------------- apply_many against the sequential oracle --------- *)
 
 (* page_size 64, tuple 16 bytes -> 4 tuples per leaf; fan-out 5. *)
@@ -336,10 +328,13 @@ let test_stats_counters_in_summary () =
 let policies =
   [ M.Immediate; M.Every_k_events 1; M.Every_k_events 7; M.Bytes_threshold 128; M.On_query ]
 
+(* CI fuzz counts: the maintenance-fuzz job raises this property to 200
+   iterations via ASR_MAINT_COUNT; the run seed is printed by [Qc], so
+   any failure reproduces with ASR_QCHECK_SEED. *)
 let prop_deferred_equals_immediate =
   QCheck.Test.make
     ~name:"deferred maintenance = immediate + scan oracle (all policies, both modes)"
-    ~count:(iters_env "ASR_MAINT_COUNT" 25)
+    ~count:(Qc.iters_env "ASR_MAINT_COUNT" 25)
     QCheck.(
       pair
         (make ~print:(fun _ -> "<spec>") Test_maintenance.spec_gen)

@@ -30,11 +30,6 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let vset vs = List.sort_uniq V.compare vs
 
-let iters_env name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | Some _ | None -> default
-
 let env_of store =
   let heap = Storage.Heap.create ~size_of:(fun _ -> 100) store in
   E.make store heap
@@ -234,7 +229,7 @@ let policies = [ M.Immediate; M.Every_k_events 3; M.On_query ]
 let prop_sharded_equals_unsharded =
   QCheck.Test.make
     ~name:"sharded router = unsharded engine (shards x jobs x policies)"
-    ~count:(iters_env "ASR_SHARD_COUNT" 25)
+    ~count:(Qc.iters_env "ASR_SHARD_COUNT" 25)
     QCheck.(
       pair arb_spec
         (pair (int_bound 3)
