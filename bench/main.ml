@@ -1,312 +1,23 @@
-(* Benchmark harness.
+(* Benchmark harness: the system-level sections that nothing else
+   covers, each selected by a flag and each writing one JSON report to
+   the current directory (--quick runs a section on a smaller base):
 
-   Part 1 regenerates the data series behind every table/figure of the
-   paper's evaluation (sections 4.4, 5.9, 6.3, 6.4) plus the two
-   model-validation experiments — this is the reproduction artifact and
-   the numbers EXPERIMENTS.md discusses.
+     --parallel            snapshot-serving scaling across domains
+     --maintenance-batch   deferred batched index maintenance
+     --serving             overload-resilient serving
+     --replication         hot-standby WAL shipping
+     --failover-smoke      mid-churn kill and promotion
+     --sharded             scatter-gather across shards
+     --clustering          buffer pool and traversal clustering
 
-   Part 2 runs Bechamel micro-benchmarks: one [Test.make] per figure
-   (timing the analytical-model computation that regenerates it) and a
-   set of end-to-end system benchmarks (ASR construction, supported vs
-   navigational queries, maintenance, parsing) over the executable
-   engine. *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: regenerate every figure                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Besides printing, each table is dropped as CSV under results/ so the
-   series can be re-plotted without re-running. *)
-let results_dir = "results"
-
-let write_csv (t : Workload.Table.t) =
-  (try if not (Sys.is_directory results_dir) then raise Exit
-   with Sys_error _ | Exit -> ( try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()));
-  let file = Filename.concat results_dir (t.Workload.Table.id ^ ".csv") in
-  try
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Workload.Table.to_csv t))
-  with Sys_error _ -> ()
-
-let regenerate_figures () =
-  Format.printf "===============================================================@.";
-  Format.printf " Access Support in Object Bases - evaluation reproduction@.";
-  Format.printf "===============================================================@.@.";
-  List.iter
-    (fun (e : Workload.Experiments.t) ->
-      Format.printf "--- %s (section %s): %s ---@.@." e.Workload.Experiments.id
-        e.Workload.Experiments.section e.Workload.Experiments.title;
-      let tables = e.Workload.Experiments.run () in
-      List.iter
-        (fun t ->
-          Workload.Table.render Format.std_formatter t;
-          write_csv t)
-        tables)
-    Workload.Experiments.all;
-  Format.printf "(CSV series written under %s/)@.@." results_dir
+   With no section flag every section except replication and failover
+   runs in turn.  The paper's figures are not here: they are
+   Workload.Experiments, printed by `asr_cli experiment` and pinned
+   under results/ by `dune runtest`.  End-to-end timing split by layer
+   is perfbench/. *)
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One benchmark per figure: the full cost-model computation that
-   regenerates the figure's series. *)
-let figure_tests =
-  List.map
-    (fun (e : Workload.Experiments.t) ->
-      Test.make ~name:("regen/" ^ e.Workload.Experiments.id)
-        (Staged.stage (fun () -> ignore (e.Workload.Experiments.run ()))))
-    Workload.Experiments.all
-
-(* End-to-end engine benchmarks over a generated base. *)
-let engine_tests =
-  let spec =
-    Workload.Generator.spec ~seed:3
-      ~counts:[ 200; 400; 800; 1600 ]
-      ~defined:[ 180; 360; 720 ] ~fan:[ 2; 2; 2 ] ()
-  in
-  let store, path = Workload.Generator.build spec in
-  let heap = Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) store in
-  let env = (Core.Exec.make store heap) in
-  let m = Gom.Path.arity path - 1 in
-  let dec_bi = Core.Decomposition.binary ~m in
-  let index = Core.Asr.create store path Core.Extension.Full dec_bi in
-  let target =
-    match Gom.Store.extent store "T3" with
-    | o :: _ -> Gom.Value.Ref o
-    | [] -> assert false
-  in
-  let source = List.hd (Gom.Store.extent store "T0") in
-  let n = Gom.Path.length path in
-  let tag_path = Gom.Path.make (Gom.Store.schema store) "T0" [ "A1"; "A2"; "A3"; "Tag" ] in
-  let tag_index =
-    Core.Asr.create store tag_path Core.Extension.Full
-      (Core.Decomposition.binary ~m:(Gom.Path.arity tag_path - 1))
-  in
-  let gql_engine = Engine.create env in
-  Engine.register gql_engine tag_index;
-  let maintained_store, mpath = Workload.Generator.build spec in
-  let mheap =
-    Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) maintained_store
-  in
-  let mgr =
-    Core.Maintenance.create
-      (Core.Exec.make maintained_store mheap)
-  in
-  Core.Maintenance.register mgr
-    (Core.Asr.create maintained_store mpath Core.Extension.Full
-       (Core.Decomposition.binary ~m:(Gom.Path.arity mpath - 1)));
-  let msources = Array.of_list (Gom.Store.extent maintained_store "T0") in
-  let mtargets = Array.of_list (Gom.Store.extent maintained_store "T1") in
-  let counter = ref 0 in
-  [
-    Test.make ~name:"engine/asr-create-full-binary"
-      (Staged.stage (fun () ->
-           ignore (Core.Asr.create store path Core.Extension.Full dec_bi)));
-    Test.make ~name:"engine/backward-supported"
-      (Staged.stage (fun () ->
-           ignore (Core.Exec.backward_supported env index ~i:0 ~j:n ~target)));
-    Test.make ~name:"engine/backward-scan"
-      (Staged.stage (fun () ->
-           ignore (Core.Exec.backward_scan env path ~i:0 ~j:n ~target)));
-    Test.make ~name:"engine/forward-supported"
-      (Staged.stage (fun () ->
-           ignore (Core.Exec.forward_supported env index ~i:0 ~j:n source)));
-    Test.make ~name:"engine/forward-scan"
-      (Staged.stage (fun () ->
-           ignore (Core.Exec.forward_scan env path ~i:0 ~j:n source)));
-    Test.make ~name:"engine/maintenance-rotate-membership"
-      (Staged.stage (fun () ->
-           let i = !counter in
-           incr counter;
-           let src = msources.(i mod Array.length msources) in
-           let tgt = mtargets.(i mod Array.length mtargets) in
-           match Gom.Store.get_attr maintained_store src "A1" with
-           | Gom.Value.Ref set ->
-             Gom.Store.insert_elem maintained_store set (Gom.Value.Ref tgt);
-             Gom.Store.remove_elem maintained_store set (Gom.Value.Ref tgt)
-           | _ -> ()));
-    Test.make ~name:"engine/gql-parse-check"
-      (Staged.stage (fun () ->
-           ignore
-             (Gql.Typecheck.check store
-                (Gql.Parser.parse
-                   {|select t from t in T0 where t.A1.A2.A3.Tag = "t3_7"|}))));
-    Test.make ~name:"engine/gql-indexed-query"
-      (Staged.stage (fun () ->
-           ignore
-             (Gql.Eval.query ~engine:gql_engine
-                {|select t from t in T0 where t.A1.A2.A3.Tag = "t3_7"|})));
-    Test.make ~name:"engine/batched-backward-64"
-      (Staged.stage
-         (let targets =
-            Gom.Store.extent store "T3"
-            |> List.filteri (fun i _ -> i mod 25 = 0)
-            |> List.map (fun o -> Gom.Value.Ref o)
-          in
-          let bengine = Engine.create env in
-          Engine.register bengine index;
-          fun () -> ignore (Engine.backward_batch bengine path ~i:0 ~j:n ~targets)));
-    Test.make ~name:"engine/advisor-rank"
-      (Staged.stage (fun () ->
-           ignore
-             (Costmodel.Advisor.rank Workload.Experiments.profile_storage
-                (Costmodel.Opmix.make
-                   ~queries:[ Costmodel.Opmix.query 0 4 1.0 ]
-                   ~updates:[ Costmodel.Opmix.ins 3 1.0 ])
-                ~p_up:0.2)));
-  ]
-
-(* Durability benchmarks: write-ahead-log append throughput, commit
-   barriers, and crash-recovery time (snapshot load + committed-prefix
-   replay + ASR rebuild) over a pre-built log. *)
-let durability_tests =
-  let fresh_dir tag =
-    let d = Filename.temp_file ("asrdb-" ^ tag) "" in
-    Sys.remove d;
-    Sys.mkdir d 0o755;
-    d
-  in
-  let company_path = "Division.Manufactures.Composition.Name" in
-  (* A durable base whose log holds [txns] committed transactions. *)
-  let build_logged_base ~txns =
-    let dir = fresh_dir "recover" in
-    let b = Workload.Schemas.Company.base () in
-    let store = b.Workload.Schemas.Company.store in
-    let db = Durability.Db.create ~dir ~policy:Durability.Wal.Sync_never store in
-    ignore
-      (Durability.Db.register_asr db ~path:company_path ~kind:Core.Extension.Full ());
-    for i = 1 to txns do
-      ignore
-        (Gom.Txn.with_txn store (fun () ->
-             Gom.Store.set_attr store b.Workload.Schemas.Company.door "Name"
-               (Gom.Value.Str (Printf.sprintf "Door-%d" i))))
-    done;
-    Durability.Db.close db;
-    dir
-  in
-  let recover_dir = build_logged_base ~txns:500 in
-  let append_dir = fresh_dir "append" in
-  let append_base = Workload.Schemas.Company.base () in
-  let append_store = append_base.Workload.Schemas.Company.store in
-  let (_ : Durability.Db.t) =
-    Durability.Db.create ~dir:append_dir ~policy:Durability.Wal.Sync_never append_store
-  in
-  let flip = ref 0 in
-  [
-    Test.make ~name:"durability/wal-append"
-      (Staged.stage (fun () ->
-           incr flip;
-           Gom.Store.set_attr append_store append_base.Workload.Schemas.Company.door
-             "Name"
-             (Gom.Value.Str (if !flip land 1 = 0 then "A" else "B"))));
-    Test.make ~name:"durability/txn-commit"
-      (Staged.stage (fun () ->
-           incr flip;
-           ignore
-             (Gom.Txn.with_txn append_store (fun () ->
-                  Gom.Store.set_attr append_store
-                    append_base.Workload.Schemas.Company.door "Name"
-                    (Gom.Value.Str (if !flip land 1 = 0 then "C" else "D"))))));
-    Test.make ~name:"durability/recover-500txn"
-      (Staged.stage (fun () ->
-           let db = Durability.Db.open_ ~dir:recover_dir () in
-           Durability.Db.close db));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: batched-vs-naive page trajectory (BENCH_*.json)             *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine's headline number: total page accesses for K backward
-   probes, one accounting operation per probe vs one batched operation.
-   Dropped as BENCH_batched_backward.json so CI can track the
-   trajectory; [--quick] runs only this part on a smaller base. *)
-let bench_batched ~quick () =
-  let spec =
-    if quick then
-      Workload.Generator.spec ~seed:7
-        ~counts:[ 100; 200; 400; 800 ]
-        ~defined:[ 90; 180; 360 ] ~fan:[ 2; 2; 2 ] ()
-    else
-      Workload.Generator.spec ~seed:7
-        ~counts:[ 400; 800; 1600; 3200 ]
-        ~defined:[ 370; 730; 1450 ] ~fan:[ 2; 2; 2 ] ()
-  in
-  let store, path = Workload.Generator.build spec in
-  let heap = Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) store in
-  let env = Core.Exec.make store heap in
-  let stats = env.Core.Exec.stats in
-  let n = Gom.Path.length path in
-  let m = Gom.Path.arity path - 1 in
-  let engine = Engine.create env in
-  Engine.register engine
-    (Core.Asr.create store path Core.Extension.Full (Core.Decomposition.binary ~m));
-  let k = if quick then 16 else 64 in
-  let last_extent = Gom.Store.extent store (Printf.sprintf "T%d" n) in
-  let stride = max 1 (List.length last_extent / k) in
-  let targets =
-    last_extent
-    |> List.filteri (fun i _ -> i mod stride = 0)
-    |> List.filteri (fun i _ -> i < k)
-    |> List.map (fun o -> Gom.Value.Ref o)
-  in
-  let naive_rows = ref 0 in
-  let naive =
-    List.fold_left
-      (fun acc target ->
-        naive_rows := !naive_rows + List.length (Engine.backward engine path ~i:0 ~j:n ~target);
-        acc + Storage.Stats.op_accesses stats)
-      0 targets
-  in
-  let batched_result = Engine.backward_batch engine path ~i:0 ~j:n ~targets in
-  let batched = Storage.Stats.op_accesses stats in
-  let batched_rows =
-    List.fold_left (fun acc (_, os) -> acc + List.length os) 0 batched_result
-  in
-  assert (!naive_rows = batched_rows);
-  let choice = Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Bwd in
-  let ci = Engine.cache_info engine in
-  Format.printf "batched-vs-naive backward Q(0,%d): %d probes@." n (List.length targets);
-  Format.printf "  plan          : %s@." (Engine.Plan.to_string choice.Engine.chosen);
-  Format.printf "  per-probe     : %d pages@." naive;
-  Format.printf "  batched       : %d pages@." batched;
-  Format.printf "  plan cache    : %d hit(s), %d miss(es), %d invalidation(s)@."
-    ci.Engine.hits ci.Engine.misses ci.Engine.invalidations;
-  let json =
-    Storage.Stats.summary_to_json
-      ~extra:
-        [
-          ("bench", {|"batched-vs-naive-backward"|});
-          ("quick", string_of_bool quick);
-          ("probes", string_of_int (List.length targets));
-          ("naive_pages", string_of_int naive);
-          ("batched_pages", string_of_int batched);
-          ("rows", string_of_int batched_rows);
-          ("est_cost", Printf.sprintf "%.1f" choice.Engine.est_cost);
-          ("plan_cache_hits", string_of_int ci.Engine.hits);
-          ("plan_cache_misses", string_of_int ci.Engine.misses);
-        ]
-      (Storage.Stats.snapshot stats)
-  in
-  let file = "BENCH_batched_backward.json" in
-  (try
-     let oc = open_out file in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc (json ^ "\n"));
-     Format.printf "  written       : %s@." file
-   with Sys_error e -> Format.printf "  (could not write %s: %s)@." file e);
-  if batched >= naive then
-    Format.printf "  WARNING: batching did not reduce page accesses@."
-
-(* ------------------------------------------------------------------ *)
-(* Part 4: parallel snapshot serving scaling (BENCH_parallel_scaling)  *)
+(* Part 1: parallel snapshot serving scaling (BENCH_parallel_scaling)  *)
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock throughput of one mixed probe-batch workload served by
@@ -502,7 +213,7 @@ let bench_parallel ~quick () =
   with Sys_error e -> Format.printf "  (could not write %s: %s)@." file e
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: deferred batched maintenance (BENCH_maintenance_batch)      *)
+(* Part 2: deferred batched maintenance (BENCH_maintenance_batch)      *)
 (* ------------------------------------------------------------------ *)
 
 (* The write-path headline: pages written per store event under
@@ -634,7 +345,7 @@ let bench_maintenance_batch ~quick () =
     Format.printf "  WARNING: batched flush below the 3x page-savings target@."
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: overload-resilient serving (BENCH_serving.json)             *)
+(* Part 3: overload-resilient serving (BENCH_serving.json)             *)
 (* ------------------------------------------------------------------ *)
 
 (* Drive the admission-controlled front past saturation and measure
@@ -841,36 +552,8 @@ let bench_serving ~quick () =
     exit 1
   end
 
-let run_benchmarks tests =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~kde:None ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"asr" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-        in
-        let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan in
-        (name, est, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-  in
-  Format.printf "%-45s %16s %8s@." "benchmark" "ns/run" "r^2";
-  Format.printf "%s@." (String.make 71 '-');
-  List.iter
-    (fun (name, est, r2) ->
-      let r2s = if Float.is_nan r2 then "-" else Printf.sprintf "%.4f" r2 in
-      Format.printf "%-45s %16.1f %8s@." name est r2s)
-    rows
-
 (* ------------------------------------------------------------------ *)
-(* Part 7: hot-standby replication (BENCH_replication.json)            *)
+(* Part 4: hot-standby replication (BENCH_replication.json)            *)
 (* ------------------------------------------------------------------ *)
 
 let replication_dirs = ref []
@@ -1163,7 +846,7 @@ let bench_failover_smoke () =
   if not (promoted || never_seeded) then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: horizontal sharding scatter-gather (BENCH_sharded.json)     *)
+(* Part 5: horizontal sharding scatter-gather (BENCH_sharded.json)     *)
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock throughput of one probe workload served by the shard
@@ -1300,7 +983,7 @@ let bench_sharded ~quick () =
    with Sys_error e -> Format.printf "(could not write %s: %s)@." file e)
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: buffer pool + traversal clustering (BENCH_clustering.json)  *)
+(* Part 6: buffer pool + traversal clustering (BENCH_clustering.json)  *)
 (* ------------------------------------------------------------------ *)
 
 (* The perf headline of the buffered storage layer: a zipfian forward
@@ -1525,38 +1208,25 @@ let () =
     Format.printf "=== parallel mode: snapshot-serving scaling benchmark ===@.@.";
     bench_parallel ~quick ()
   end
-  else if quick then begin
-    Format.printf "=== quick mode: batched-vs-naive smoke benchmark ===@.@.";
-    bench_batched ~quick:true ()
-  end
   else begin
-    regenerate_figures ();
     Format.printf "===============================================================@.";
-    Format.printf " Batched execution trajectory@.";
-    Format.printf "===============================================================@.@.";
-    bench_batched ~quick:false ();
-    Format.printf "@.===============================================================@.";
     Format.printf " Parallel snapshot serving@.";
     Format.printf "===============================================================@.@.";
-    bench_parallel ~quick:false ();
+    bench_parallel ~quick ();
     Format.printf "@.===============================================================@.";
     Format.printf " Deferred batched maintenance@.";
     Format.printf "===============================================================@.@.";
-    bench_maintenance_batch ~quick:false ();
+    bench_maintenance_batch ~quick ();
     Format.printf "@.===============================================================@.";
     Format.printf " Overload-resilient serving@.";
     Format.printf "===============================================================@.@.";
-    bench_serving ~quick:false ();
+    bench_serving ~quick ();
     Format.printf "@.===============================================================@.";
     Format.printf " Sharded scatter-gather execution@.";
     Format.printf "===============================================================@.@.";
-    bench_sharded ~quick:false ();
+    bench_sharded ~quick ();
     Format.printf "@.===============================================================@.";
     Format.printf " Buffer pool + traversal-aware clustering@.";
     Format.printf "===============================================================@.@.";
-    bench_clustering ~quick:false ();
-    Format.printf "@.===============================================================@.";
-    Format.printf " Micro-benchmarks (Bechamel, monotonic clock)@.";
-    Format.printf "===============================================================@.@.";
-    run_benchmarks (figure_tests @ engine_tests @ durability_tests)
+    bench_clustering ~quick ()
   end

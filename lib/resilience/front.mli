@@ -12,8 +12,10 @@
     holds exactly (checked by the serving benchmark's CI gate).
 
     Above the high watermark the front enters {e brownout}: writes via
-    {!update} commit but defer snapshot publication (the expensive deep
-    copy), and queries are answered from the previous epoch — exact,
+    {!update} commit but defer snapshot publication (copy-on-write
+    through [Gom.Frozen.advance], so proportional to the writer's dirty
+    set, but it still drains deferred index deltas and clones touched
+    instances), and queries are answered from the previous epoch — exact,
     just stale, surfaced as [stale_epoch_served].  Below the low
     watermark the snapshot is caught up through a circuit {!Breaker},
     so a transiently failing capture path is probed with jittered

@@ -117,6 +117,24 @@ let test_catalogue () =
   let ids = List.map (fun (e : Workload.Experiments.t) -> e.Workload.Experiments.id) Workload.Experiments.all in
   check_int "unique ids" (List.length ids) (List.length (List.sort_uniq compare ids))
 
+(* results/ holds exactly one pinned CSV per experiment: the diff rules
+   in results/dune check each CSV's contents, this checks that no
+   experiment goes unpinned and no CSV outlives its experiment.  The
+   CSVs are test deps, copied next to the build's test directory. *)
+let test_every_experiment_pinned () =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "../results" in
+  let csvs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".csv")
+    |> List.sort compare
+  in
+  let wanted =
+    List.map (fun (e : Workload.Experiments.t) -> e.Workload.Experiments.id ^ ".csv")
+      Workload.Experiments.all
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "one results/<id>.csv per experiment" wanted csvs
+
 let run_tables id =
   match Workload.Experiments.find id with
   | Some e -> e.Workload.Experiments.run ()
@@ -166,6 +184,7 @@ let suite =
     Alcotest.test_case "table render and csv" `Quick test_table_render_and_csv;
     Alcotest.test_case "table column" `Quick test_table_column;
     Alcotest.test_case "experiment catalogue" `Quick test_catalogue;
+    Alcotest.test_case "every experiment pinned" `Quick test_every_experiment_pinned;
     Alcotest.test_case "fig4 shape" `Quick test_fig4_shape;
     Alcotest.test_case "fig7 flatness" `Quick test_fig7_flatness;
     Alcotest.test_case "fig14 normalization" `Quick test_fig14_normalization;
