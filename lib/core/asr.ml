@@ -369,50 +369,60 @@ let lookup_bwd_many ?stats t i keys =
 let scan_partition ?stats t i =
   in_seg ?stats t (fun () -> Storage.Bptree.scan ?stats t.parts.(i).trees.fwd)
 
-let insert_tuple ?stats t tup =
-  if Array.length tup <> arity t then invalid_arg "Asr.insert_tuple: width mismatch";
-  if (match t.owner with Some f -> not (f tup) | None -> false) then
-    (* Not this relation's tuple under the placement predicate: the
-       owning shard materialises it; accepting it here would double it. *)
-    false
-  else if Relation.mem t.extension tup then false
-  else begin
-    t.extension <- Relation.add t.extension tup;
+(* Retract [remove], then add [add]: the logical extension first, then
+   the trees (or, deferred, the write-behind buffers) with exactly the
+   tuples that changed — one seal and one segment tag for the whole
+   difference.  Tuples not in the extension are not removed; tuples
+   already present, or outside the fragment's placement predicate, are
+   not added (the owning shard materialises those). *)
+let apply_delta ?stats t ~remove ~add =
+  let removed =
+    List.filter
+      (fun tup ->
+        let present = Relation.mem t.extension tup in
+        if present then t.extension <- Relation.remove t.extension tup;
+        present)
+      remove
+  in
+  let added =
+    List.filter
+      (fun tup ->
+        if Array.length tup <> arity t then invalid_arg "Asr.apply_delta: width mismatch";
+        let fresh =
+          (match t.owner with Some f -> f tup | None -> true)
+          && not (Relation.mem t.extension tup)
+        in
+        if fresh then t.extension <- Relation.add t.extension tup;
+        fresh)
+      add
+  in
+  if removed <> [] || added <> [] then begin
     if t.deferred then
       Array.iteri
-        (fun pi p -> buffer_delta ?stats t pi (project_tuple tup (p.lo, p.hi)) 1)
+        (fun pi p ->
+          let buffer d tup = buffer_delta ?stats t pi (project_tuple tup (p.lo, p.hi)) d in
+          List.iter (buffer (-1)) removed;
+          List.iter (buffer 1) added)
         t.parts
     else
       with_sealed t (fun () ->
           in_seg ?stats t (fun () ->
               Array.iter
                 (fun p ->
-                  let proj = project_tuple tup (p.lo, p.hi) in
-                  Storage.Bptree.insert ?stats p.trees.fwd proj;
-                  Storage.Bptree.insert ?stats p.trees.bwd proj)
-                t.parts));
-    true
-  end
+                  let write op tup =
+                    let proj = project_tuple tup (p.lo, p.hi) in
+                    op p.trees.fwd proj;
+                    op p.trees.bwd proj
+                  in
+                  List.iter (write (Storage.Bptree.remove ?stats)) removed;
+                  List.iter (write (Storage.Bptree.insert ?stats)) added)
+                t.parts))
+  end;
+  List.length removed + List.length added
 
-let remove_tuple ?stats t tup =
-  if Relation.mem t.extension tup then begin
-    t.extension <- Relation.remove t.extension tup;
-    if t.deferred then
-      Array.iteri
-        (fun pi p -> buffer_delta ?stats t pi (project_tuple tup (p.lo, p.hi)) (-1))
-        t.parts
-    else
-      with_sealed t (fun () ->
-          in_seg ?stats t (fun () ->
-              Array.iter
-                (fun p ->
-                  let proj = project_tuple tup (p.lo, p.hi) in
-                  Storage.Bptree.remove ?stats p.trees.fwd proj;
-                  Storage.Bptree.remove ?stats p.trees.bwd proj)
-                t.parts));
-    true
-  end
-  else false
+let insert_tuple ?stats t tup = apply_delta ?stats t ~remove:[] ~add:[ tup ] = 1
+
+let remove_tuple ?stats t tup = apply_delta ?stats t ~remove:[ tup ] ~add:[] = 1
 
 let distinct_values tuples col =
   List.fold_left
@@ -467,6 +477,28 @@ let supports t ~i ~j =
 let partition_shared t i = t.parts.(i).trees.skey <> None
 
 let partition_refcount t i proj = Storage.Bptree.refcount t.parts.(i).trees.fwd proj
+
+let check_partition t i =
+  let p = t.parts.(i) in
+  let ( let* ) = Result.bind in
+  let* () = Storage.Bptree.check_invariants p.trees.fwd in
+  let* () = Storage.Bptree.check_invariants p.trees.bwd in
+  let fwd = Storage.Bptree.scan p.trees.fwd in
+  if List.length fwd <> Storage.Bptree.cardinal p.trees.bwd then
+    Error "forward and backward trees hold different numbers of tuples"
+  else
+    match
+      List.find_opt
+        (fun proj ->
+          Storage.Bptree.refcount p.trees.fwd proj
+          <> Storage.Bptree.refcount p.trees.bwd proj)
+        fwd
+    with
+    | Some proj ->
+      Error
+        ("forward and backward reference counts differ for "
+        ^ Relation.Tuple.to_string proj)
+    | None -> Ok ()
 
 type damage =
   | Drop of Relation.Tuple.t

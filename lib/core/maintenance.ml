@@ -162,9 +162,9 @@ let has_edge (tup : Relation.Tuple.t) =
 let combine prefix suffix =
   Array.append prefix (Array.sub suffix 1 (Array.length suffix - 1))
 
-(* Prefixes recovered from the retracted tuples: valid for full and
-   left-complete extensions, where every inbound path of [o_i] is
-   recorded.  [ci] is the column of position [i]. *)
+(* Prefixes recovered from the stored tuples through [o_i]: valid for
+   full and left-complete extensions, where every inbound path of [o_i]
+   is recorded.  [ci] is the column of position [i]. *)
 let prefixes_from_affected ~ci affected =
   affected
   |> List.map (fun (tup : Relation.Tuple.t) -> Array.sub tup 0 (ci + 1))
@@ -178,29 +178,61 @@ let referenced_now store path ~pos ~oid =
       (Gom.Value.Ref oid)
     <> []
 
+(* [before ∖ after] and [after ∖ before], each sorted and duplicate-free. *)
+let net_difference before after =
+  let rec go before after removed added =
+    match (before, after) with
+    | [], _ -> (List.rev removed, List.rev_append added after)
+    | _, [] -> (List.rev_append removed before, List.rev added)
+    | b :: bs, a :: rest ->
+      let c = Relation.Tuple.compare b a in
+      if c = 0 then go bs rest removed added
+      else if c < 0 then go bs after (b :: removed) added
+      else go before rest removed (a :: added)
+  in
+  go
+    (List.sort_uniq Relation.Tuple.compare before)
+    (List.sort_uniq Relation.Tuple.compare after)
+    [] []
+
 (* Core routine: attribute [A(i+1)] of [obj] changed; [targets] are the
-   position-(i+1) objects gaining or losing an inbound edge. *)
+   position-(i+1) objects gaining or losing an inbound edge.  The tuples
+   the event can change are those through [obj] and the truncated tuples
+   of [targets]; they are derived again from the store, and only the
+   difference between the stored and the derived ones is written
+   (paper, section 6.1). *)
 let handle_change t index ~i ~obj ~targets =
   let path = Asr.path index in
   let kind = Asr.kind index in
   let ci = Gom.Path.column_of_object_position path i in
   let ci1 = Gom.Path.column_of_object_position path (i + 1) in
-  (* 1. Retract tuples through obj and truncated tuples of targets. *)
+  let truncates =
+    match kind with
+    | Extension.Full | Extension.Right_complete -> true
+    | Extension.Canonical | Extension.Left_complete -> false
+  in
+  let derive pre sufs =
+    List.filter_map
+      (fun suf ->
+        let tup = combine pre suf in
+        if has_edge tup && Extension.member kind path tup then Some tup else None)
+      sufs
+  in
+  (* 1. Before: the stored tuples through obj and the truncated tuples
+     of the targets. *)
   let affected =
     Asr.find_by_column ~stats:t.stats index ~col:ci (Gom.Value.Ref obj)
   in
-  List.iter (fun tup -> ignore (Asr.remove_tuple ~stats:t.stats index tup)) affected;
-  (match kind with
-  | Extension.Full | Extension.Right_complete ->
-    List.iter
-      (fun x ->
-        Asr.find_by_column ~stats:t.stats index ~col:ci1 (Gom.Value.Ref x)
-        |> List.iter (fun (tup : Relation.Tuple.t) ->
-               if Gom.Value.is_null tup.(ci) then
-                 ignore (Asr.remove_tuple ~stats:t.stats index tup)))
-      targets
-  | Extension.Canonical | Extension.Left_complete -> ());
-  (* 2. Recompute the paths through obj. *)
+  let truncated =
+    if truncates then
+      List.concat_map
+        (fun x ->
+          Asr.find_by_column ~stats:t.stats index ~col:ci1 (Gom.Value.Ref x)
+          |> List.filter (fun (tup : Relation.Tuple.t) -> Gom.Value.is_null tup.(ci)))
+        targets
+    else []
+  in
+  (* 2. After: the paths through obj ... *)
   let prefixes =
     match kind with
     | Extension.Full ->
@@ -230,40 +262,32 @@ let handle_change t index ~i ~obj ~targets =
     | Extension.Canonical | Extension.Right_complete ->
       graph_prefixes t ~charge:true path ~pos:i ~oid:obj
   in
-  if prefixes <> [] then begin
-    let suffixes = graph_suffixes t path ~pos:i ~oid:obj in
-    List.iter
-      (fun pre ->
-        List.iter
-          (fun suf ->
-            let tup = combine pre suf in
-            if has_edge tup && Extension.member kind path tup then
-              ignore (Asr.insert_tuple ~stats:t.stats index tup))
-          suffixes)
-      prefixes
-  end;
-  (* 3. Orphaned targets regain their truncated tuples. *)
-  (match kind with
-  | Extension.Full | Extension.Right_complete ->
-    List.iter
-      (fun x ->
-        if
-          Gom.Store.mem t.store x
-          && not (referenced_now t.store path ~pos:(i + 1) ~oid:x)
-        then begin
-          let cx = ci1 in
-          let pre = Array.make (cx + 1) Gom.Value.Null in
-          pre.(cx) <- Gom.Value.Ref x;
-          let sufs = graph_suffixes t path ~pos:(i + 1) ~oid:x in
-          List.iter
-            (fun suf ->
-              let tup = combine pre suf in
-              if has_edge tup && Extension.member kind path tup then
-                ignore (Asr.insert_tuple ~stats:t.stats index tup))
-            sufs
-        end)
-      targets
-  | Extension.Canonical | Extension.Left_complete -> ())
+  let through =
+    if prefixes = [] then []
+    else
+      let suffixes = graph_suffixes t path ~pos:i ~oid:obj in
+      List.concat_map (fun pre -> derive pre suffixes) prefixes
+  in
+  (* ... and the truncated tuples of orphaned targets. *)
+  let orphaned =
+    if truncates then
+      List.concat_map
+        (fun x ->
+          if
+            Gom.Store.mem t.store x
+            && not (referenced_now t.store path ~pos:(i + 1) ~oid:x)
+          then begin
+            let pre = Array.make (ci1 + 1) Gom.Value.Null in
+            pre.(ci1) <- Gom.Value.Ref x;
+            derive pre (graph_suffixes t path ~pos:(i + 1) ~oid:x)
+          end
+          else [])
+        targets
+    else []
+  in
+  (* 3. Write only the difference. *)
+  let remove, add = net_difference (affected @ truncated) (through @ orphaned) in
+  ignore (Asr.apply_delta ~stats:t.stats index ~remove ~add : int)
 
 let targets_of_value t (step : Gom.Path.step) v =
   match v with

@@ -7,14 +7,18 @@
     removal, and — via the store's nullify-then-drop protocol — object
     deletion) is processed per affected path position:
 
-    + the extension tuples passing through [o_i] at position [i], and
-      the prefix-truncated tuples headed by the affected targets at
-      position [i+1], are retracted;
-    + the maximal partial paths through [o_i] are recomputed as the
-      cross product of maximal prefixes [I_l] and maximal suffixes
-      [I_r], filtered by {!Extension.member};
-    + targets that lost their last inbound reference regain their
-      prefix-truncated tuples (full/right-complete extensions only).
+    + {e before}: the stored extension tuples passing through [o_i] at
+      position [i], and the prefix-truncated tuples headed by the
+      affected targets at position [i+1];
+    + {e after}: the maximal partial paths through [o_i], derived again
+      as the cross product of maximal prefixes [I_l] and maximal
+      suffixes [I_r] and filtered by {!Extension.member}, plus the
+      prefix-truncated tuples of targets that lost their last inbound
+      reference (full/right-complete extensions only);
+    + only the net difference — [before ∖ after] retracted, then
+      [after ∖ before] added — reaches {!Asr.apply_delta}.  Tuples the
+      event leaves unchanged are never written, so inserting an edge
+      into a set writes just [I_l × {edge} × I_r] (section 6.1).
 
     Following the paper's analysis of which extensions require searches
     in the {e data} (section 6.1): prefixes are recovered from the

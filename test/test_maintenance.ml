@@ -38,6 +38,29 @@ let agree a =
 
 let check_agree label a = check label true (agree a)
 
+(* The trees, not only the logical extension: an exhaustive scrub finds
+   no missing or phantom projection, every projection carries exactly
+   its multiplicity in the extension, and both redundant trees of every
+   partition are well-formed and hold the same reference counts. *)
+let trees_exact a =
+  Integrity.Scrub.clean (Integrity.Scrub.run a)
+  && List.for_all
+       (fun i ->
+         let lo, hi = Core.Asr.partition_bounds a i in
+         let want = Hashtbl.create 64 in
+         List.iter
+           (fun tup ->
+             let proj = Relation.Tuple.project tup (List.init (hi - lo + 1) (( + ) lo)) in
+             let k = Relation.Tuple.to_string proj in
+             let n = match Hashtbl.find_opt want k with Some (n, _) -> n | None -> 0 in
+             Hashtbl.replace want k (n + 1, proj))
+           (Relation.to_list (Core.Asr.extension_relation a));
+         Core.Asr.check_partition a i = Ok ()
+         && Hashtbl.fold
+              (fun _ (n, proj) ok -> ok && Core.Asr.partition_refcount a i proj = n)
+              want true)
+       (List.init (Core.Asr.partition_count a) Fun.id)
+
 let test_set_insert () =
   List.iter
     (fun kind ->
@@ -152,6 +175,37 @@ let test_maintenance_charges_pages () =
       ignore expect_cheap)
     [ (Core.Extension.Full, true); (Core.Extension.Canonical, false) ]
 
+(* Section 6.1: inserting an edge into a set adds only the paths through
+   the new edge.  One event must write exactly the extension's symmetric
+   difference — one buffered delta per changed tuple and partition, and
+   nothing that a later delta of the same event cancels. *)
+let test_event_writes_only_difference () =
+  List.iter
+    (fun kind ->
+      let b, mgr, a = company_setup kind (D.binary ~m:5) in
+      M.set_policy mgr M.On_query;
+      let st = M.stats mgr in
+      let count c = Storage.Stats.count st c in
+      let buffered0 = count Storage.Stats.Deltas_buffered in
+      let annihilated0 = count Storage.Stats.Deltas_annihilated in
+      let before = Core.Asr.extension_relation a in
+      let sec_parts = V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition") in
+      Gom.Store.insert_elem b.C.store sec_parts (V.Ref b.C.pepper);
+      let after = Core.Asr.extension_relation a in
+      let minus x y = Relation.cardinal (Relation.filter x (fun t -> not (Relation.mem y t))) in
+      let changed = minus before after + minus after before in
+      let name = Core.Extension.name kind in
+      check (name ^ ": the event changes the extension") true (changed > 0);
+      check_int (name ^ ": deltas buffered")
+        (changed * Core.Asr.partition_count a)
+        (count Storage.Stats.Deltas_buffered - buffered0);
+      check_int (name ^ ": deltas annihilated") 0
+        (count Storage.Stats.Deltas_annihilated - annihilated0);
+      ignore (M.flush_all mgr);
+      check_agree (name ^ ": flushed trees agree") a;
+      check (name ^ ": flushed trees exact") true (trees_exact a))
+    Core.Extension.all
+
 (* --- randomised scenario: arbitrary mutation sequences ------------- *)
 
 type op = Insert | Remove | Assign | AssignNull | Delete
@@ -217,7 +271,7 @@ let spec_gen =
 let prop_incremental_equals_scratch =
   QCheck.Test.make
     ~name:"incremental maintenance = scratch recomputation (random mutations)"
-    ~count:80
+    ~count:(Qc.iters_env "ASR_MAINT_COUNT" 80)
     QCheck.(
       pair
         (make ~print:(fun _ -> "<spec>") spec_gen)
@@ -230,14 +284,16 @@ let prop_incremental_equals_scratch =
       let m = Gom.Path.arity path - 1 in
       let decs = D.all ~m in
       let dec = List.nth decs (pick mod List.length decs) in
-      let a = Core.Asr.create store path kind dec in
+      (* Small pages, so that partitions span several leaves. *)
+      let config = Storage.Config.make ~page_size:256 () in
+      let a = Core.Asr.create ~config store path kind dec in
       M.register mgr a;
       let rng = Random.State.make [| ops_seed |] in
       let ok = ref true in
       for _ = 1 to 12 do
         if !ok then begin
           apply_random_op rng store path;
-          if not (agree a) then ok := false
+          if not (agree a && trees_exact a) then ok := false
         end
       done;
       !ok)
@@ -290,5 +346,7 @@ let suite =
     Alcotest.test_case "several ASRs, one store" `Quick test_multiple_asrs_one_store;
     Alcotest.test_case "distinct paths, one store" `Quick test_distinct_paths_one_store;
     Alcotest.test_case "maintenance charges pages" `Quick test_maintenance_charges_pages;
+    Alcotest.test_case "one event writes only its difference" `Quick
+      test_event_writes_only_difference;
     Qc.to_alcotest prop_incremental_equals_scratch;
   ]

@@ -56,11 +56,6 @@ let spec_gen =
     let* seed = int_range 0 10000 in
     return (Workload.Generator.spec ~seed ~set_valued:sv ~counts ~defined ~fan ()))
 
-let iters_env name default =
-  match Sys.getenv_opt name with
-  | Some s -> (match int_of_string_opt (String.trim s) with Some n -> n | None -> default)
-  | None -> default
-
 (* ---------------- Store.copy ---------------- *)
 
 let test_copy_isolates () =
@@ -241,7 +236,7 @@ let test_serve_order () =
 let prop_snapshot_isolation =
   QCheck.Test.make
     ~name:"pinned readers = scan oracle at their epoch, under racing mutator"
-    ~count:(iters_env "ASR_RACE_COUNT" 25)
+    ~count:(Qc.iters_env "ASR_RACE_COUNT" 25)
     QCheck.(make ~print:(fun _ -> "<spec>") spec_gen)
     (fun spec ->
       let store, path = Workload.Generator.build spec in
@@ -298,7 +293,7 @@ let prop_snapshot_isolation =
    with the previous epoch. *)
 let prop_advance_equals_capture =
   QCheck.Test.make ~name:"advance = from-scratch capture, with structural sharing"
-    ~count:(iters_env "ASR_RACE_COUNT" 15)
+    ~count:(Qc.iters_env "ASR_RACE_COUNT" 15)
     QCheck.(make ~print:(fun _ -> "<spec>") spec_gen)
     (fun spec ->
       let store, path = Workload.Generator.build spec in
@@ -386,7 +381,7 @@ let test_update_republishes () =
    and the stale-plan degradation must keep every answer equal to the
    oracle computed over the same frozen snapshot. *)
 let test_plan_cache_stress () =
-  let iters = iters_env "ASR_STRESS_ITERS" 3 in
+  let iters = Qc.iters_env "ASR_STRESS_ITERS" 3 in
   for it = 1 to iters do
     let store, path =
       Workload.Generator.build
