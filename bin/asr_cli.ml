@@ -852,9 +852,9 @@ let with_db dir f =
   | db ->
     Fun.protect ~finally:(fun () -> Durability.Db.close db) (fun () -> f db)
 
-(* Sharded durable base: roll the per-shard Dbs up into one report —
-   generation, object count, pending deltas, fragment pages and the
-   content CRC the agreement gate compares. *)
+(* Sharded durable base: the one Db's status, then the group's shape —
+   placement, fragment specs, and each shard's pending deltas and
+   fragment pages. *)
 let db_shard_status dir =
   match Shard.Durable.open_ ~dir () with
   | exception Shard.Durable.Shard_error m -> exit_data m
@@ -866,30 +866,18 @@ let db_shard_status dir =
       (fun () ->
         let grp = Shard.Durable.group d in
         let n = Shard.Group.shards grp in
-        Format.printf "dir:        %s@." dir;
-        Format.printf "shards:     %d (%s placement)@." n
+        db_status (Shard.Durable.db d);
+        Format.printf "shards:     %d (%s placement), replicas seeded from shard 0@." n
           (Shard.Placement.to_string (Shard.Group.placement grp));
-        Format.printf "asrs:       %d spec(s), fragmented %d-way@."
+        Format.printf "fragments:  %d spec(s), fragmented %d-way@."
           (List.length (Shard.Durable.specs d)) n;
-        let gens = Shard.Durable.generations d in
-        let crcs = Shard.Durable.content_crc d in
         let pages = Shard.Group.total_pages grp in
-        Array.iteri
-          (fun k db ->
-            let store = Durability.Db.store db in
-            Format.printf
-              "  shard %d: generation %d, %d object(s), %d pending delta(s), %d \
-               fragment page(s), crc %08lx@."
-              k gens.(k)
-              (Gom.Store.fold_objects store ~init:0 ~f:(fun acc _ -> acc + 1))
-              (Core.Maintenance.pending (Shard.Group.manager grp k))
-              pages.(k) crcs.(k))
-          (Shard.Durable.dbs d);
-        let agree = Array.for_all (fun c -> Int32.equal c crcs.(0)) crcs in
-        Format.printf "agreement:  %s@."
-          (if agree then "content CRCs agree across all shards"
-           else "DIVERGED (reopen with reconciliation)");
-        if agree then 0 else 1)
+        for k = 0 to n - 1 do
+          Format.printf "  shard %d: %d pending delta(s), %d fragment page(s)@." k
+            (Core.Maintenance.pending (Shard.Group.manager grp k))
+            pages.(k)
+        done;
+        0)
 
 let db_shard_init dir base shards =
   let store, _, index_path = make_env base in
@@ -1451,9 +1439,10 @@ let db_open_t =
   let shards =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
            ~doc:"Initialise an empty directory as a $(docv)-shard durable \
-                 base: one write-ahead-logged Db per shard plus a cross-shard \
-                 manifest; $(b,db status) rolls the shards up and enforces \
-                 the generation-agreement gate.")
+                 base: one write-ahead-logged Db (shard 0) plus a cross-shard \
+                 manifest; the other shards are in-memory replicas seeded \
+                 from it at every open.  The other $(b,db) commands work on \
+                 the Db directly.")
   in
   Term.(const db_open_cmd $ db_dir $ base $ shards)
 

@@ -125,7 +125,7 @@ type t = {
   fault : Fault.t;
   policy : Wal.sync_policy;
   t_store : Gom.Store.t;
-  heap : Storage.Heap.t;
+  t_env : Core.Exec.env;
   mgr : Core.Maintenance.t;
   mutable specs : spec list;
   mutable handles : Core.Asr.t list;
@@ -137,7 +137,7 @@ type t = {
 }
 
 let store t = t.t_store
-let env t = (Core.Exec.make t.t_store t.heap)
+let env t = t.t_env
 let maintenance t = t.mgr
 let generation t = t.gen
 let dir t = t.t_dir
@@ -165,8 +165,10 @@ let attach t =
     }
 
 let make ~dir ~fault ~policy ~store ~gen ~specs ~handles ~wal ~recovery =
-  let heap = Storage.Heap.create ~size_of:(fun _ -> 100) store in
-  let mgr = Core.Maintenance.create (Core.Exec.make store heap) in
+  (* One environment for the handle's lifetime: the maintenance
+     manager charges the same stats sheaf that [env] hands out. *)
+  let env = Core.Exec.make store (Storage.Heap.create ~size_of:(fun _ -> 100) store) in
+  let mgr = Core.Maintenance.create env in
   List.iter (Core.Maintenance.register mgr) handles;
   let t =
     {
@@ -174,7 +176,7 @@ let make ~dir ~fault ~policy ~store ~gen ~specs ~handles ~wal ~recovery =
       fault;
       policy;
       t_store = store;
-      heap;
+      t_env = env;
       mgr;
       specs;
       handles;

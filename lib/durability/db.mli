@@ -73,7 +73,12 @@ val read_manifest : string -> int * spec list
     @raise Recovery_error on a missing or malformed manifest. *)
 
 val write_manifest : string -> int -> spec list -> unit
-(** Atomically (temp + fsync + rename) replace [dir]'s manifest. *)
+(** Atomically replace [dir]'s manifest (see {!atomic_write}). *)
+
+val atomic_write : string -> string -> unit
+(** [atomic_write path contents] replaces a small control file
+    atomically: write a temp file beside it, fsync, rename over
+    [path].  A crash leaves either the old or the new contents. *)
 
 type t
 
@@ -116,6 +121,10 @@ val verified : report -> bool
 
 val store : t -> Gom.Store.t
 val env : t -> Core.Exec.env
+(** The handle's one execution environment — the one its maintenance
+    manager charges, so its stats sheaf sees maintenance page traffic
+    as well as the caller's queries. *)
+
 val generation : t -> int
 val dir : t -> string
 

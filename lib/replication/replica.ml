@@ -12,26 +12,6 @@ let read_all path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Small control files are replaced atomically, same discipline as the
-   durable base's manifest. *)
-let atomic_write path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 type state = {
   rs_store : Gom.Store.t;
   rs_mgr : Core.Maintenance.t;
@@ -86,7 +66,7 @@ let reject_to_string = function
     Printf.sprintf "diverged at byte %d: %s" off what
 
 let write_marker t =
-  atomic_write (marker_file t.r_dir)
+  Durability.Db.atomic_write (marker_file t.r_dir)
     (Printf.sprintf "%s\ngen %d\n" marker_header t.gen)
 
 let build_state t store specs =
@@ -232,7 +212,7 @@ let apply_reset t ~gen ~snapshot ~specs =
   (* Materialise the new generation on disk before adopting it: the raw
      snapshot bytes (byte-identical to the primary's file), the
      manifest, an empty log. *)
-  atomic_write (Durability.Db.snapshot_file t.r_dir gen) snapshot;
+  Durability.Db.atomic_write (Durability.Db.snapshot_file t.r_dir gen) snapshot;
   (try Sys.remove (Durability.Db.wal_file t.r_dir gen) with Sys_error _ -> ());
   Durability.Db.write_manifest t.r_dir gen specs;
   t.gen <- gen;

@@ -1,7 +1,3 @@
-[@@@alert "-legacy"]
-(* Store.copy builds replica stores and reconcile rebuilds — writer-side
-   whole-base clones, the use the alert keeps copy around for. *)
-
 exception Shard_error of string
 
 let shard_error fmt = Format.kasprintf (fun s -> raise (Shard_error s)) fmt
@@ -9,46 +5,8 @@ let shard_error fmt = Format.kasprintf (fun s -> raise (Shard_error s)) fmt
 (* ---------------- layout ---------------- *)
 
 let shards_file dir = Filename.concat dir "SHARDS"
-let shard_dir dir k = Filename.concat dir (Printf.sprintf "shard-%d" k)
 
-let shards_header = "asr-shards v1"
-
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go dir
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-(* Atomic control-file replacement, same discipline as the per-shard
-   manifests (temp + fsync + rename). *)
-let atomic_write path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let shards_header = "asr-shards v2"
 
 let write_shards_manifest dir ~placement specs =
   let buf = Buffer.create 256 in
@@ -61,7 +19,7 @@ let write_shards_manifest dir ~placement specs =
       Buffer.add_string buf
         (Printf.sprintf "asr %s\n" (Durability.Db.spec_to_string s)))
     specs;
-  atomic_write (shards_file dir) (Buffer.contents buf)
+  Durability.Db.atomic_write (shards_file dir) (Buffer.contents buf)
 
 let read_shards_manifest dir =
   let path = shards_file dir in
@@ -105,6 +63,9 @@ let read_shards_manifest dir =
       | None -> shard_error "shards manifest: missing placement"
     in
     (placement, List.rev !specs)
+  | h :: _ when String.starts_with ~prefix:"asr-shards " h ->
+    shard_error "shards manifest: unsupported version %S (this build reads %S)" h
+      shards_header
   | h :: _ -> shard_error "shards manifest: unknown header %S" h
   | [] -> shard_error "shards manifest: empty"
 
@@ -113,28 +74,22 @@ let read_shards_manifest dir =
 type t = {
   t_dir : string;
   placement : Placement.t;
-  mutable dbs : Durability.Db.t array;
-  mutable grp : Group.t;
+  db : Durability.Db.t;
+  grp : Group.t;
   mutable specs : Durability.Db.spec list;
-  reports : Durability.Db.report option array;
   mutable closed : bool;
 }
 
 let group t = t.grp
-let dbs t = t.dbs
+let db t = t.db
 let specs t = t.specs
-let reports t = t.reports
-let generations t = Array.map Durability.Db.generation t.dbs
-
-let store_crc store = Gom.Crc32.string (Gom.Serial.store_to_string store)
-
-let content_crc t = Array.map (fun db -> store_crc (Durability.Db.store db)) t.dbs
+let report t = Durability.Db.last_recovery t.db
 
 (* Fragment relations are created straight over the shard stores and
-   registered with each shard Db's own maintenance manager — so the
-   Db's flush framing covers them — but never with [Db.register_asr]:
-   the per-shard manifest must stay empty of them, or an independent
-   shard recovery would rebuild the fragment unfiltered. *)
+   registered with each shard's maintenance manager — shard 0's is the
+   Db's own, so the Db's flush framing covers its fragment — but never
+   with [Db.register_asr]: the Db's manifest must stay empty of them,
+   or its recovery would rebuild the fragment unfiltered. *)
 let register_fragments grp spec =
   let path, kind, dec =
     try Durability.Db.spec_components (Group.primary grp) spec
@@ -142,92 +97,26 @@ let register_fragments grp spec =
   in
   Group.register grp ~path ~kind ~dec
 
-let assemble ?jobs ~dir ~placement dbs =
-  let stores = Array.map Durability.Db.store dbs in
-  let envs = Array.map Durability.Db.env dbs in
-  let managers = Array.map Durability.Db.maintenance dbs in
-  let grp = Group.create_on ?jobs ~placement ~stores ~managers ~envs () in
-  ignore dir;
-  grp
+(* Shard 0 is the Db's recovered store, environment and manager; the
+   replicas are seeded from it exactly as an in-memory group's are. *)
+let assemble ?jobs ~placement db =
+  Group.of_primary ?jobs ~placement ~env:(Durability.Db.env db)
+    ~manager:(Durability.Db.maintenance db) ()
 
-let create ?policy ?(faults = fun _ -> None) ?jobs
-    ?(placement = Placement.make 1) ~dir store =
+let create ?policy ?fault ?jobs ?(placement = Placement.make 1) ~dir store =
   if Sys.file_exists (shards_file dir) then
     shard_error "%s already holds a shard group" dir;
-  mkdir_p dir;
-  let n = Placement.shards placement in
-  let stores =
-    Array.init n (fun k -> if k = 0 then store else Gom.Store.copy store)
-  in
-  let dbs =
-    Array.init n (fun k ->
-        Durability.Db.create ?fault:(faults k) ?policy ~dir:(shard_dir dir k)
-          stores.(k))
-  in
-  let grp = assemble ?jobs ~dir ~placement dbs in
+  let db = Durability.Db.create ?fault ?policy ~dir store in
   write_shards_manifest dir ~placement [];
-  {
-    t_dir = dir;
-    placement;
-    dbs;
-    grp;
-    specs = [];
-    reports = Array.make n None;
-    closed = false;
-  }
+  let grp = assemble ?jobs ~placement db in
+  { t_dir = dir; placement; db; grp; specs = []; closed = false }
 
-let open_ ?policy ?(faults = fun _ -> None) ?jobs ?(reconcile = false) ~dir () =
+let open_ ?policy ?fault ?jobs ~dir () =
   let placement, specs = read_shards_manifest dir in
-  let n = Placement.shards placement in
-  let dbs =
-    Array.init n (fun k ->
-        Durability.Db.open_ ?fault:(faults k) ?policy ~dir:(shard_dir dir k) ())
-  in
-  let crcs = Array.map (fun db -> store_crc (Durability.Db.store db)) dbs in
-  let diverged =
-    List.filter
-      (fun k -> not (Int32.equal crcs.(k) crcs.(0)))
-      (List.init n Fun.id)
-  in
-  let dbs =
-    if diverged = [] then dbs
-    else if not reconcile then begin
-      Array.iter Durability.Db.close dbs;
-      shard_error
-        "shard generations disagree (shards %s diverge from shard 0); refusing \
-         to serve — reopen with reconciliation"
-        (String.concat "," (List.map string_of_int diverged))
-    end
-    else begin
-      (* Adopt shard 0's recovered state: rebuild each disagreeing
-         shard directory as a fresh Db over a copy of it.  Shard 0 is
-         the write endpoint — its log holds the commit barriers — so
-         its recovered prefix is the transaction-consistent state the
-         group serves. *)
-      Array.mapi
-        (fun k db ->
-          if List.mem k diverged then begin
-            Durability.Db.close db;
-            rm_rf (shard_dir dir k);
-            let clone = Gom.Store.copy (Durability.Db.store dbs.(0)) in
-            Durability.Db.create ?fault:(faults k) ?policy
-              ~dir:(shard_dir dir k) clone
-          end
-          else db)
-        dbs
-    end
-  in
-  let grp = assemble ?jobs ~dir ~placement dbs in
-  List.iter (fun spec -> register_fragments grp spec) specs;
-  {
-    t_dir = dir;
-    placement;
-    dbs;
-    grp;
-    specs;
-    reports = Array.map Durability.Db.last_recovery dbs;
-    closed = false;
-  }
+  let db = Durability.Db.open_ ?fault ?policy ~dir () in
+  let grp = assemble ?jobs ~placement db in
+  List.iter (register_fragments grp) specs;
+  { t_dir = dir; placement; db; grp; specs; closed = false }
 
 let register t ~path ~kind ?dec () =
   let spec = { Durability.Db.s_kind = kind; s_dec = dec; s_path = path } in
@@ -242,14 +131,20 @@ let register t ~path ~kind ?dec () =
   t.specs <- t.specs @ [ spec ];
   write_shards_manifest t.t_dir ~placement:t.placement t.specs
 
+(* Shard 0 drains through its Db, so the drain gets its own log frame;
+   the replicas hold nothing durable and drain through their managers. *)
 let flush_maintenance t =
-  Array.fold_left (fun acc db -> acc + Durability.Db.flush_maintenance db) 0 t.dbs
+  let n = ref (Durability.Db.flush_maintenance t.db) in
+  for k = 1 to Group.shards t.grp - 1 do
+    n := !n + Core.Maintenance.flush_all (Group.manager t.grp k)
+  done;
+  !n
 
-let checkpoint t = Array.iter Durability.Db.checkpoint t.dbs
+let checkpoint t = Durability.Db.checkpoint t.db
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Group.close t.grp;
-    Array.iter Durability.Db.close t.dbs
+    Durability.Db.close t.db
   end

@@ -1,77 +1,68 @@
-(** Per-shard durability: each shard of a {!Group} is its own
-    {!Durability.Db} (write-ahead log + atomic snapshots + recovery in
-    a private directory), with one cross-shard manifest tying the
-    shards together.
+(** Durable shard groups: one {!Durability.Db} holds the group's only
+    durable state, and every other shard is rebuilt from it.
 
     {2 Directory layout}
 
     {v
     <dir>/SHARDS              shard count, placement, registered ASRs
-    <dir>/shard-0/            shard 0's MANIFEST / snapshot / wal
-    <dir>/shard-1/            ...
+    <dir>/MANIFEST            shard 0's Db: generation
+    <dir>/snapshot-<g>.base   shard 0's Db: atomic base image
+    <dir>/wal-<g>.log         shard 0's Db: the group's one log
     v}
 
-    Every shard logs the {e full} event stream (the fan-out replays
-    each primary event onto every replica store, and each replica's Db
-    logs what its store emits), so each shard directory recovers
-    independently to a prefix of the same history.  The fragment
-    relations are {e not} registered in the per-shard manifests — a
-    per-shard recovery would rebuild them unfiltered; instead the
-    cross-shard manifest holds the specs and {!open_} re-creates the
-    owner-filtered fragments over the recovered stores.
+    Shard 0's store is the write endpoint and the only one logged, so
+    every write reaches the disk once.  Because the Db lives in [<dir>]
+    itself, every tool that opens a plain Db directory also opens a
+    sharded one (its log replays the whole base).
 
-    {2 Agreement gate}
-
-    Shards crash independently, so recovered shards may sit at
-    different prefixes.  {!open_} compares a content CRC
-    ({!Gom.Crc32} over {!Gom.Serial.store_to_string}) across the
-    recovered stores and {e refuses to serve} — {!Shard_error} — on any
-    disagreement.  With [~reconcile:true] it instead adopts shard 0's
-    recovered state (shard 0 is the write endpoint, whose log carries
-    the transaction commit barriers): each disagreeing shard directory
-    is rebuilt as a fresh generation-1 Db over a copy of shard 0's
-    store, after which the gate holds by construction. *)
+    Everything else is derived data, rebuilt at {!create} and {!open_}:
+    shards 1..N-1 are in-memory replicas seeded from shard 0's
+    (recovered) store exactly as {!Group.create} seeds them — a copy of
+    the store with its own heap, environment and maintenance manager —
+    and the group's fan-out keeps them converged from then on.  The
+    fragment relations are {e not} registered in the Db's manifest (its
+    recovery would rebuild them unfiltered); [SHARDS] holds their specs
+    and {!open_} re-creates the owner-filtered fragments over every
+    shard.  A replica therefore equals shard 0 at open by construction;
+    what recovery can still detect — torn or corrupt log frames,
+    uncommitted tails, ASR mismatches — is the Db's to report. *)
 
 exception Shard_error of string
+(** A missing or malformed [SHARDS] manifest, an unsupported manifest
+    version, or a bad registration. *)
 
 val shards_file : string -> string
 (** [dir]'s cross-shard manifest path. *)
-
-val shard_dir : string -> int -> string
-(** [shard_dir dir k] — shard [k]'s private Db directory. *)
 
 type t
 
 val create :
   ?policy:Durability.Wal.sync_policy ->
-  ?faults:(int -> Durability.Fault.t option) ->
+  ?fault:Durability.Fault.t ->
   ?jobs:int ->
   ?placement:Placement.t ->
   dir:string ->
   Gom.Store.t ->
   t
 (** Initialise a durable shard group at [dir] (created if missing) from
-    an in-memory store: shard 0 wraps the store, replicas are cloned,
-    and one {!Durability.Db} is created per shard.  [placement]
-    defaults to hash placement over 1 shard; [faults] injects a
-    per-shard fault environment (the crash-sweep harness arms exactly
-    one shard).
-    @raise Shard_error if [dir] already holds a cross-shard manifest. *)
+    an in-memory store: one {!Durability.Db} over the store as shard 0,
+    replicas seeded from it.  [placement] defaults to hash placement
+    over 1 shard; [fault] is the Db's fault environment.
+    @raise Shard_error if [dir] already holds a cross-shard manifest.
+    @raise Durability.Db.Db_error if it already holds a Db. *)
 
 val open_ :
   ?policy:Durability.Wal.sync_policy ->
-  ?faults:(int -> Durability.Fault.t option) ->
+  ?fault:Durability.Fault.t ->
   ?jobs:int ->
-  ?reconcile:bool ->
   dir:string ->
   unit ->
   t
-(** Recover every shard, enforce the agreement gate (see above), and
+(** Recover the Db, seed the replicas from its recovered store, and
     re-create the registered fragment relations from the cross-shard
-    manifest.  [~reconcile] (default [false]) turns refusal into
-    adoption of shard 0's state.
-    @raise Shard_error when the gate fails without [~reconcile], or on
-    a malformed cross-shard manifest. *)
+    manifest.
+    @raise Shard_error on a malformed or old-version cross-shard
+    manifest; the Db's own recovery errors propagate. *)
 
 val group : t -> Group.t
 (** The assembled group — routing, quarantine, stats and flush control
@@ -88,22 +79,20 @@ val register :
 
 val specs : t -> Durability.Db.spec list
 
-val dbs : t -> Durability.Db.t array
+val db : t -> Durability.Db.t
+(** Shard 0's Db — the group's only durable state. *)
 
-val reports : t -> Durability.Db.report option array
-(** Per-shard recovery reports ([None] for freshly created shards). *)
-
-val generations : t -> int array
-
-val content_crc : t -> int32 array
-(** Current per-shard content CRCs (equal on a healthy group). *)
+val report : t -> Durability.Db.report option
+(** The Db's recovery report ([None] for a freshly created group). *)
 
 val flush_maintenance : t -> int
-(** Drain every shard's deferred buffers, each framed in its own shard's
-    write-ahead log as one flush group; returns total net deltas. *)
+(** Drain every shard's deferred buffers — shard 0 through
+    {!Durability.Db.flush_maintenance}, framed in the log as one flush
+    group; the replicas through their managers.  Returns total net
+    deltas. *)
 
 val checkpoint : t -> unit
-(** Checkpoint every shard (new snapshot generation, fresh log). *)
+(** Checkpoint the Db (new snapshot generation, fresh log). *)
 
 val close : t -> unit
-(** Close the group (fan-out, pool) and every shard Db.  Idempotent. *)
+(** Close the group (fan-out, pool) and the Db.  Idempotent. *)

@@ -21,8 +21,8 @@ type t = {
 
 (* Replicas converge by replaying each primary event's log image
    through the regular store mutators, so replica listeners — each
-   shard's maintenance manager, engine generation bump, write-ahead log
-   — observe the same stream the primary emitted.  [record_of_event]
+   shard's maintenance manager and engine generation bump — observe
+   the same stream the primary emitted.  [record_of_event]
    must run inside the listener (a [Created] record needs the object
    still live to look its type up); delete nullifications arrive as
    their own preceding events, so the replica's [delete] finds the
@@ -76,21 +76,32 @@ let create_on ?jobs ~placement ~stores ~managers ~envs () =
     closed = false;
   }
 
-let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
-  let n = Placement.shards placement in
-  let stores = Array.init n (fun k -> if k = 0 then store else Gom.Store.copy store) in
-  let envs =
-    Array.map
-      (fun s ->
-        let heap = Storage.Heap.create ~size_of s in
-        Core.Exec.make s heap)
-      stores
+(* A replica is a whole-base copy of the primary with its own heap,
+   environment and maintenance manager; the fan-out keeps it converged
+   from then on. *)
+let replica ~size_of primary =
+  let store = Gom.Store.copy primary in
+  let env = Core.Exec.make store (Storage.Heap.create ~size_of store) in
+  (store, env, Core.Maintenance.create env)
+
+let of_primary ?jobs ?(size_of = fun _ -> 100) ~placement ~env ~manager () =
+  let primary = Core.Exec.live_store_exn env in
+  let shards =
+    Array.init (Placement.shards placement) (fun k ->
+        if k = 0 then (primary, env, manager) else replica ~size_of primary)
   in
-  let managers = Array.map Core.Maintenance.create envs in
-  let t = create_on ?jobs ~placement ~stores ~managers ~envs () in
-  (match policy with
-  | Some p -> Array.iter (fun m -> Core.Maintenance.set_policy m p) managers
-  | None -> ());
+  create_on ?jobs ~placement
+    ~stores:(Array.map (fun (s, _, _) -> s) shards)
+    ~envs:(Array.map (fun (_, e, _) -> e) shards)
+    ~managers:(Array.map (fun (_, _, m) -> m) shards)
+    ()
+
+let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
+  let env = Core.Exec.make store (Storage.Heap.create ~size_of store) in
+  let t =
+    of_primary ?jobs ~size_of ~placement ~env ~manager:(Core.Maintenance.create env) ()
+  in
+  Option.iter (fun p -> Array.iter (fun m -> Core.Maintenance.set_policy m p) t.managers) policy;
   t
 
 let shards t = t.n

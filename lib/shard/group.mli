@@ -8,8 +8,8 @@
     other shard holds a full structural replica, kept converged by a
     fan-out subscription that replays each primary event (via its
     {!Durability.Wal.record_of_event} image) onto the replica stores, so
-    each shard's maintenance manager, engine generation and write-ahead
-    log observe the same mutation stream.
+    each shard's maintenance manager and engine generation observe the
+    same mutation stream.  Only shard 0 is ever logged ({!Durable}).
 
     What is {e not} replicated is the index work: each shard's access
     support relations are horizontal fragments ([Core.Asr.create
@@ -54,6 +54,21 @@ val create :
     maintenance manager; [size_of] feeds the per-shard heap layouts
     (default 100 bytes per object, the test suite's convention). *)
 
+val of_primary :
+  ?jobs:int ->
+  ?size_of:(Gom.Schema.type_name -> int) ->
+  placement:Placement.t ->
+  env:Core.Exec.env ->
+  manager:Core.Maintenance.t ->
+  unit ->
+  t
+(** A group whose shard 0 is pre-built plumbing over a live store — the
+    durable layer passes its {!Durability.Db}'s environment and
+    maintenance manager.  Replicas 1..N-1 are built exactly as {!create}
+    builds them: a copy of the primary store with its own heap,
+    environment and maintenance manager.  [manager] must be attached to
+    [env]'s store. *)
+
 val create_on :
   ?jobs:int ->
   placement:Placement.t ->
@@ -62,9 +77,9 @@ val create_on :
   envs:Core.Exec.env array ->
   unit ->
   t
-(** Assemble a group over pre-built per-shard plumbing — the durable
-    layer's entry point, whose per-shard [Durability.Db] handles already
-    own the stores, environments and maintenance managers.  [stores.(0)]
+(** Assemble a group over pre-built per-shard plumbing, for callers
+    that build every shard's store, environment and maintenance manager
+    themselves.  [stores.(0)]
     is the write endpoint; all three arrays must have the placement's
     length, and [managers.(k)]/[envs.(k)] must be attached to
     [stores.(k)].
