@@ -211,8 +211,8 @@ let make_engine ?buffer_pages base file path_spec index_spec =
 
 let print_cache_line engine =
   let info = Engine.cache_info engine in
-  Format.printf "plan cache: %d hit(s), %d miss(es), %d invalidation(s)@."
-    info.Engine.hits info.Engine.misses info.Engine.invalidations
+  Format.printf "plan cache: %d hit(s), %d miss(es), %d invalidation(s); %d profile walk(s)@."
+    info.Engine.hits info.Engine.misses info.Engine.invalidations info.Engine.profile_walks
 
 let stats_json engine =
   let env = Engine.env engine in
@@ -223,6 +223,7 @@ let stats_json engine =
         ("plan_cache_hits", string_of_int info.Engine.hits);
         ("plan_cache_misses", string_of_int info.Engine.misses);
         ("plan_cache_invalidations", string_of_int info.Engine.invalidations);
+        ("profile_walks", string_of_int info.Engine.profile_walks);
       ]
     (Storage.Stats.snapshot env.Core.Exec.stats)
 

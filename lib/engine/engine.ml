@@ -55,6 +55,158 @@ module Plan = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Application profiles as exact counters                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Figure 3's statistics of one path, kept as integers: one walk over the
+   deep extents fills them, and [advance] keeps them exact from store
+   events, the way section 6 keeps the ASRs themselves current.  The
+   floats are computed in [to_profile] alone, so a tracked profile and a
+   fresh measurement are structurally equal. *)
+module Counters = struct
+  type level = {
+    step : Gom.Path.step;  (* A(i+1), held by the deep extent of t_i *)
+    mutable defined : int;  (* holders with A(i+1) instantiated: d_i *)
+    mutable refs : int;  (* references, summed over the holders *)
+    targets : (Gom.Value.t, int) Hashtbl.t;  (* referenced targets, with multiplicity *)
+    holders : (Gom.Oid.t, int) Hashtbl.t;  (* set-valued A(i+1): holders of each set *)
+  }
+
+  type t = {
+    types : Gom.Schema.type_name array;  (* t_0 .. t_n *)
+    atomic : bool array;
+    extents : int array;  (* deep extent count of each non-atomic t_i *)
+    levels : level array;  (* [levels.(i)] describes A(i+1) *)
+    mutable cached : Costmodel.Profile.t option;  (* until a counter moves *)
+  }
+
+  let bump tbl key k =
+    let c = k + Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+    if c = 0 then Hashtbl.remove tbl key else Hashtbl.replace tbl key c
+
+  let reference l target k =
+    l.refs <- l.refs + k;
+    bump l.targets target k
+
+  (* Add ([k = 1]) or retract ([k = -1]) one holder whose attribute holds
+     [v]; a set-valued holder brings its set's current elements along. *)
+  let hold ~elements l (v : Gom.Value.t) k =
+    match v with
+    | Null -> ()
+    | v -> (
+      l.defined <- l.defined + k;
+      match l.step.Gom.Path.set_type with
+      | None -> reference l v k
+      | Some _ ->
+        let s = Gom.Value.oid_exn v in
+        bump l.holders s k;
+        List.iter (fun e -> reference l e k) (elements s))
+
+  let walk view path =
+    let n = Gom.Path.length path in
+    let elements = Gom.Store_view.elements view in
+    let level i =
+      let step = Gom.Path.step path (i + 1) in
+      let l =
+        { step; defined = 0; refs = 0; targets = Hashtbl.create 64; holders = Hashtbl.create 16 }
+      in
+      List.iter
+        (fun o -> hold ~elements l (Gom.Store_view.get_attr view o step.Gom.Path.attr) 1)
+        (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
+      l
+    in
+    let types = Array.init (n + 1) (Gom.Path.type_at path) in
+    let atomic = Array.map (Gom.Schema.is_atomic (Gom.Store_view.schema view)) types in
+    {
+      types;
+      atomic;
+      extents =
+        Array.mapi
+          (fun i ty -> if atomic.(i) then 0 else Gom.Store_view.count ~deep:true view ty)
+          types;
+      levels = Array.init n level;
+      cached = None;
+    }
+
+  let to_profile ~sizes cn =
+    let n = Array.length cn.levels in
+    let levels = Array.to_list cn.levels in
+    let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
+    (* An elementary terminal type's "extent" is the set of distinct
+       values actually referenced (their value is their identity). *)
+    let count i =
+      if cn.atomic.(i) then Hashtbl.length cn.levels.(n - 1).targets else cn.extents.(i)
+    in
+    let c = List.init (n + 1) (fun i -> float_of_int (max 1 (count i))) in
+    let d = List.map (fun l -> float_of_int l.defined) levels in
+    let fan = List.map (fun l -> ratio l.refs l.defined) levels in
+    let shar = List.map (fun l -> ratio l.refs (Hashtbl.length l.targets)) levels in
+    let sizes = Array.to_list (Array.map (fun ty -> float_of_int (max 1 (sizes ty))) cn.types) in
+    Costmodel.Profile.make ~sizes ~shar ~c ~d ~fan ()
+
+  let profile ~sizes cn =
+    match cn.cached with
+    | Some p -> p
+    | None ->
+      let p = to_profile ~sizes cn in
+      cn.cached <- Some p;
+      p
+
+  (* Advance by one event, which the store already shows.  [false] when
+     the counters cannot stay exact: removing an element from a list
+     drops all its copies at once, and the event does not say how many
+     there were. *)
+  let advance store cn (ev : Gom.Store.event) =
+    let schema = Gom.Store.schema store in
+    let elements = Gom.Store.elements store in
+    let moved = ref false in
+    let exact = ref true in
+    let extent ty k =
+      Array.iteri
+        (fun i sup ->
+          if (not cn.atomic.(i)) && Gom.Schema.is_subtype schema ~sub:ty ~sup then begin
+            cn.extents.(i) <- cn.extents.(i) + k;
+            moved := true
+          end)
+        cn.types
+    in
+    let in_set set elem k =
+      Array.iter
+        (fun l ->
+          match Hashtbl.find_opt l.holders set with
+          | None -> ()
+          | Some h ->
+            if k < 0
+               && (match Gom.Schema.find schema (Gom.Store.type_of store set) with
+                  | Some (Gom.Schema.List _) -> true
+                  | _ -> false)
+            then exact := false;
+            reference l elem (h * k);
+            moved := true)
+        cn.levels
+    in
+    (match ev with
+    | Created o -> extent (Gom.Store.type_of store o) 1
+    | Deleted { ty; _ } -> extent ty (-1)
+    | Attr_set { obj; attr; old_value; new_value } ->
+      Array.iter
+        (fun l ->
+          if String.equal l.step.Gom.Path.attr attr
+             && Gom.Schema.is_subtype schema ~sub:(Gom.Store.type_of store obj)
+                  ~sup:l.step.Gom.Path.domain
+          then begin
+            hold ~elements l old_value (-1);
+            hold ~elements l new_value 1;
+            moved := true
+          end)
+        cn.levels
+    | Set_inserted { set; elem } -> in_set set elem 1
+    | Set_removed { set; elem } -> in_set set elem (-1));
+    if !moved then cn.cached <- None;
+    !exact
+end
+
+(* ------------------------------------------------------------------ *)
 (* Engine state                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -66,7 +218,13 @@ type choice = {
   candidates : candidate list;  (** All priced strategies, cheapest first. *)
 }
 
-type cache_info = { hits : int; misses : int; invalidations : int; entries : int }
+type cache_info = {
+  hits : int;
+  misses : int;
+  invalidations : int;
+  entries : int;
+  profile_walks : int;
+}
 
 type key = { k_path : string; k_i : int; k_j : int; k_dir : Plan.dir }
 
@@ -84,17 +242,20 @@ type t = {
   lock : Mutex.t;
       (* Guards every mutable field below.  The engine is shared by the
          parallel server's worker domains: plan-cache lookups, counter
-         updates, generation bumps and profile memoisation all happen
-         under this lock; the expensive parts (candidate pricing,
+         updates, generation bumps and profile upkeep all happen under
+         this lock; the expensive parts (candidate pricing, snapshot
          profile measurement, plan execution) run outside it. *)
   mutable indexes : Core.Asr.t list;
   mutable generation : int;
       (* Bumped on every store mutation and on index (un)registration;
-         cached plans and measured profiles from older generations are
-         stale. *)
+         cached plans from older generations are stale. *)
   cache : (key, entry) Hashtbl.t;
-  measured : (string, Costmodel.Profile.t) Hashtbl.t;
+  tracked : (string, Counters.t) Hashtbl.t;
+      (* Live-base profiles by path, advanced by every store event. *)
+  snapshots : (string, int * Costmodel.Profile.t) Hashtbl.t;
+      (* Frozen readers' profiles by path: the newest epoch measured. *)
   pinned : (string, Costmodel.Profile.t) Hashtbl.t;
+  mutable walks : int;  (* full extent walks, live or snapshot *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -222,8 +383,10 @@ let create ?(sizes = fun _ -> 100) env =
       indexes = [];
       generation = 0;
       cache = Hashtbl.create 64;
-      measured = Hashtbl.create 8;
+      tracked = Hashtbl.create 8;
+      snapshots = Hashtbl.create 8;
       pinned = Hashtbl.create 4;
+      walks = 0;
       hits = 0;
       misses = 0;
       invalidations = 0;
@@ -232,11 +395,14 @@ let create ?(sizes = fun _ -> 100) env =
       freshness = Catch_up;
     }
   in
+  let store = Core.Exec.live_store_exn env in
   let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe (Core.Exec.live_store_exn env) (fun _event ->
+    Gom.Store.subscribe store (fun event ->
         with_lock t (fun () ->
             t.generation <- t.generation + 1;
-            Hashtbl.reset t.measured))
+            Hashtbl.filter_map_inplace
+              (fun _ cn -> if Counters.advance store cn event then Some cn else None)
+              t.tracked))
   in
   t
 
@@ -298,6 +464,7 @@ let cache_info t =
         misses = t.misses;
         invalidations = t.invalidations;
         entries = Hashtbl.length t.cache;
+        profile_walks = t.walks;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -305,74 +472,7 @@ let cache_info t =
 (* ------------------------------------------------------------------ *)
 
 let measure_profile_view ?(sizes = fun _ -> 100) view path =
-  let n = Gom.Path.length path in
-  let type_count i =
-    let ty = Gom.Path.type_at path i in
-    if Gom.Schema.is_atomic (Gom.Store_view.schema view) ty then begin
-      (* Elementary terminal type: its "extent" is the set of distinct
-         values actually referenced (their value is their identity). *)
-      let step = Gom.Path.step path n in
-      let values = Hashtbl.create 64 in
-      List.iter
-        (fun o ->
-          match Gom.Store_view.get_attr view o step.Gom.Path.attr with
-          | Gom.Value.Null -> ()
-          | v -> (
-            match step.Gom.Path.set_type with
-            | None -> Hashtbl.replace values v ()
-            | Some _ ->
-              List.iter
-                (fun e -> Hashtbl.replace values e ())
-                (Gom.Store_view.elements view (Gom.Value.oid_exn v))))
-        (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
-      max 1 (Hashtbl.length values)
-    end
-    else max 1 (Gom.Store_view.count ~deep:true view ty)
-  in
-  let level i =
-    (* d_i, total references, distinct referenced targets of A(i+1). *)
-    let step = Gom.Path.step path (i + 1) in
-    let defined = ref 0 in
-    let refs = ref 0 in
-    let distinct = Hashtbl.create 64 in
-    List.iter
-      (fun o ->
-        match Gom.Store_view.get_attr view o step.Gom.Path.attr with
-        | Gom.Value.Null -> ()
-        | v -> (
-          incr defined;
-          match step.Gom.Path.set_type with
-          | None ->
-            incr refs;
-            Hashtbl.replace distinct v ()
-          | Some _ ->
-            List.iter
-              (fun e ->
-                incr refs;
-                Hashtbl.replace distinct e ())
-              (Gom.Store_view.elements view (Gom.Value.oid_exn v))))
-      (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
-    (!defined, !refs, Hashtbl.length distinct)
-  in
-  let stats = List.init n level in
-  let c = List.init (n + 1) (fun i -> float_of_int (type_count i)) in
-  let d = List.map (fun (defined, _, _) -> float_of_int defined) stats in
-  let fan =
-    List.map
-      (fun (defined, refs, _) ->
-        if defined = 0 then 0. else float_of_int refs /. float_of_int defined)
-      stats
-  in
-  let shar =
-    List.map
-      (fun (_, refs, distinct) ->
-        if distinct = 0 then 0. else float_of_int refs /. float_of_int distinct)
-      stats
-  in
-  let size_list =
-    List.init (n + 1) (fun i -> float_of_int (max 1 (sizes (Gom.Path.type_at path i))))
-  in
-  Costmodel.Profile.make ~sizes:size_list ~shar ~c ~d ~fan ()
+  Counters.to_profile ~sizes (Counters.walk view path)
 
 let measure_profile ?sizes store path =
   measure_profile_view ?sizes (Gom.Store_view.live store) path
@@ -382,34 +482,53 @@ let set_profile t path prof =
       Hashtbl.replace t.pinned (Gom.Path.to_string path) prof;
       t.generation <- t.generation + 1)
 
+(* A pinned profile wins.  Otherwise the live base is priced from its
+   counters, walked once on the path's first request and kept exact
+   from store events after that; the walk runs under the lock, so no
+   event slips between it and the first advance.  A frozen reader
+   measures its own snapshot outside the lock (immutable, so the walk
+   never races the writer) and never touches the counters, which
+   describe the live base only; the result is exact for the snapshot's
+   epoch and memoised under it, newest epoch per path. *)
 let profile_in ~env t path =
   let key = Gom.Path.to_string path in
-  let memoised =
+  let view = env.Core.Exec.view in
+  if not (Gom.Store_view.is_frozen view) then
     with_lock t (fun () ->
         match Hashtbl.find_opt t.pinned key with
-        | Some p -> Some p
-        | None -> Hashtbl.find_opt t.measured key)
-  in
-  match memoised with
-  | Some p -> p
-  | None ->
-    (* Measure outside the lock, over the {e caller's} view: a worker
-       domain measures its own frozen snapshot (immutable, so the walk
-       can never race the writer), the engine's own environment measures
-       the live base.  Two domains missing simultaneously publish
-       near-identical profiles; the first insert wins, and any store
-       mutation resets the memo — a stale entry can only mis-price a
-       plan, never mis-answer a query. *)
-    let p = measure_profile_view ~sizes:t.sizes env.Core.Exec.view path in
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.pinned key with
-        | Some pinned -> pinned
-        | None -> (
-          match Hashtbl.find_opt t.measured key with
-          | Some first -> first
-          | None ->
-            Hashtbl.replace t.measured key p;
-            p))
+        | Some p -> p
+        | None ->
+          let cn =
+            match Hashtbl.find_opt t.tracked key with
+            | Some cn -> cn
+            | None ->
+              let cn = Counters.walk view path in
+              t.walks <- t.walks + 1;
+              Hashtbl.replace t.tracked key cn;
+              cn
+          in
+          Counters.profile ~sizes:t.sizes cn)
+  else
+    let epoch = Gom.Store_view.epoch view in
+    let memoised =
+      with_lock t (fun () ->
+          match Hashtbl.find_opt t.pinned key with
+          | Some p -> Some p
+          | None -> (
+            match Hashtbl.find_opt t.snapshots key with
+            | Some (e, p) when e = epoch -> Some p
+            | _ -> None))
+    in
+    match memoised with
+    | Some p -> p
+    | None ->
+      let p = measure_profile_view ~sizes:t.sizes view path in
+      with_lock t (fun () ->
+          t.walks <- t.walks + 1;
+          match Hashtbl.find_opt t.snapshots key with
+          | Some (e, _) when e > epoch -> ()
+          | _ -> Hashtbl.replace t.snapshots key (epoch, p));
+      p
 
 let profile t path = profile_in ~env:t.env t path
 

@@ -16,6 +16,8 @@
     mutation, on {!register} and on {!set_profile}.  A cached plan from
     an older generation is re-planned (and counted as an invalidation),
     so maintenance traffic transparently invalidates affected plans.
+    Re-planning walks no extent: the live base's profiles are kept exact
+    from store events; snapshots measure their epoch.
 
     {2 Batched execution}
 
@@ -31,7 +33,7 @@
 
     {2 Domain safety}
 
-    All mutable engine state — plan cache, memoised profiles, health
+    All mutable engine state — plan cache, profile counters, health
     oracle, registration list, generation — sits behind one internal
     mutex, so many OCaml 5 domains may plan and execute queries against
     the {e same frozen store} concurrently.  A plan computed outside the
@@ -87,12 +89,24 @@ type choice = {
   candidates : candidate list;  (** All priced strategies, cheapest first. *)
 }
 
-type cache_info = { hits : int; misses : int; invalidations : int; entries : int }
+type cache_info = {
+  hits : int;
+  misses : int;
+  invalidations : int;
+  entries : int;
+  profile_walks : int;
+      (** Full extent walks taken to build a profile: one per path on
+          the live base (another after a removal from a list on the
+          path), one per path and epoch for snapshot readers. *)
+}
 
 val create : ?sizes:(Gom.Schema.type_name -> int) -> Core.Exec.env -> t
 (** An engine over the environment's store; [sizes] (default [100]
-    bytes per object) feeds measured profiles.  Subscribes to the store:
-    every mutation bumps the generation and drops measured profiles. *)
+    bytes per object) feeds its profiles.  Subscribes to the store:
+    every mutation bumps the generation and advances the profile
+    counters of every path the live environment has asked about, so
+    profiles are kept exact from store events; snapshots measure their
+    epoch. *)
 
 val env : t -> Core.Exec.env
 val indexes : t -> Core.Asr.t list
@@ -167,7 +181,8 @@ val measure_profile_view :
   Costmodel.Profile.t
 (** {!measure_profile} over any read-only view.  Planning on behalf of a
     frozen environment measures the {e snapshot}, never racing the
-    writer. *)
+    writer, once per path and epoch; the live base is kept exact from
+    store events instead. *)
 
 val set_profile : t -> Gom.Path.t -> Costmodel.Profile.t -> unit
 (** Pin a profile for a path, overriding measurement (e.g. an assumed
@@ -175,8 +190,10 @@ val set_profile : t -> Gom.Path.t -> Costmodel.Profile.t -> unit
     generation. *)
 
 val profile : t -> Gom.Path.t -> Costmodel.Profile.t
-(** The profile the planner uses for a path: pinned if set, else
-    measured (memoised until the next store mutation). *)
+(** The profile the planner uses for a path on the live base: pinned if
+    set, else kept exact from store events — walked once, on the path's
+    first request, then advanced by every mutation, so it always equals
+    {!measure_profile} of the current store. *)
 
 (* {2 Planning} *)
 

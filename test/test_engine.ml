@@ -426,6 +426,227 @@ let test_stitch_golden () =
   let got = String.concat "\n" (stitch_golden_lines ()) in
   Alcotest.(check string) "stitch plans and pages" stitch_golden got
 
+(* ---------------- profiles kept from events ---------------- *)
+
+(* One random mutation of any store, decoded from three small ints so
+   that QCheck shrinks a stream op by op: set insert and remove,
+   attribute reassignment (a set-valued attribute may be pointed at
+   another holder's set, so two holders share it), attributes set to
+   NULL, creation, and deletion of any object, holders, set instances
+   and targets alike.  Elementary values are drawn from three per type,
+   so holders share targets there too. *)
+let mutate store (kind, a, b) =
+  let schema = Gom.Store.schema store in
+  let objs =
+    Array.of_list
+      (Gom.Store.fold_objects store ~init:[] ~f:(fun acc i -> Gom.Instance.oid i :: acc))
+  in
+  let pick arr k = arr.(k mod Array.length arr) in
+  let filter f = Array.of_list (List.filter f (Array.to_list objs)) in
+  let is_collection o = Gom.Schema.element_type schema (Gom.Store.type_of store o) <> None in
+  let collections = filter is_collection in
+  let tuples =
+    filter (fun o ->
+        (not (is_collection o)) && Gom.Schema.attrs schema (Gom.Store.type_of store o) <> [])
+  in
+  let value decl k =
+    match Gom.Schema.atomic_of schema decl with
+    | Some Gom.Schema.A_string -> Some (V.Str (Printf.sprintf "v%d" (k mod 3)))
+    | Some Gom.Schema.A_int -> Some (V.Int (k mod 3))
+    | Some Gom.Schema.A_dec -> Some (V.Dec (float_of_int (k mod 3)))
+    | Some Gom.Schema.A_bool -> Some (V.Bool (k mod 2 = 0))
+    | Some Gom.Schema.A_char -> Some (V.Char (Char.chr (97 + (k mod 3))))
+    | None -> (
+      match Array.of_list (Gom.Store.extent ~deep:true store decl) with
+      | [||] -> None
+      | targets -> Some (V.Ref (pick targets k)))
+  in
+  let attr_of o k =
+    let attrs = Array.of_list (Gom.Schema.attrs schema (Gom.Store.type_of store o)) in
+    pick attrs k
+  in
+  match kind with
+  | 0 | 1 | 2 when collections <> [||] ->
+    let s = pick collections a in
+    let elem = Option.get (Gom.Schema.element_type schema (Gom.Store.type_of store s)) in
+    Option.iter (Gom.Store.insert_elem store s) (value elem b)
+  | 3 | 4 when collections <> [||] -> (
+    let s = pick collections a in
+    match Array.of_list (Gom.Store.elements store s) with
+    | [||] -> ()
+    | elems -> Gom.Store.remove_elem store s (pick elems b))
+  | 5 | 6 when tuples <> [||] ->
+    let o = pick tuples a in
+    let attr, decl = attr_of o b in
+    Option.iter (Gom.Store.set_attr store o attr) (value decl (a + b))
+  | 7 when tuples <> [||] ->
+    let o = pick tuples a in
+    Gom.Store.set_attr store o (fst (attr_of o b)) V.Null
+  | 8 ->
+    let types =
+      List.filter
+        (fun ty -> not (Gom.Schema.is_atomic schema ty))
+        (Gom.Schema.type_names schema)
+      |> Array.of_list
+    in
+    ignore (Gom.Store.new_object store (pick types (a + b)))
+  | 9 when objs <> [||] -> Gom.Store.delete store (pick objs a)
+  | _ -> ()
+
+(* A small schema with subtypes on both sides of a set-valued and a
+   single-valued step, and a list-valued step: deep extents, inherited
+   attributes, and list elements that repeat. *)
+let subtype_base () =
+  let s = Gom.Schema.empty in
+  let s = Gom.Schema.define_tuple s "Item" [ ("Label", "STRING") ] in
+  let s = Gom.Schema.define_tuple s "Gadget" ~supertypes:[ "Item" ] [ ("Weight", "INTEGER") ] in
+  let s = Gom.Schema.define_set s "ItemSET" "Item" in
+  let s = Gom.Schema.define_list s "ItemLIST" "Item" in
+  let s =
+    Gom.Schema.define_tuple s "Box"
+      [ ("Contents", "ItemSET"); ("Queue", "ItemLIST"); ("Main", "Item") ]
+  in
+  let s = Gom.Schema.define_tuple s "Crate" ~supertypes:[ "Box" ] [ ("Tag", "STRING") ] in
+  let store = Gom.Store.create s in
+  let items =
+    List.init 6 (fun k ->
+        let o = Gom.Store.new_object store (if k mod 2 = 0 then "Item" else "Gadget") in
+        Gom.Store.set_attr store o "Label" (V.Str (Printf.sprintf "v%d" (k mod 3)));
+        o)
+  in
+  List.iteri
+    (fun k ty ->
+      let box = Gom.Store.new_object store ty in
+      let set = Gom.Store.new_object store "ItemSET" in
+      let list = Gom.Store.new_object store "ItemLIST" in
+      List.iteri
+        (fun j it ->
+          if (j + k) mod 2 = 0 then Gom.Store.insert_elem store set (V.Ref it);
+          if (j + k) mod 3 = 0 then Gom.Store.insert_elem store list (V.Ref it))
+        items;
+      Gom.Store.set_attr store box "Contents" (V.Ref set);
+      Gom.Store.set_attr store box "Queue" (V.Ref list);
+      Gom.Store.set_attr store box "Main" (V.Ref (List.nth items k)))
+    [ "Box"; "Crate"; "Box"; "Crate" ];
+  let path = Gom.Path.parse s in
+  (store, [ path "Box.Contents.Label"; path "Box.Queue.Label"; path "Box.Main.Label" ])
+
+(* Three bases: the generator's (set-valued and single-valued steps, and
+   the same path with its atomic last step Tag), the paper's Company
+   schema, and the subtype schema above. *)
+let profile_bases () =
+  let spec =
+    Workload.Generator.spec ~seed:3 ~set_valued:[ true; false; true ] ~counts:[ 4; 6; 8; 10 ]
+      ~defined:[ 3; 5; 7 ] ~fan:[ 2; 1; 2 ] ()
+  in
+  let gstore, gpath = Workload.Generator.build spec in
+  let gschema = Gom.Store.schema gstore in
+  let company = (Workload.Schemas.Company.base ()).Workload.Schemas.Company.store in
+  let cschema = Gom.Store.schema company in
+  [
+    (gstore, [ gpath; Gom.Path.make gschema "T0" [ "A1"; "A2"; "A3"; "Tag" ] ]);
+    ( company,
+      [
+        Gom.Path.parse cschema "Division.Manufactures.Composition.Name";
+        Gom.Path.parse cschema "Product.Composition.Price";
+      ] );
+    subtype_base ();
+  ]
+
+let prop_profiles_kept_exact =
+  QCheck.Test.make ~name:"event-kept profile = measure_profile after random mutations"
+    ~count:(Qc.iters_env "ASR_PROFILE_COUNT" 100)
+    QCheck.(list_of_size Gen.(1 -- 40) (triple (int_bound 9) small_nat small_nat))
+    (fun ops ->
+      List.for_all
+        (fun (store, paths) ->
+          let engine = Engine.create (env_of store) in
+          let exact () =
+            List.for_all
+              (fun p -> Engine.profile engine p = Engine.measure_profile store p)
+              paths
+          in
+          exact ()
+          && List.for_all
+               (fun op ->
+                 mutate store op;
+                 exact ())
+               ops)
+        (profile_bases ()))
+
+let test_pinned_profile_wins () =
+  let store, path, env = gen_base () in
+  let engine = Engine.create env in
+  ignore (Engine.profile engine path);
+  pin_expensive_nav engine path;
+  let pinned = Engine.profile engine path in
+  check "pinned differs from the base" true (pinned <> Engine.measure_profile store path);
+  List.iter (mutate store) (List.init 30 (fun k -> (k mod 10, 7 * k, 3 * k)));
+  check "pinned survives mutations" true (Engine.profile engine path == pinned)
+
+(* Planning on behalf of a frozen reader measures the snapshot; that
+   measurement must never stand in for the live base's profile. *)
+let test_snapshot_profile_stays_out () =
+  let spec =
+    Workload.Generator.spec ~seed:42 ~counts:[ 25; 50; 100; 200 ] ~defined:[ 22; 45; 90 ]
+      ~fan:[ 2; 2; 2 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let heap = Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) store in
+  let engine = Engine.create (E.make store heap) in
+  let frozen = Gom.Store_view.frozen (Gom.Frozen.of_store store) in
+  (* Two more T1 elements in every T0's A1 set. *)
+  List.iter
+    (fun o ->
+      match Gom.Store.get_attr store o "A1" with
+      | V.Ref set ->
+        let fresh =
+          List.filter
+            (fun t -> not (List.mem (V.Ref t) (Gom.Store.elements store set)))
+            (Gom.Store.extent store "T1")
+        in
+        List.iter
+          (fun t -> Gom.Store.insert_elem store set (V.Ref t))
+          (List.filteri (fun d _ -> d < 2) fresh)
+      | _ -> ())
+    (Gom.Store.extent store "T0");
+  let n = Gom.Path.length path in
+  ignore
+    (Engine.candidates ~env:(E.make_view frozen heap) engine path ~i:0 ~j:n
+       ~dir:Engine.Plan.Fwd);
+  check "live profile is the live base's" true
+    (Engine.profile engine path = Engine.measure_profile store path);
+  check "the writes moved the profile" true
+    (Engine.measure_profile_view frozen path <> Engine.measure_profile store path)
+
+let test_no_walks_after_planning () =
+  let store, path, env = gen_base () in
+  let a = Core.Asr.create store path Core.Extension.Full (D.binary ~m:(Gom.Path.arity path - 1)) in
+  let engine = Engine.create env in
+  Engine.register engine a;
+  let mgr = Core.Maintenance.create env in
+  Core.Maintenance.register mgr a;
+  let n = Gom.Path.length path in
+  check_int "register walks nothing" 0 (Engine.cache_info engine).Engine.profile_walks;
+  ignore (Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Bwd);
+  let walks = (Engine.cache_info engine).Engine.profile_walks in
+  check_int "one walk on the first request" 1 walks;
+  let holders = Array.of_list (Gom.Store.extent store "T2") in
+  let targets = Array.of_list (Gom.Store.extent store "T3") in
+  for k = 0 to 199 do
+    (match Gom.Store.get_attr store holders.(k mod Array.length holders) "A3" with
+    | V.Ref set ->
+      let t = V.Ref targets.(k * 7 mod Array.length targets) in
+      if List.mem t (Gom.Store.elements store set) then Gom.Store.remove_elem store set t
+      else Gom.Store.insert_elem store set t
+    | _ -> ());
+    let target = V.Ref targets.(k mod Array.length targets) in
+    check "answer" true
+      (oset (Engine.backward engine path ~i:0 ~j:n ~target)
+       = oset (E.backward_scan env path ~i:0 ~j:n ~target))
+  done;
+  check_int "no further walks" walks (Engine.cache_info engine).Engine.profile_walks
+
 (* ---------------- explain ---------------- *)
 
 let test_explain () =
@@ -471,4 +692,9 @@ let suite =
     Alcotest.test_case "batched probes save pages" `Quick test_batch_saves_pages;
     Alcotest.test_case "explain" `Quick test_explain;
     Alcotest.test_case "stitch walk golden" `Quick test_stitch_golden;
+    Qc.to_alcotest prop_profiles_kept_exact;
+    Alcotest.test_case "pinned profile wins over tracked" `Quick test_pinned_profile_wins;
+    Alcotest.test_case "snapshot profile stays out of live planning" `Quick
+      test_snapshot_profile_stays_out;
+    Alcotest.test_case "no profile walks after planning" `Quick test_no_walks_after_planning;
   ]
