@@ -26,6 +26,15 @@ type gate = {
   version : int Atomic.t;
 }
 
+(* Column index over the logical extension: one table per probed
+   column from a value to the extension tuples holding it there.  Each
+   bucket is a growable array kept in {!Relation.Tuple.compare} order and
+   edited in place, so keeping the index allocates next to nothing per
+   event.  NULL is not indexed. *)
+module Vtbl = Hashtbl.Make (Gom.Value)
+
+type bucket = { mutable items : Relation.Tuple.t array; mutable len : int }
+
 type t = {
   id : int;  (* process-unique identity, usable as a hash key *)
   store : Gom.Store.t;
@@ -38,6 +47,8 @@ type t = {
       (* placement predicate: when set, this relation materialises only
          the extension tuples the predicate owns (horizontal sharding) *)
   mutable extension : Relation.t;
+  columns : bucket Vtbl.t option array;
+      (* per column, built by its first [find_by_column] *)
   parts : part array;
   mutable deferred : bool;
   pending : buffer array;  (* same length as [parts] *)
@@ -219,6 +230,7 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
     pager;
     owner;
     extension;
+    columns = Array.make (m + 1) None;
     parts;
     deferred = false;
     pending = Array.init (Array.length parts) (fun _ -> Hashtbl.create 64);
@@ -342,6 +354,7 @@ let refresh t =
       ignore (flush_unlocked t);
       remove_projections t (Relation.to_list t.extension);
       t.extension <- restrict t (Extension.compute t.store t.path t.kind);
+      Array.fill t.columns 0 (Array.length t.columns) None;
       let tuples = Relation.to_list t.extension in
       Array.iter
         (fun p ->
@@ -368,6 +381,64 @@ let lookup_bwd_many ?stats t i keys =
 
 let scan_partition ?stats t i =
   in_seg ?stats t (fun () -> Storage.Bptree.scan ?stats t.parts.(i).trees.fwd)
+
+(* ------------------------------------------------------------------ *)
+(* Column index                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* First position in [b] whose tuple is not below [tup]. *)
+let bucket_search b tup =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Relation.Tuple.compare b.items.(mid) tup < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 b.len
+
+let bucket_add b tup =
+  let i = bucket_search b tup in
+  if b.len = Array.length b.items then begin
+    let grown = Array.make (max 4 (2 * b.len)) [||] in
+    Array.blit b.items 0 grown 0 b.len;
+    b.items <- grown
+  end;
+  Array.blit b.items i b.items (i + 1) (b.len - i);
+  b.items.(i) <- tup;
+  b.len <- b.len + 1
+
+let bucket_remove b tup =
+  let i = bucket_search b tup in
+  if i < b.len && Relation.Tuple.compare b.items.(i) tup = 0 then begin
+    Array.blit b.items (i + 1) b.items i (b.len - i - 1);
+    b.len <- b.len - 1;
+    b.items.(b.len) <- [||]
+  end
+
+let column_add idx col tup =
+  let v = tup.(col) in
+  if not (Gom.Value.is_null v) then
+    match Vtbl.find_opt idx v with
+    | Some b -> bucket_add b tup
+    | None -> Vtbl.add idx v { items = [| tup |]; len = 1 }
+
+let column_remove idx col tup =
+  let v = tup.(col) in
+  match Vtbl.find_opt idx v with
+  | Some b ->
+    bucket_remove b tup;
+    if b.len = 0 then Vtbl.remove idx v
+  | None -> ()
+
+let column_index t col =
+  match t.columns.(col) with
+  | Some idx -> idx
+  | None ->
+    let idx = Vtbl.create 64 in
+    (* Ascending input: every add lands at the end of its bucket. *)
+    List.iter (column_add idx col) (Relation.to_list t.extension);
+    t.columns.(col) <- Some idx;
+    idx
 
 (* Retract [remove], then add [add]: the logical extension first, then
    the trees (or, deferred, the write-behind buffers) with exactly the
@@ -396,6 +467,13 @@ let apply_delta ?stats t ~remove ~add =
         fresh)
       add
   in
+  Array.iteri
+    (fun col -> function
+      | Some idx ->
+        List.iter (column_remove idx col) removed;
+        List.iter (column_add idx col) added
+      | None -> ())
+    t.columns;
   if removed <> [] || added <> [] then begin
     if t.deferred then
       Array.iteri
@@ -434,8 +512,12 @@ let distinct_values tuples col =
 
 let find_by_column ?stats t ~col v =
   let matches =
-    Relation.to_list
-      (Relation.filter t.extension (fun tup -> Gom.Value.equal tup.(col) v))
+    if Gom.Value.is_null v then
+      Relation.to_list (Relation.filter t.extension (fun tup -> Gom.Value.is_null tup.(col)))
+    else
+      match Vtbl.find_opt (column_index t col) v with
+      | None -> []
+      | Some b -> List.init b.len (fun k -> b.items.(k))
   in
   (match stats with
   | None -> ()
@@ -448,20 +530,20 @@ let find_by_column ?stats t ~col v =
     Storage.Stats.in_segment st (seg t) (fun () ->
         let pi = partition_index_of_column t col in
         let p = t.parts.(pi) in
-        if col = p.lo then ignore (Storage.Bptree.lookup ~stats:st p.trees.fwd v)
-        else if col = p.hi then ignore (Storage.Bptree.lookup ~stats:st p.trees.bwd v)
-        else ignore (Storage.Bptree.scan ~stats:st p.trees.fwd);
+        if col = p.lo then Storage.Bptree.touch ~stats:st p.trees.fwd v
+        else if col = p.hi then Storage.Bptree.touch ~stats:st p.trees.bwd v
+        else Storage.Bptree.iter ~stats:st p.trees.fwd ignore;
         if matches <> [] then begin
           for k = pi - 1 downto 0 do
             let q = t.parts.(k) in
             List.iter
-              (fun key -> ignore (Storage.Bptree.lookup ~stats:st q.trees.bwd key))
+              (fun key -> Storage.Bptree.touch ~stats:st q.trees.bwd key)
               (distinct_values matches q.hi)
           done;
           for k = pi + 1 to Array.length t.parts - 1 do
             let q = t.parts.(k) in
             List.iter
-              (fun key -> ignore (Storage.Bptree.lookup ~stats:st q.trees.fwd key))
+              (fun key -> Storage.Bptree.touch ~stats:st q.trees.fwd key)
               (distinct_values matches q.lo)
           done
         end));

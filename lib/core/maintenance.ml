@@ -36,6 +36,7 @@ type t = {
   suspended : (int, unit) Hashtbl.t;  (* keyed by Asr.id — identity set *)
   mutable policy : flush_policy;
   mutable events_since_flush : int;
+  mutable subscription : Gom.Store.subscription option;
 }
 
 let asrs t = List.rev t.asrs
@@ -66,13 +67,6 @@ let set_positions_matching schema path ~set_ty =
       | None -> false)
     (List.init n Fun.id)
 
-let owners store (step : Gom.Path.step) set_oid =
-  Gom.Store.extent ~deep:true store step.Gom.Path.domain
-  |> List.filter (fun o ->
-         Gom.Value.equal
-           (Gom.Store.get_attr store o step.Gom.Path.attr)
-           (Gom.Value.Ref set_oid))
-
 (* ------------------------------------------------------------------ *)
 (* I_l / I_r: maximal partial prefixes and suffixes                    *)
 (* ------------------------------------------------------------------ *)
@@ -89,8 +83,7 @@ let rec graph_prefixes t ~charge path ~pos ~oid =
     if charge then
       Storage.Heap.scan_extent ~deep:true t.env.Exec.heap t.stats step.Gom.Path.domain;
     let refs =
-      Gom.Store.referencers t.store step.Gom.Path.domain step.Gom.Path.attr
-        (Gom.Value.Ref oid)
+      Gom.Store.referencers t.store step.Gom.Path.domain step.Gom.Path.attr oid
     in
     match refs with
     | [] ->
@@ -174,9 +167,7 @@ let referenced_now store path ~pos ~oid =
   if pos = 0 then true
   else
     let step = Gom.Path.step path pos in
-    Gom.Store.referencers store step.Gom.Path.domain step.Gom.Path.attr
-      (Gom.Value.Ref oid)
-    <> []
+    Gom.Store.referencers store step.Gom.Path.domain step.Gom.Path.attr oid <> []
 
 (* [before ∖ after] and [after ∖ before], each sorted and duplicate-free. *)
 let net_difference before after =
@@ -324,7 +315,7 @@ let handle_event t index ev =
       set_positions_matching schema path ~set_ty
       |> List.iter (fun i ->
              let step = Gom.Path.step path (i + 1) in
-             let os = owners store step set in
+             let os = Gom.Store.holders store step.Gom.Path.domain step.Gom.Path.attr set in
              let targets = match value_oid elem with Some o -> [ o ] | None -> [] in
              (* An orphan set is not represented in any extension. *)
              List.iter (fun o -> handle_change t index ~i ~obj:o ~targets) os)
@@ -374,19 +365,24 @@ let create env =
       suspended = Hashtbl.create 16;
       policy = Immediate;
       events_since_flush = 0;
+      subscription = None;
     }
   in
-  let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe store (fun ev ->
-      Storage.Stats.begin_op t.stats;
-      List.iter
-        (fun index ->
-          if not (Hashtbl.mem t.suspended (Asr.id index)) then
-            handle_event t index ev)
-        (List.rev t.asrs);
-      maybe_flush t)
-  in
+  t.subscription <-
+    Some
+      (Gom.Store.subscribe store (fun ev ->
+           Storage.Stats.begin_op t.stats;
+           List.iter
+             (fun index ->
+               if not (Hashtbl.mem t.suspended (Asr.id index)) then
+                 handle_event t index ev)
+             (List.rev t.asrs);
+           maybe_flush t));
   t
+
+let close t =
+  Option.iter (Gom.Store.unsubscribe t.store) t.subscription;
+  t.subscription <- None
 
 let register t index =
   if not (Asr.store index == t.store) then

@@ -60,6 +60,11 @@ val policy_of_string : string -> flush_policy option
 val create : Exec.env -> t
 (** Subscribes to the environment's store.  Policy starts [Immediate]. *)
 
+val close : t -> unit
+(** Unsubscribe from the store: later events no longer reach the
+    registered ASRs, which stop following the base.  Pending deltas stay
+    buffered for {!flush_all}.  Idempotent. *)
+
 val register : t -> Asr.t -> unit
 (** Add an access support relation to maintain; it inherits the
     manager's current flush policy.  The ASR must be built over the

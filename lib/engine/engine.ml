@@ -272,6 +272,7 @@ type t = {
          answers by flushing on first use; Degrade prices the stale
          index out and falls back to always-live plans — also exact,
          since navigation and extent scans never consult the trees. *)
+  mutable subscription : Gom.Store.subscription option;  (* [None] once closed *)
 }
 
 and freshness_mode = Catch_up | Degrade
@@ -393,18 +394,23 @@ let create ?(sizes = fun _ -> 100) env =
       sizes;
       health = None;
       freshness = Catch_up;
+      subscription = None;
     }
   in
   let store = Core.Exec.live_store_exn env in
-  let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe store (fun event ->
-        with_lock t (fun () ->
-            t.generation <- t.generation + 1;
-            Hashtbl.filter_map_inplace
-              (fun _ cn -> if Counters.advance store cn event then Some cn else None)
-              t.tracked))
-  in
+  t.subscription <-
+    Some
+      (Gom.Store.subscribe store (fun event ->
+           with_lock t (fun () ->
+               t.generation <- t.generation + 1;
+               Hashtbl.filter_map_inplace
+                 (fun _ cn -> if Counters.advance store cn event then Some cn else None)
+                 t.tracked)));
   t
+
+let close t =
+  Option.iter (Gom.Store.unsubscribe (Core.Exec.live_store_exn t.env)) t.subscription;
+  t.subscription <- None
 
 let register t a =
   if not (Core.Asr.store a == Gom.Store_view.base t.env.Core.Exec.view) then

@@ -108,6 +108,11 @@ val create : ?sizes:(Gom.Schema.type_name -> int) -> Core.Exec.env -> t
     profiles are kept exact from store events; snapshots measure their
     epoch. *)
 
+val close : t -> unit
+(** Unsubscribe from the store: later mutations no longer bump the
+    generation or advance the profile counters, so a closed engine must
+    not plan again.  Idempotent. *)
+
 val env : t -> Core.Exec.env
 val indexes : t -> Core.Asr.t list
 

@@ -164,18 +164,3 @@ let fold_objects t ~init ~f =
 
 let find_name t name = Smap.find_opt name t.names
 let names t = Smap.bindings t.names
-
-let referencers t ty attr v =
-  let decl_is_set =
-    match Schema.attr_type t.schema ty attr with
-    | Some rty -> Schema.is_set t.schema rty || Schema.element_type t.schema rty <> None
-    | None -> error "type %s has no attribute %s" ty attr
-  in
-  extent ~deep:true t ty
-  |> List.filter_map (fun o ->
-         match get_attr t o attr with
-         | Value.Null -> None
-         | Value.Ref s when decl_is_set ->
-           if List.exists (Value.equal v) (elements t s) then Some (o, Some s)
-           else None
-         | direct -> if Value.equal direct v then Some (o, None) else None)

@@ -60,6 +60,3 @@ val count : ?deep:bool -> t -> Schema.type_name -> int
 val fold_objects : t -> init:'a -> f:('a -> Instance.t -> 'a) -> 'a
 val find_name : t -> string -> Oid.t option
 val names : t -> (string * Oid.t) list
-
-val referencers :
-  t -> Schema.type_name -> Schema.attr_name -> Value.t -> (Oid.t * Oid.t option) list

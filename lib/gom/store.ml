@@ -14,6 +14,16 @@ exception Type_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
+(* Reverse reference index: who refers to an object.  [attr_refs] maps
+   a target to the (holder, attribute) pairs of the tuple attributes
+   holding [Ref target]; [elem_refs] maps an element to the collections
+   containing [Ref element] (once, however often a list repeats it).
+   Buckets are unordered; queries sort. *)
+type refindex = {
+  attr_refs : (Oid.t, (Oid.t * Schema.attr_name) list) Hashtbl.t;
+  elem_refs : (Oid.t, Oid.t list) Hashtbl.t;
+}
+
 type t = {
   schema : Schema.t;
   gen : Oid.gen;
@@ -23,6 +33,8 @@ type t = {
   mutable listeners : (int * (event -> unit)) list; (* reverse subscription order *)
   mutable next_subscription : int;
   mutable epoch : int; (* bumped once per emitted mutation event *)
+  mutable refindex : refindex option;
+      (* built by the first inbound query, then kept by the mutators *)
 }
 
 let create schema =
@@ -38,6 +50,7 @@ let create schema =
     listeners = [];
     next_subscription = 0;
     epoch = 0;
+    refindex = None;
   }
 
 let schema t = t.schema
@@ -74,6 +87,7 @@ let copy t =
     listeners = [];
     next_subscription = 0;
     epoch = t.epoch;
+    refindex = None;
   }
 
 type subscription = int
@@ -160,6 +174,53 @@ let tuple_table inst =
   | Instance.Set_body _ | Instance.List_body _ ->
     error "object %s is not tuple-structured" (Format.asprintf "%a" Oid.pp (Instance.oid inst))
 
+(* ------------------------------------------------------------------ *)
+(* Reverse reference index                                             *)
+(* ------------------------------------------------------------------ *)
+
+let bucket tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
+
+let unlink tbl k keep =
+  match List.filter keep (bucket tbl k) with
+  | [] -> Hashtbl.remove tbl k
+  | b -> Hashtbl.replace tbl k b
+
+let index_attr idx holder attr = function
+  | Value.Ref x -> Hashtbl.replace idx.attr_refs x ((holder, attr) :: bucket idx.attr_refs x)
+  | Value.Null | Value.Int _ | Value.Str _ | Value.Dec _ | Value.Bool _ | Value.Char _ -> ()
+
+let unindex_attr idx holder attr = function
+  | Value.Ref x ->
+    unlink idx.attr_refs x (fun (h, a) -> not (Oid.equal h holder && String.equal a attr))
+  | Value.Null | Value.Int _ | Value.Str _ | Value.Dec _ | Value.Bool _ | Value.Char _ -> ()
+
+let index_elem idx coll = function
+  | Value.Ref x ->
+    let b = bucket idx.elem_refs x in
+    if not (List.exists (Oid.equal coll) b) then Hashtbl.replace idx.elem_refs x (coll :: b)
+  | Value.Null | Value.Int _ | Value.Str _ | Value.Dec _ | Value.Bool _ | Value.Char _ -> ()
+
+let unindex_elem idx coll = function
+  | Value.Ref x -> unlink idx.elem_refs x (fun c -> not (Oid.equal c coll))
+  | Value.Null | Value.Int _ | Value.Str _ | Value.Dec _ | Value.Bool _ | Value.Char _ -> ()
+
+(* One walk over the base, on the first inbound query; the mutators
+   keep the index current from then on. *)
+let refindex t =
+  match t.refindex with
+  | Some idx -> idx
+  | None ->
+    let idx = { attr_refs = Hashtbl.create 64; elem_refs = Hashtbl.create 64 } in
+    Hashtbl.iter
+      (fun oid (inst : Instance.t) ->
+        match inst.body with
+        | Instance.Tuple_body tbl -> Hashtbl.iter (index_attr idx oid) tbl
+        | Instance.Set_body tbl -> Hashtbl.iter (fun v () -> index_elem idx oid v) tbl
+        | Instance.List_body l -> List.iter (index_elem idx oid) !l)
+      t.objects;
+    t.refindex <- Some idx;
+    idx
+
 let set_attr t oid attr v =
   let inst = get_exn t oid in
   let decl =
@@ -173,6 +234,11 @@ let set_attr t oid attr v =
   let old_value = Option.value ~default:Value.Null (Hashtbl.find_opt tbl attr) in
   if not (Value.equal old_value v) then begin
     Hashtbl.replace tbl attr v;
+    Option.iter
+      (fun idx ->
+        unindex_attr idx oid attr old_value;
+        index_attr idx oid attr v)
+      t.refindex;
     emit t (Attr_set { obj = oid; attr; old_value; new_value = v })
   end
 
@@ -190,10 +256,12 @@ let insert_elem t oid v =
   | Instance.Set_body tbl ->
     if not (Hashtbl.mem tbl v) then begin
       Hashtbl.replace tbl v ();
+      Option.iter (fun idx -> index_elem idx oid v) t.refindex;
       emit t (Set_inserted { set = oid; elem = v })
     end
   | Instance.List_body l ->
     l := !l @ [ v ];
+    Option.iter (fun idx -> index_elem idx oid v) t.refindex;
     emit t (Set_inserted { set = oid; elem = v })
   | Instance.Tuple_body _ -> error "insert_elem: not a collection"
 
@@ -203,11 +271,13 @@ let remove_elem t oid v =
   | Instance.Set_body tbl ->
     if Hashtbl.mem tbl v then begin
       Hashtbl.remove tbl v;
+      Option.iter (fun idx -> unindex_elem idx oid v) t.refindex;
       emit t (Set_removed { set = oid; elem = v })
     end
   | Instance.List_body l ->
     if List.exists (Value.equal v) !l then begin
       l := List.filter (fun x -> not (Value.equal x v)) !l;
+      Option.iter (fun idx -> unindex_elem idx oid v) t.refindex;
       emit t (Set_removed { set = oid; elem = v })
     end
   | Instance.Tuple_body _ -> error "remove_elem: not a collection"
@@ -276,45 +346,58 @@ let restore_object t oid ty =
   r := oid :: !r;
   emit t (Created oid)
 
-let referencers t ty attr v =
+let holders t ty attr target =
+  bucket (refindex t).attr_refs target
+  |> List.filter_map (fun (h, a) ->
+         if String.equal a attr && Schema.is_subtype t.schema ~sub:(type_of t h) ~sup:ty
+         then Some h
+         else None)
+  |> List.sort Oid.compare
+
+let referencers t ty attr target =
   let decl_is_set =
     match Schema.attr_type t.schema ty attr with
     | Some rty -> Schema.is_set t.schema rty || Schema.element_type t.schema rty <> None
     | None -> error "type %s has no attribute %s" ty attr
   in
-  extent ~deep:true t ty
-  |> List.filter_map (fun o ->
-         match get_attr t o attr with
-         | Value.Null -> None
-         | Value.Ref s when decl_is_set ->
-           if List.exists (Value.equal v) (elements t s) then Some (o, Some s) else None
-         | direct -> if Value.equal direct v then Some (o, None) else None)
+  if decl_is_set then
+    bucket (refindex t).elem_refs target
+    |> List.concat_map (fun s -> List.map (fun h -> (h, Some s)) (holders t ty attr s))
+    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  else List.map (fun h -> (h, None)) (holders t ty attr target)
 
 let delete t oid =
   let inst = get_exn t oid in
   let target = Value.Ref oid in
   (* Nullify every inbound reference first, each through the regular
-     mutators so that listeners observe consistent intermediate states. *)
-  let holders =
-    fold_objects t ~init:[] ~f:(fun acc i ->
-        if Oid.equal (Instance.oid i) oid then acc
-        else
-          match i.Instance.body with
-          | Instance.Tuple_body tbl ->
-            Hashtbl.fold
-              (fun a v acc -> if Value.equal v target then `Attr (Instance.oid i, a) :: acc else acc)
-              tbl acc
-          | Instance.Set_body tbl ->
-            if Hashtbl.mem tbl target then `Elem (Instance.oid i) :: acc else acc
-          | Instance.List_body l ->
-            if List.exists (Value.equal target) !l then `Elem (Instance.oid i) :: acc
-            else acc)
+     mutators so that listeners observe consistent intermediate states.
+     The holders come from the index; folding them in ascending
+     identifier order, each body scanned whole, yields the nullifications
+     in the order a walk over the whole base produced them (descending
+     holders). *)
+  let idx = refindex t in
+  let inbound =
+    List.map fst (bucket idx.attr_refs oid) @ bucket idx.elem_refs oid
+    |> List.filter (fun o -> not (Oid.equal o oid))
+    |> List.sort_uniq Oid.compare
+    |> List.fold_left
+         (fun acc o ->
+           let i = get_exn t o in
+           match i.Instance.body with
+           | Instance.Tuple_body tbl ->
+             Hashtbl.fold
+               (fun a v acc -> if Value.equal v target then `Attr (o, a) :: acc else acc)
+               tbl acc
+           | Instance.Set_body tbl -> if Hashtbl.mem tbl target then `Elem o :: acc else acc
+           | Instance.List_body l ->
+             if List.exists (Value.equal target) !l then `Elem o :: acc else acc)
+         []
   in
   List.iter
     (function
       | `Attr (o, a) -> set_attr t o a Value.Null
       | `Elem s -> remove_elem t s target)
-    holders;
+    inbound;
   (* Clear the object's own outgoing state so listeners can retract
      paths that start at it. *)
   (match inst.Instance.body with

@@ -88,8 +88,11 @@ val elements : t -> Oid.t -> Value.t list
 
 val delete : t -> Oid.t -> unit
 (** Delete an object: all references to it anywhere in the base are
-    first nullified/removed (emitting the corresponding events), then
-    the object disappears and [Deleted] is emitted. *)
+    first nullified/removed (emitting the corresponding events, holder
+    by holder in descending identifier order), then the object's own
+    attributes and elements are cleared, then it disappears and
+    [Deleted] is emitted.  The inbound holders come from the reverse
+    reference index (see {!referencers}). *)
 
 val extent : ?deep:bool -> t -> Schema.type_name -> Oid.t list
 (** Objects of exactly this type in creation order; with [~deep:true]
@@ -140,10 +143,21 @@ val restore_object : t -> Oid.t -> Schema.type_name -> unit
     instantiated. *)
 
 val referencers :
-  t -> Schema.type_name -> Schema.attr_name -> Value.t -> (Oid.t * Oid.t option) list
-(** [referencers t ty attr v] finds the objects of type [ty] (deep
-    extent) whose attribute [attr] leads to [v]: directly
-    ([(o, None)]) for single-valued attributes, or through a set
-    ([(o, Some set_oid)]) for set-valued ones.  Implemented by an extent
-    scan — references are uni-directional in GOM, so backward traversal
-    has no physical support (that is the paper's motivation). *)
+  t -> Schema.type_name -> Schema.attr_name -> Oid.t -> (Oid.t * Oid.t option) list
+(** [referencers t ty attr target] finds the objects of type [ty] (deep
+    extent) whose attribute [attr] leads to [target]: directly
+    ([(o, None)]) for single-valued attributes, or through a set or
+    list ([(o, Some coll)]) for collection-valued ones; sorted by
+    holder.  References are uni-directional in GOM, so the paper prices
+    this backward traversal as an extent scan (section 6.2), and callers
+    that account pages still charge that scan.  The answer itself comes
+    from a reverse reference index the store builds with one walk on
+    the first inbound query ({!referencers}, {!holders} or {!delete})
+    and keeps current on every mutation; a {!copy} starts without it. *)
+
+val holders : t -> Schema.type_name -> Schema.attr_name -> Oid.t -> Oid.t list
+(** [holders t ty attr target]: the objects of type [ty] (deep extent)
+    whose attribute [attr] holds [Ref target] itself, in ascending
+    identifier order — for a set-valued attribute, the owners of the
+    set instance [target].  Answered from the same index as
+    {!referencers}. *)

@@ -41,8 +41,3 @@ let find_name t name =
   match t with Live s -> Store.find_name s name | Frozen f -> Frozen.find_name f name
 
 let names = function Live s -> Store.names s | Frozen f -> Frozen.names f
-
-let referencers t ty attr v =
-  match t with
-  | Live s -> Store.referencers s ty attr v
-  | Frozen f -> Frozen.referencers f ty attr v

@@ -288,5 +288,7 @@ let close t =
     (match t.fanout with
     | Some sub -> Gom.Store.unsubscribe t.stores.(0) sub
     | None -> ());
+    Array.iter Engine.close t.engines;
+    Array.iter Core.Maintenance.close t.managers;
     Parallel.Pool.shutdown t.pool
   end

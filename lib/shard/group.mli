@@ -163,6 +163,8 @@ val total_pages : t -> int array
     copy each) — the bench's per-shard balance report. *)
 
 val close : t -> unit
-(** Detach the fan-out subscription and shut the domain pool down.
-    Idempotent; the stores and relations survive (shard 0's store is
-    the caller's). *)
+(** Detach the fan-out subscription, close every shard's engine and
+    maintenance manager ({!Engine.close}, {!Core.Maintenance.close}) and
+    shut the domain pool down.  Idempotent; the stores and relations
+    survive (shard 0's store is the caller's), but no longer follow
+    mutations. *)

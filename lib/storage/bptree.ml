@@ -408,7 +408,7 @@ let rec descend_for_key ?stats t key node =
     descend_for_key ?stats t key child
 
 (* Push the entries of [es] with key [key] onto [acc], last first. *)
-let collect_run t es key acc =
+let collect_run t key es acc =
   let n = Array.length es in
   let rec go i acc =
     if i < n && Gom.Value.compare (t.key_of es.(i).tup) key = 0 then go (i + 1) (es.(i).tup :: acc)
@@ -416,20 +416,26 @@ let collect_run t es key acc =
   in
   go (lower_bound t es key) acc
 
-let lookup ?stats t key =
+(* Descend to [key] and ride the leaves holding its run, reading each
+   page once; [f] sees every leaf's entries. *)
+let fold_run ?stats t key ~init ~f =
   let leaf = descend_for_key ?stats t key t.root in
   let rec walk node ~charged acc =
     match node.body with
     | Inner _ -> acc
     | Leaf l ->
       if not charged then read stats node.page;
-      let acc = collect_run t l.entries key acc in
+      let acc = f l.entries acc in
       if run_continues t l.entries key then
         match l.next with Some nx -> walk nx ~charged:false acc | None -> acc
       else acc
   in
   (* The descent already read the first leaf page. *)
-  List.rev (walk leaf ~charged:true [])
+  walk leaf ~charged:true init
+
+let lookup ?stats t key = List.rev (fold_run ?stats t key ~init:[] ~f:(collect_run t key))
+
+let touch ?stats t key = fold_run ?stats t key ~init:() ~f:(fun _ () -> ())
 
 (* Serve many point lookups at once, in ascending key order, sharing
    tree descents between adjacent keys: when the next key falls strictly
@@ -469,7 +475,7 @@ let lookup_many ?stats t keys =
               | Inner _ -> false
               | Leaf l -> run_continues t l.entries key);
           cursor := Some node;
-          let acc = collect_run t l.entries key acc in
+          let acc = collect_run t key l.entries acc in
           if run_continues t l.entries key then
             match l.next with Some nx -> walk nx acc | None -> acc
           else acc

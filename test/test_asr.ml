@@ -107,13 +107,27 @@ let test_geometry () =
 
 let test_refresh () =
   let b, a = mk ~kind:Core.Extension.Canonical () in
+  (* Every column probed once, so each has its column index. *)
+  let probe () =
+    let ext = A.extension_relation a in
+    List.for_all
+      (fun col ->
+        List.for_all
+          (fun v ->
+            A.find_by_column a ~col v
+            = Relation.to_list (Relation.filter ext (fun tup -> V.equal tup.(col) v)))
+          (V.Ref b.C.mb_trak :: List.map (fun tup -> tup.(col)) (Relation.to_list ext)))
+      (List.init (A.arity a) Fun.id)
+  in
+  check "probes before" true (probe ());
   (* Mutate the base behind the ASR's back, then refresh. *)
   Gom.Store.set_attr b.C.store b.C.mb_trak "Composition"
     (V.Ref (V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition")));
   A.refresh a;
   check_int "new complete paths appear" 3 (A.cardinal a);
   let expected = Core.Extension.compute b.C.store (A.path a) Core.Extension.Canonical in
-  check "matches scratch recompute" true (Relation.equal expected (A.extension_relation a))
+  check "matches scratch recompute" true (Relation.equal expected (A.extension_relation a));
+  check "probes see the refreshed extension" true (probe ())
 
 let suite =
   [

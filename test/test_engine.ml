@@ -682,6 +682,59 @@ let test_explain () =
      in
      has "plan" && has "cost" && has "cache : hit")
 
+(* A closed engine and a closed maintenance manager no longer follow
+   the store: a set insert moves neither the generation nor the ASR. *)
+let test_close_detaches () =
+  let spec =
+    Workload.Generator.spec ~seed:8 ~counts:[ 6; 12; 18; 24 ] ~defined:[ 6; 10; 16 ]
+      ~fan:[ 2; 2; 2 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let env = env_of store in
+  let engine = Engine.create env in
+  let mgr = Core.Maintenance.create env in
+  let a =
+    Core.Asr.create store path Core.Extension.Full
+      (Core.Decomposition.binary ~m:(Gom.Path.arity path - 1))
+  in
+  Core.Maintenance.register mgr a;
+  Engine.register engine a;
+  ignore (Engine.profile engine path);
+  (* One T1 missing from some T0's A1 set per call. *)
+  let insert () =
+    let t1s = Gom.Store.extent store "T1" in
+    let slot =
+      List.find_map
+        (fun o ->
+          match Gom.Store.get_attr store o "A1" with
+          | V.Ref set ->
+            List.find_map
+              (fun t ->
+                if List.mem (V.Ref t) (Gom.Store.elements store set) then None
+                else Some (set, t))
+              t1s
+          | _ -> None)
+        (Gom.Store.extent store "T0")
+    in
+    match slot with
+    | Some (set, t) -> Gom.Store.insert_elem store set (V.Ref t)
+    | None -> Alcotest.fail "no free slot in any A1 set"
+  in
+  let observe () = (Engine.generation engine, Core.Asr.extension_relation a) in
+  let gen0, ext0 = observe () in
+  insert ();
+  let gen1, ext1 = observe () in
+  check "open: the insert bumps the generation" true (gen1 > gen0);
+  check "open: the insert changes the extension" false (Relation.equal ext0 ext1);
+  Engine.close engine;
+  Core.Maintenance.close mgr;
+  Engine.close engine;
+  Core.Maintenance.close mgr;
+  insert ();
+  let gen2, ext2 = observe () in
+  check_int "closed: generation unchanged" gen1 gen2;
+  check "closed: extension unchanged" true (Relation.equal ext1 ext2)
+
 let suite =
   [
     Qc.to_alcotest prop_engine_agrees_oracle;
@@ -697,4 +750,5 @@ let suite =
     Alcotest.test_case "snapshot profile stays out of live planning" `Quick
       test_snapshot_profile_stays_out;
     Alcotest.test_case "no profile walks after planning" `Quick test_no_walks_after_planning;
+    Alcotest.test_case "close detaches engine and maintenance" `Quick test_close_detaches;
   ]

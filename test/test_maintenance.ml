@@ -38,6 +38,25 @@ let agree a =
 
 let check_agree label a = check label true (agree a)
 
+(* The column index answers every probe as a filter of the logical
+   extension would, in the same order: every column, every value seen
+   anywhere in the extension (absent ones included), and NULL. *)
+let columns_agree a =
+  let ext = Core.Asr.extension_relation a in
+  let values =
+    V.Null
+    :: List.concat_map Array.to_list (Relation.to_list ext)
+    |> List.sort_uniq V.compare
+  in
+  List.for_all
+    (fun col ->
+      List.for_all
+        (fun v ->
+          Core.Asr.find_by_column a ~col v
+          = Relation.to_list (Relation.filter ext (fun tup -> V.equal tup.(col) v)))
+        values)
+    (List.init (Core.Asr.arity a) Fun.id)
+
 (* The trees, not only the logical extension: an exhaustive scrub finds
    no missing or phantom projection, every projection carries exactly
    its multiplicity in the extension, and both redundant trees of every
@@ -293,7 +312,7 @@ let prop_incremental_equals_scratch =
       for _ = 1 to 12 do
         if !ok then begin
           apply_random_op rng store path;
-          if not (agree a && trees_exact a) then ok := false
+          if not (agree a && trees_exact a && columns_agree a) then ok := false
         end
       done;
       !ok)

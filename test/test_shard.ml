@@ -308,6 +308,40 @@ let test_identical_across_shard_counts () =
           true (a = first))
       rest
 
+(* Closing a group closes every shard's engine and manager: a later
+   write through the primary reaches neither. *)
+let test_close_detaches_shards () =
+  let spec =
+    Workload.Generator.spec ~seed:42 ~counts:[ 8; 10; 12 ] ~defined:[ 7; 9 ] ~fan:[ 2; 2 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let m = Gom.Path.arity path - 1 in
+  let grp = G.create ~jobs:1 ~placement:(P.make 2) store in
+  G.register grp ~path ~kind:Core.Extension.Full ~dec:(D.binary ~m);
+  let observe () =
+    List.init 2 (fun k ->
+        ( Engine.generation (G.engine grp k),
+          List.map Core.Asr.extension_relation (G.asrs grp k) ))
+  in
+  let write () =
+    let t0 = List.hd (Gom.Store.extent store "T0") in
+    let t1 = Gom.Store.new_object store "T1" in
+    match Gom.Store.get_attr store t0 "A1" with
+    | V.Ref set -> Gom.Store.insert_elem store set (V.Ref t1)
+    | _ -> Gom.Store.set_attr store t0 "A1" (V.Ref t1)
+  in
+  let before = observe () in
+  write ();
+  check "open: a write reaches the shards" false (observe () = before);
+  G.close grp;
+  let closed = observe () in
+  write ();
+  List.iter2
+    (fun (g, exts) (g', exts') ->
+      check_int "closed: generation unchanged" g g';
+      check "closed: fragments unchanged" true (List.for_all2 Relation.equal exts exts'))
+    closed (observe ())
+
 (* ---------------- router degradation under quarantine -------------- *)
 
 let uses_stitch = function
@@ -594,4 +628,5 @@ let suite =
     Alcotest.test_case "durable stats = in-memory stats" `Quick
       test_durable_stats_match_in_memory;
     Alcotest.test_case "crash sweep: one log" `Quick test_crash_sweep_one_log;
+    Alcotest.test_case "close detaches every shard" `Quick test_close_detaches_shards;
   ]
