@@ -6,12 +6,29 @@ type trees = {
 
 type part = { lo : int; hi : int; trees : trees }
 
-(* One write-behind buffer per partition: net signed refcount delta per
-   projected tuple, keyed by the tuple's serialisation.  A delta whose
-   net reaches zero annihilates — the insert/delete pair never touches a
-   page.  One buffer serves both redundant trees of the partition (they
-   hold the same projection multiset). *)
-type buffer = (string, Relation.Tuple.t * int) Hashtbl.t
+(* One write-behind buffer per partition: the net signed refcount delta
+   of each projected tuple.  A delta whose net reaches zero annihilates —
+   the insert/delete pair never touches a page.  One buffer serves both
+   redundant trees of the partition (they hold the same projection
+   multiset).  Entries are also reachable by their first and last
+   column, so a maintenance read of one key finds that key's pending
+   deltas without scanning the buffer. *)
+module Vtbl = Hashtbl.Make (Gom.Value)
+
+module Ttbl = Hashtbl.Make (struct
+  type t = Relation.Tuple.t
+
+  let equal = Relation.Tuple.equal
+  let hash tup = Array.fold_left (fun h v -> (h * 31) + Gom.Value.hash v) 7 tup land max_int
+end)
+
+type entry = { proj : Relation.Tuple.t; mutable net : int }
+
+type buffer = {
+  entries : entry Ttbl.t;
+  by_first : entry list Vtbl.t;
+  by_last : entry list Vtbl.t;
+}
 
 (* Epoch gate over the mutable B+ trees.  Snapshot readers on other
    domains pin [version] at publication and run tree probes inside an
@@ -26,15 +43,6 @@ type gate = {
   version : int Atomic.t;
 }
 
-(* Column index over the logical extension: one table per probed
-   column from a value to the extension tuples holding it there.  Each
-   bucket is a growable array kept in {!Relation.Tuple.compare} order and
-   edited in place, so keeping the index allocates next to nothing per
-   event.  NULL is not indexed. *)
-module Vtbl = Hashtbl.Make (Gom.Value)
-
-type bucket = { mutable items : Relation.Tuple.t array; mutable len : int }
-
 type t = {
   id : int;  (* process-unique identity, usable as a hash key *)
   store : Gom.Store.t;
@@ -46,9 +54,6 @@ type t = {
   owner : (Relation.Tuple.t -> bool) option;
       (* placement predicate: when set, this relation materialises only
          the extension tuples the predicate owns (horizontal sharding) *)
-  mutable extension : Relation.t;
-  columns : bucket Vtbl.t option array;
-      (* per column, built by its first [find_by_column] *)
   parts : part array;
   mutable deferred : bool;
   pending : buffer array;  (* same length as [parts] *)
@@ -83,8 +88,6 @@ let kind t = t.kind
 let decomposition t = t.dec
 let config t = t.config
 let arity t = Gom.Path.arity t.path
-let extension_relation t = t.extension
-let cardinal t = Relation.cardinal t.extension
 let partition_count t = Array.length t.parts
 
 let partition_bounds t i =
@@ -187,10 +190,9 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
     match pool with Some p -> (p.pool_config, p.pool_pager) | None -> (config, pager)
   in
   let extension = Extension.compute store path kind in
-  let extension =
-    match owner with Some f -> Relation.filter extension f | None -> extension
+  let tuples =
+    Relation.to_list (Option.fold ~none:extension ~some:(Relation.filter extension) owner)
   in
-  let tuples = Relation.to_list extension in
   let mk_part (lo, hi) =
     let width = hi - lo + 1 in
     let skey =
@@ -229,11 +231,11 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
     config;
     pager;
     owner;
-    extension;
-    columns = Array.make (m + 1) None;
     parts;
     deferred = false;
-    pending = Array.init (Array.length parts) (fun _ -> Hashtbl.create 64);
+    pending =
+      Array.init (Array.length parts) (fun _ ->
+          { entries = Ttbl.create 64; by_first = Vtbl.create 16; by_last = Vtbl.create 16 });
     pending_total = 0;
     gate =
       { closed = Atomic.make false; readers = Atomic.make 0; version = Atomic.make 0 };
@@ -285,37 +287,53 @@ let pending_bytes t =
   Array.iteri
     (fun i buf ->
       let bytes = Storage.Bptree.tuple_bytes t.parts.(i).trees.fwd in
-      total := !total + (Hashtbl.length buf * bytes))
+      total := !total + (Ttbl.length buf.entries * bytes))
     t.pending;
   !total
 
+let index_add tbl key e =
+  Vtbl.replace tbl key (e :: Option.value ~default:[] (Vtbl.find_opt tbl key))
+
+let index_remove tbl key e =
+  match Vtbl.find_opt tbl key with
+  | Some es -> (
+    match List.filter (fun x -> x != e) es with
+    | [] -> Vtbl.remove tbl key
+    | es -> Vtbl.replace tbl key es)
+  | None -> ()
+
 let buffer_delta ?stats t pi proj d =
   let buf = t.pending.(pi) in
-  let k = Relation.Tuple.to_string proj in
+  let last = Array.length proj - 1 in
   (match stats with Some st -> Storage.Stats.(incr st Deltas_buffered) | None -> ());
-  match Hashtbl.find_opt buf k with
+  match Ttbl.find_opt buf.entries proj with
   | None ->
-    Hashtbl.replace buf k (proj, d);
+    let e = { proj; net = d } in
+    Ttbl.replace buf.entries proj e;
+    index_add buf.by_first proj.(0) e;
+    index_add buf.by_last proj.(last) e;
     t.pending_total <- t.pending_total + 1
-  | Some (_, d0) ->
-    let net = d0 + d in
-    if net = 0 then begin
-      Hashtbl.remove buf k;
+  | Some e ->
+    e.net <- e.net + d;
+    if e.net = 0 then begin
+      Ttbl.remove buf.entries proj;
+      index_remove buf.by_first proj.(0) e;
+      index_remove buf.by_last proj.(last) e;
       t.pending_total <- t.pending_total - 1;
       match stats with Some st -> Storage.Stats.(incr st Deltas_annihilated) | None -> ()
     end
-    else begin
-      Hashtbl.replace buf k (proj, net);
+    else
       match stats with Some st -> Storage.Stats.(incr st Deltas_merged) | None -> ()
-    end
 
 let flush_unlocked ?stats t =
   let flushed = ref 0 in
   Array.iteri
     (fun pi buf ->
-      if Hashtbl.length buf > 0 then begin
-        let deltas = Hashtbl.fold (fun _ pd acc -> pd :: acc) buf [] in
-        Hashtbl.reset buf;
+      if Ttbl.length buf.entries > 0 then begin
+        let deltas = Ttbl.fold (fun _ e acc -> (e.proj, e.net) :: acc) buf.entries [] in
+        Ttbl.reset buf.entries;
+        Vtbl.reset buf.by_first;
+        Vtbl.reset buf.by_last;
         flushed := !flushed + List.length deltas;
         let p = t.parts.(pi) in
         in_seg ?stats t (fun () ->
@@ -333,33 +351,6 @@ let flush_unlocked ?stats t =
    snapshot pins on untouched relations keep their fast path. *)
 let flush ?stats t =
   if t.pending_total = 0 then 0 else with_sealed t (fun () -> flush_unlocked ?stats t)
-
-let remove_projections t tuples =
-  Array.iter
-    (fun p ->
-      List.iter
-        (fun tup ->
-          let proj = project_tuple tup (p.lo, p.hi) in
-          Storage.Bptree.remove p.trees.fwd proj;
-          Storage.Bptree.remove p.trees.bwd proj)
-        tuples)
-    t.parts
-
-let refresh t =
-  (* Retract this relation's contributions (leaving co-sharers intact),
-     then re-add from a fresh computation.  Pending deltas must reach
-     the trees first, or the retraction below would decrement tuples the
-     buffers still owe (robbing a co-sharer in a pooled segment). *)
-  with_sealed t (fun () ->
-      ignore (flush_unlocked t);
-      remove_projections t (Relation.to_list t.extension);
-      t.extension <- restrict t (Extension.compute t.store t.path t.kind);
-      Array.fill t.columns 0 (Array.length t.columns) None;
-      let tuples = Relation.to_list t.extension in
-      Array.iter
-        (fun p ->
-          List.iter (fun tup -> insert_projection p.trees tup (p.lo, p.hi)) tuples)
-        t.parts)
 
 let partition_relation t i =
   let p = t.parts.(i) in
@@ -383,171 +374,130 @@ let scan_partition ?stats t i =
   in_seg ?stats t (fun () -> Storage.Bptree.scan ?stats t.parts.(i).trees.fwd)
 
 (* ------------------------------------------------------------------ *)
-(* Column index                                                        *)
+(* The current relation: trees overlaid with the pending deltas        *)
 (* ------------------------------------------------------------------ *)
 
-(* First position in [b] whose tuple is not below [tup]. *)
-let bucket_search b tup =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Relation.Tuple.compare b.items.(mid) tup < 0 then go (mid + 1) hi else go lo mid
+(* Tree rows overlaid with the partition's [pending] entries for them:
+   the projections whose tree count plus net delta stays positive, in
+   tuple order. *)
+let overlay t pi pending rows =
+  let count proj =
+    Storage.Bptree.refcount t.parts.(pi).trees.fwd proj
+    + match Ttbl.find_opt t.pending.(pi).entries proj with Some e -> e.net | None -> 0
   in
-  go 0 b.len
+  List.filter
+    (fun proj -> count proj > 0)
+    (List.sort_uniq Relation.Tuple.compare (rows @ List.map (fun e -> e.proj) pending))
 
-let bucket_add b tup =
-  let i = bucket_search b tup in
-  if b.len = Array.length b.items then begin
-    let grown = Array.make (max 4 (2 * b.len)) [||] in
-    Array.blit b.items 0 grown 0 b.len;
-    b.items <- grown
-  end;
-  Array.blit b.items i b.items (i + 1) (b.len - i);
-  b.items.(i) <- tup;
-  b.len <- b.len + 1
+let probe ?stats t i ~fwd key =
+  let rows = (if fwd then lookup_fwd else lookup_bwd) ?stats t i key in
+  let buf = t.pending.(i) in
+  match Vtbl.find_opt (if fwd then buf.by_first else buf.by_last) key with
+  | None -> rows
+  | Some pending -> overlay t i pending rows
 
-let bucket_remove b tup =
-  let i = bucket_search b tup in
-  if i < b.len && Relation.Tuple.compare b.items.(i) tup = 0 then begin
-    Array.blit b.items (i + 1) b.items i (b.len - i - 1);
-    b.len <- b.len - 1;
-    b.items.(b.len) <- [||]
-  end
+let probe_scan ?stats t i =
+  let rows = scan_partition ?stats t i in
+  let entries = t.pending.(i).entries in
+  if Ttbl.length entries = 0 then rows
+  else overlay t i (Ttbl.fold (fun _ e acc -> e :: acc) entries []) rows
 
-let column_add idx col tup =
-  let v = tup.(col) in
-  if not (Gom.Value.is_null v) then
-    match Vtbl.find_opt idx v with
-    | Some b -> bucket_add b tup
-    | None -> Vtbl.add idx v { items = [| tup |]; len = 1 }
+(* The relation stitched from its partitions (Thm. 3.9).  Keeping only
+   tuples with an edge drops what a pool's co-sharers leave in a shared
+   partition that this relation never stored: a lone boundary value,
+   which the null-equality join would glue to all-NULL padding. *)
+let extension_relation t =
+  let parts =
+    List.init (Array.length t.parts) (fun i ->
+        let p = t.parts.(i) in
+        Relation.of_list ~width:(p.hi - p.lo + 1) (probe_scan t i))
+  in
+  restrict t (Relation.filter (Relation.reconstruct parts) Relation.Tuple.has_edge)
 
-let column_remove idx col tup =
-  let v = tup.(col) in
-  match Vtbl.find_opt idx v with
-  | Some b ->
-    bucket_remove b tup;
-    if b.len = 0 then Vtbl.remove idx v
-  | None -> ()
+let cardinal t = Relation.cardinal (extension_relation t)
 
-let column_index t col =
-  match t.columns.(col) with
-  | Some idx -> idx
-  | None ->
-    let idx = Vtbl.create 64 in
-    (* Ascending input: every add lands at the end of its bucket. *)
-    List.iter (column_add idx col) (Relation.to_list t.extension);
-    t.columns.(col) <- Some idx;
-    idx
+let refresh t =
+  (* Retract this relation's contributions (leaving co-sharers intact),
+     then re-add from a fresh computation.  Pending deltas must reach
+     the trees first, or the retraction below would decrement tuples the
+     buffers still owe (robbing a co-sharer in a pooled segment). *)
+  with_sealed t (fun () ->
+      ignore (flush_unlocked t);
+      let stale = Relation.to_list (extension_relation t) in
+      let fresh = Relation.to_list (restrict t (Extension.compute t.store t.path t.kind)) in
+      Array.iter
+        (fun p ->
+          List.iter
+            (fun tup ->
+              let proj = project_tuple tup (p.lo, p.hi) in
+              Storage.Bptree.remove p.trees.fwd proj;
+              Storage.Bptree.remove p.trees.bwd proj)
+            stale;
+          List.iter (fun tup -> insert_projection p.trees tup (p.lo, p.hi)) fresh)
+        t.parts)
 
-(* Retract [remove], then add [add]: the logical extension first, then
-   the trees (or, deferred, the write-behind buffers) with exactly the
-   tuples that changed — one seal and one segment tag for the whole
-   difference.  Tuples not in the extension are not removed; tuples
-   already present, or outside the fragment's placement predicate, are
-   not added (the owning shard materialises those). *)
+(* Write one partition's share of a difference, netting its projection
+   deltas first: two extension tuples that differ only outside the
+   partition's columns share a projection there, and a remove and an add
+   of them cancel without touching the trees.  Each projection is
+   written once, with its whole net, at its first occurrence on the side
+   its net falls on. *)
+let write_partition ?stats p ~remove ~add =
+  let net = Ttbl.create 16 in
+  let count d tup =
+    let proj = project_tuple tup (p.lo, p.hi) in
+    Ttbl.replace net proj (d + Option.value ~default:0 (Ttbl.find_opt net proj));
+    proj
+  in
+  let removed = List.map (count (-1)) remove in
+  let added = List.map (count 1) add in
+  let write sign proj =
+    match Ttbl.find_opt net proj with
+    | Some d when d * sign > 0 ->
+      Ttbl.remove net proj;
+      let op = if d > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
+      for _ = 1 to abs d do
+        op ?stats p.trees.fwd proj;
+        op ?stats p.trees.bwd proj
+      done
+    | _ -> ()
+  in
+  List.iter (write (-1)) removed;
+  List.iter (write 1) added
+
+(* Retract [remove], then add [add]: the trees (or, deferred, the
+   write-behind buffers) take exactly the given difference, under one
+   seal and one segment tag.  The difference must be exact — every
+   removed tuple present, every added one absent — since nothing else
+   records the relation.  Tuples outside the fragment's placement
+   predicate are dropped from both sides (the owning shard stores them). *)
 let apply_delta ?stats t ~remove ~add =
-  let removed =
-    List.filter
-      (fun tup ->
-        let present = Relation.mem t.extension tup in
-        if present then t.extension <- Relation.remove t.extension tup;
-        present)
-      remove
+  let mine tup =
+    if Array.length tup <> arity t then invalid_arg "Asr.apply_delta: width mismatch";
+    match t.owner with Some f -> f tup | None -> true
   in
-  let added =
-    List.filter
-      (fun tup ->
-        if Array.length tup <> arity t then invalid_arg "Asr.apply_delta: width mismatch";
-        let fresh =
-          (match t.owner with Some f -> f tup | None -> true)
-          && not (Relation.mem t.extension tup)
-        in
-        if fresh then t.extension <- Relation.add t.extension tup;
-        fresh)
-      add
-  in
-  Array.iteri
-    (fun col -> function
-      | Some idx ->
-        List.iter (column_remove idx col) removed;
-        List.iter (column_add idx col) added
-      | None -> ())
-    t.columns;
-  if removed <> [] || added <> [] then begin
+  let remove = List.filter mine remove and add = List.filter mine add in
+  if remove <> [] || add <> [] then begin
     if t.deferred then
       Array.iteri
         (fun pi p ->
           let buffer d tup = buffer_delta ?stats t pi (project_tuple tup (p.lo, p.hi)) d in
-          List.iter (buffer (-1)) removed;
-          List.iter (buffer 1) added)
+          List.iter (buffer (-1)) remove;
+          List.iter (buffer 1) add)
         t.parts
     else
       with_sealed t (fun () ->
           in_seg ?stats t (fun () ->
-              Array.iter
-                (fun p ->
-                  let write op tup =
-                    let proj = project_tuple tup (p.lo, p.hi) in
-                    op p.trees.fwd proj;
-                    op p.trees.bwd proj
-                  in
-                  List.iter (write (Storage.Bptree.remove ?stats)) removed;
-                  List.iter (write (Storage.Bptree.insert ?stats)) added)
-                t.parts))
+              Array.iter (fun p -> write_partition ?stats p ~remove ~add) t.parts))
   end;
-  List.length removed + List.length added
+  List.length remove + List.length add
 
-let insert_tuple ?stats t tup = apply_delta ?stats t ~remove:[] ~add:[ tup ] = 1
+let insert_tuple ?stats t tup =
+  (not (Relation.mem (extension_relation t) tup))
+  && apply_delta ?stats t ~remove:[] ~add:[ tup ] = 1
 
-let remove_tuple ?stats t tup = apply_delta ?stats t ~remove:[ tup ] ~add:[] = 1
-
-let distinct_values tuples col =
-  List.fold_left
-    (fun acc (tup : Relation.Tuple.t) ->
-      let v = tup.(col) in
-      if Gom.Value.is_null v || List.exists (Gom.Value.equal v) acc then acc
-      else v :: acc)
-    [] tuples
-
-let find_by_column ?stats t ~col v =
-  let matches =
-    if Gom.Value.is_null v then
-      Relation.to_list (Relation.filter t.extension (fun tup -> Gom.Value.is_null tup.(col)))
-    else
-      match Vtbl.find_opt (column_index t col) v with
-      | None -> []
-      | Some b -> List.init b.len (fun k -> b.items.(k))
-  in
-  (match stats with
-  | None -> ()
-  | Some st when t.deferred ->
-    (* Deferred mode answers maintenance probes from the write-behind
-       extension — no tree descent happens, so none is charged; this is
-       the read half of the deferred pipeline's page savings. *)
-    ignore st
-  | Some st ->
-    Storage.Stats.in_segment st (seg t) (fun () ->
-        let pi = partition_index_of_column t col in
-        let p = t.parts.(pi) in
-        if col = p.lo then Storage.Bptree.touch ~stats:st p.trees.fwd v
-        else if col = p.hi then Storage.Bptree.touch ~stats:st p.trees.bwd v
-        else Storage.Bptree.iter ~stats:st p.trees.fwd ignore;
-        if matches <> [] then begin
-          for k = pi - 1 downto 0 do
-            let q = t.parts.(k) in
-            List.iter
-              (fun key -> Storage.Bptree.touch ~stats:st q.trees.bwd key)
-              (distinct_values matches q.hi)
-          done;
-          for k = pi + 1 to Array.length t.parts - 1 do
-            let q = t.parts.(k) in
-            List.iter
-              (fun key -> Storage.Bptree.touch ~stats:st q.trees.fwd key)
-              (distinct_values matches q.lo)
-          done
-        end));
-  matches
+let remove_tuple ?stats t tup =
+  Relation.mem (extension_relation t) tup && apply_delta ?stats t ~remove:[ tup ] ~add:[] = 1
 
 let supports t ~i ~j =
   Extension.supports t.kind ~n:(Gom.Path.length t.path) ~i ~j
@@ -609,62 +559,34 @@ let patch_partition_unlocked ?stats t i =
      pending work would read as divergence and later double-apply. *)
   ignore (flush_unlocked ?stats t);
   let p = t.parts.(i) in
-  let span = (p.lo, p.hi) in
-  let shared = p.trees.skey <> None in
-  (* Target multiset: this relation's projections with multiplicities
-     (the reference counts the trees should carry for them). *)
-  let want : (string, int * Relation.Tuple.t) Hashtbl.t = Hashtbl.create 64 in
+  (* Target multiset: the projections of a fresh computation, with
+     multiplicities; every projection present now is a candidate too. *)
+  let want = Ttbl.create 64 in
   List.iter
     (fun tup ->
-      let proj = project_tuple tup span in
-      let k = Relation.Tuple.to_string proj in
-      let n = match Hashtbl.find_opt want k with Some (n, _) -> n | None -> 0 in
-      Hashtbl.replace want k (n + 1, proj))
-    (Relation.to_list t.extension);
-  (* Distinct tuples physically present right now. *)
-  let present = Hashtbl.create 64 in
+      let proj = project_tuple tup (p.lo, p.hi) in
+      Ttbl.replace want proj (1 + Option.value ~default:0 (Ttbl.find_opt want proj)))
+    (Relation.to_list (restrict t (Extension.compute t.store t.path t.kind)));
   List.iter
-    (fun proj -> Hashtbl.replace present (Relation.Tuple.to_string proj) proj)
+    (fun proj -> if not (Ttbl.mem want proj) then Ttbl.replace want proj 0)
     (Storage.Bptree.scan p.trees.fwd);
-  let fixes = ref 0 in
-  let adjust proj delta =
-    if delta <> 0 then begin
-      incr fixes;
-      in_seg ?stats t (fun () ->
-          if delta > 0 then
-            for _ = 1 to delta do
-              Storage.Bptree.insert ?stats p.trees.fwd proj;
-              Storage.Bptree.insert ?stats p.trees.bwd proj
-            done
-          else
-            for _ = 1 to -delta do
-              Storage.Bptree.remove ?stats p.trees.fwd proj;
-              Storage.Bptree.remove ?stats p.trees.bwd proj
-            done)
-    end
-  in
-  Hashtbl.iter
-    (fun k (n, proj) ->
-      Hashtbl.remove present k;
+  Ttbl.fold
+    (fun proj n fixes ->
       let have = Storage.Bptree.refcount p.trees.fwd proj in
-      if shared then begin
-        (* Co-sharers contribute unknown multiplicity on top of ours:
-           restore missing presence, never retract. *)
-        if have < n then adjust proj (n - have)
-      end
-      else adjust proj (n - have))
-    want;
-  (* Whatever remains is wanted by nobody we can vouch for: phantoms in
-     an exclusive tree; in a shared tree it may be a co-sharer's, so it
-     is left alone. *)
-  Hashtbl.iter
-    (fun _k proj ->
-      if not shared then begin
-        let have = Storage.Bptree.refcount p.trees.fwd proj in
-        if have > 0 then adjust proj (-have)
+      (* A shared tree also carries its co-sharers' references: restore
+         missing presence, never retract. *)
+      let delta = if p.trees.skey <> None then max 0 (n - have) else n - have in
+      if delta = 0 then fixes
+      else begin
+        let op = if delta > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
+        in_seg ?stats t (fun () ->
+            for _ = 1 to abs delta do
+              op ?stats p.trees.fwd proj;
+              op ?stats p.trees.bwd proj
+            done);
+        fixes + 1
       end)
-    present;
-  !fixes
+    want 0
 
 let patch_partition ?stats t i =
   with_sealed t (fun () -> patch_partition_unlocked ?stats t i)

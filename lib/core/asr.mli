@@ -6,10 +6,12 @@
     page-structured B+ trees, clustered on the partition's first and
     last column respectively (paper, section 5.2).
 
-    The undecomposed extension is kept as the logical source of truth;
-    the partitions' B+ tree entries carry reference counts equal to the
-    number of extension tuples projecting onto them, so incremental
-    maintenance of projections is exact. *)
+    The trees are the only copy of the relation: the undecomposed
+    extension is stitched from the partitions when asked for
+    ({!extension_relation}, Thm. 3.9).  Every B+ tree entry carries a
+    reference count equal to the number of extension tuples projecting
+    onto it, so writing the exact difference of the extension
+    ({!apply_delta}) keeps every partition exact. *)
 
 type t
 
@@ -93,9 +95,14 @@ val arity : t -> int
 (** Number of columns [m + 1]. *)
 
 val extension_relation : t -> Relation.t
-(** The logical (undecomposed) extension. *)
+(** The undecomposed extension, stitched from the partitions
+    ({!Relation.reconstruct}, Thm. 3.9) as the trees hold it, pending
+    deferred deltas included.  Keeps only tuples with an edge (what a
+    pool's co-sharers leave in a shared partition is a lone boundary
+    value) and, under a placement predicate, the owned ones. *)
 
 val cardinal : t -> int
+(** Cardinality of {!extension_relation}. *)
 
 val partition_count : t -> int
 
@@ -107,7 +114,8 @@ val partition_index_of_column : t -> int -> int
     partition that {e starts} there, matching forward-lookup use). *)
 
 val partition_relation : t -> int -> Relation.t
-(** Current contents of a partition, as a relation. *)
+(** Contents of a partition's trees, as a relation (without pending
+    deferred deltas). *)
 
 val lookup_fwd :
   ?stats:Storage.Stats.t -> t -> int -> Gom.Value.t -> Relation.Tuple.t list
@@ -139,11 +147,30 @@ val scan_partition : ?stats:Storage.Stats.t -> t -> int -> Relation.Tuple.t list
     paper charges when a query enters a partition away from its
     clustering boundary. *)
 
+(** {2 The current relation}
+
+    Reads for maintenance: {!lookup_fwd} ([~fwd:true]), {!lookup_bwd}
+    and {!scan_partition}, charging the same pages, with the rows
+    overlaid by the partition's pending deferred deltas.  The buffers
+    are keyed by a projection's first and last column, so a probe finds
+    its key's deltas without scanning them.  Not for snapshot readers:
+    the buffers change without a tree version bump. *)
+
+val probe :
+  ?stats:Storage.Stats.t -> t -> int -> fwd:bool -> Gom.Value.t -> Relation.Tuple.t list
+
+val probe_scan : ?stats:Storage.Stats.t -> t -> int -> Relation.Tuple.t list
+
 val insert_tuple : ?stats:Storage.Stats.t -> t -> Relation.Tuple.t -> bool
 (** Add a full-width extension tuple; updates every partition's two
-    trees.  Returns [false] (and charges nothing) if already present. *)
+    trees.  Returns [false] (and charges nothing) if
+    {!extension_relation} already holds it or the placement predicate
+    rejects it.  Stitches the whole relation to check: for tools and
+    tests. *)
 
 val remove_tuple : ?stats:Storage.Stats.t -> t -> Relation.Tuple.t -> bool
+(** Retract a tuple {!extension_relation} holds; [false] (charging
+    nothing) otherwise. *)
 
 val apply_delta :
   ?stats:Storage.Stats.t ->
@@ -151,26 +178,15 @@ val apply_delta :
   remove:Relation.Tuple.t list ->
   add:Relation.Tuple.t list ->
   int
-(** Apply a difference of the extension (paper, section 6.1): retract
-    the [remove] tuples present, then add the [add] tuples absent (and
-    owned, under a placement predicate).  Only the tuples that changed
-    reach every partition's two trees, under one tree seal and one
-    segment tag; in deferred mode they are buffered instead.  Returns
-    the number of extension tuples that changed.  {!insert_tuple} and
-    {!remove_tuple} are its one-tuple cases. *)
-
-val find_by_column :
-  ?stats:Storage.Stats.t -> t -> col:int -> Gom.Value.t -> Relation.Tuple.t list
-(** All extension tuples holding the value in the given column, in
-    {!Relation.Tuple.compare} order.  The answer comes from a column
-    index over the logical extension, built by the column's first probe,
-    kept current by {!apply_delta} and dropped by {!refresh} (NULL
-    probes filter the extension).  Page charging mirrors what the
-    physical design permits: a key lookup when the column is a
-    clustering boundary of its partition, a partition scan otherwise,
-    plus the lookups needed to stitch the neighbouring partitions
-    together; the probes only charge ({!Storage.Bptree.touch}), nothing
-    is collected from the trees.  Deferred mode charges nothing. *)
+(** Write a difference of the extension (paper, section 6.1): retract
+    the [remove] tuples, then add the [add] tuples, both restricted to
+    the placement predicate.  It must be exact (every removed tuple
+    held, every added one absent, no duplicates): nothing else records
+    the relation.  Immediate mode nets each partition's projection
+    deltas (a remove and an add with one projection never reach its
+    trees) and writes them under one tree seal and segment tag; deferred
+    mode buffers them.  Returns the number of tuples written.
+    @raise Invalid_argument on a tuple of the wrong width. *)
 
 val supports : t -> i:int -> j:int -> bool
 (** Equation 35's applicability of this extension to queries over the
@@ -178,14 +194,13 @@ val supports : t -> i:int -> j:int -> bool
 
 (** {2 Deferred maintenance}
 
-    In {e deferred} mode, {!insert_tuple} / {!remove_tuple} still update
-    the logical extension immediately (it stays the source of truth for
-    maintenance derivations), but the physical tree writes are parked in
+    In {e deferred} mode, {!apply_delta}'s tree writes are parked in
     per-partition write-behind buffers holding one {e net} signed
-    reference-count delta per projected tuple.  Buffering merges deltas
-    on the same projection and {e annihilates} pairs whose net reaches
-    zero — an insert followed by a delete of the same projection never
-    touches a page.  {!flush} drains the buffers through
+    reference-count delta per projected tuple; maintenance reads the
+    relation through the trees overlaid with these buffers ({!probe}).
+    Buffering merges deltas on the same projection and {e annihilates}
+    pairs whose net reaches zero — an insert followed by a delete of the
+    same projection never touches a page.  {!flush} drains the buffers through
     {!Storage.Bptree.apply_many}, one shared-descent pass per tree. *)
 
 val deferred : t -> bool
@@ -261,17 +276,17 @@ val total_pages : t -> int
     representation; the physical design stores two copies). *)
 
 val refresh : t -> unit
-(** Recompute from the object base: this relation's contributions are
-    retracted and re-added, leaving a pool's co-sharers untouched (used
-    by tests to compare incremental maintenance against the ground
-    truth). *)
+(** Recompute from the object base: the projections of the stitched
+    relation are retracted and those of a fresh {!Extension.compute}
+    added, leaving a pool's co-sharers untouched (used by tests to
+    compare incremental maintenance against the ground truth). *)
 
 (** {2 Integrity hooks}
 
     Entry points for the integrity subsystem ([lib/integrity]): injecting
     physical divergence for corruption sweeps, inspecting reference
     counts during a scrub, and reconciling a partition's trees with the
-    logical extension during repair. *)
+    ground truth during repair. *)
 
 val partition_shared : t -> int -> bool
 (** Whether the partition lives in a sharing pool (its trees then carry
@@ -298,16 +313,16 @@ type damage =
           mismarked one. *)
 
 val damage_partition : t -> int -> damage list -> unit
-(** Corrupt one partition's trees {e without} touching the logical
-    extension, so the physical structure diverges from what maintenance
-    believes — exactly what the scrubber must detect.  Test/fault
-    harness use only.
+(** Corrupt one partition's trees behind maintenance's back, so the
+    structure diverges from the object base — exactly what the scrubber
+    must detect.  Test/fault harness use only.
     @raise Invalid_argument on projection width mismatch. *)
 
 val patch_partition : ?stats:Storage.Stats.t -> t -> int -> int
-(** Reconcile the partition's two trees with the logical extension:
-    every projection's reference count is driven to the extension's
-    multiplicity (missing references re-inserted, phantom ones
-    retracted).  For a {e shared} partition only missing references are
-    restored — surplus ones may belong to a co-sharer.  Returns the
-    number of distinct projections fixed (0 = partition was clean). *)
+(** Reconcile the partition's two trees with a fresh
+    {!Extension.compute} (restricted to the fragment): every
+    projection's reference count is driven to its multiplicity there
+    (missing references re-inserted, phantom ones retracted).  For a
+    {e shared} partition only missing references are restored — surplus
+    ones may belong to a co-sharer.  Returns the number of distinct
+    projections fixed (0 = partition was clean). *)

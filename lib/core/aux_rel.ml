@@ -9,7 +9,8 @@ let column_span path j =
   let hi = Gom.Path.column_of_object_position path (j + 1) in
   (lo, hi)
 
-let build_one_view view path j =
+let build_one store path j =
+  let view = Gom.Store_view.live store in
   let n = count path in
   if j < 0 || j >= n then invalid_arg "Aux_rel.build_one: index out of range";
   let step = Gom.Path.step path (j + 1) in
@@ -32,6 +33,4 @@ let build_one_view view path j =
     (Gom.Store_view.extent ~deep:true view domain);
   Relation.of_list ~width:w !rows
 
-let build_view view path = List.init (count path) (build_one_view view path)
-let build_one store path j = build_one_view (Gom.Store_view.live store) path j
-let build store path = build_view (Gom.Store_view.live store) path
+let build store path = List.init (count path) (build_one store path)

@@ -163,38 +163,75 @@ let distinct_at rows col_in_part =
          if Gom.Value.is_null v then None else Some v)
   |> sort_values
 
-let stitch env index ~lookup steps frontiers =
-  let visit frontiers step =
-    let (Lookup { part; enter; leave } | Scan { part; enter; leave }) = step in
-    let lo, _ = Asr.partition_bounds index part in
-    let select =
-      match step with
-      | Scan _ ->
-        (* Entered away from the clustering column: every leaf page is
-           read, once for all probes. *)
-        let rows = Asr.scan_partition ~stats:env.stats index part in
-        fun frontier ->
-          List.filter
-            (fun (row : Relation.Tuple.t) ->
-              List.exists (Gom.Value.equal row.(enter - lo)) frontier)
-            rows
-      | Lookup _ -> List.concat_map (lookup part (List.concat (Array.to_list frontiers)))
-    in
-    Array.map
-      (function [] -> [] | frontier -> distinct_at (select frontier) (leave - lo))
-      frontiers
-  in
-  let rec go frontiers = function
-    | [] -> frontiers
-    | step :: rest ->
+(* The walk itself, over any frontier: one round per step, a
+   cancellation checkpoint before each.  A round reads the step's
+   partition — a [Scan] once for every key, a [Lookup] prepared with
+   every key of [keys items] — and hands [advance] a selector of the rows
+   holding any of some keys at the column it enters by, with that
+   column's and the leaving column's offsets in a row.  The walk stops
+   once no key is left. *)
+let walk env index ~lookup ~scan ~keys ~advance steps items =
+  let rec go items = function
+    | [] -> items
+    | step :: rest -> (
       (* Cancellation checkpoint between partition rounds: a round
          either happens whole or not at all, so every frontier is still
          exact when Deadline.Expired propagates. *)
       checkpoint env;
-      if Array.for_all List.is_empty frontiers then frontiers
-      else go (visit frontiers step) rest
+      match keys items with
+      | [] -> items
+      | ks ->
+        let (Lookup { part; enter; leave } | Scan { part; enter; leave }) = step in
+        let lo, _ = Asr.partition_bounds index part in
+        let select =
+          match step with
+          | Scan _ ->
+            (* Entered away from the clustering column: every leaf page
+               is read, once for all probes. *)
+            let rows = scan part in
+            fun keys ->
+              List.filter
+                (fun (row : Relation.Tuple.t) ->
+                  List.exists (Gom.Value.equal row.(enter - lo)) keys)
+                rows
+          | Lookup _ -> List.concat_map (lookup part ks)
+        in
+        go (advance ~enter:(enter - lo) ~leave:(leave - lo) select items) rest)
   in
-  go frontiers steps
+  go items steps
+
+let stitch env index ~lookup steps frontiers =
+  walk env index ~lookup ~scan:(Asr.scan_partition ~stats:env.stats index) steps frontiers
+    ~keys:(fun frontiers -> List.concat (Array.to_list frontiers))
+    ~advance:(fun ~enter:_ ~leave select ->
+      Array.map (function [] -> [] | frontier -> distinct_at (select frontier) leave))
+
+let paths env index ~lookup ~scan dir ~i ~j probe =
+  let col = Gom.Path.column_of_object_position (Asr.path index) in
+  (* A partial path grows away from the probe, from its tip: rightwards
+     going forward, leftwards going backward. *)
+  let tip (p : Relation.Tuple.t) =
+    match dir with Fwd -> p.(Array.length p - 1) | Bwd -> p.(0)
+  in
+  let grow ~enter ~leave select p =
+    if Gom.Value.is_null (tip p) then [ p ]
+    else
+      List.map
+        (fun (row : Relation.Tuple.t) ->
+          match dir with
+          | Fwd -> Array.append p (Array.sub row (enter + 1) (leave - enter))
+          | Bwd -> Array.append (Array.sub row leave (enter - leave)) p)
+        (select [ tip p ])
+  in
+  walk env index ~lookup ~scan (stitch_steps index dir ~i ~j) [ [| probe |] ]
+    ~keys:
+      (List.filter_map (fun p -> if Gom.Value.is_null (tip p) then None else Some (tip p)))
+    ~advance:(fun ~enter ~leave select ps ->
+      List.sort_uniq Relation.Tuple.compare (List.concat_map (grow ~enter ~leave select) ps))
+  (* A path that died before the goal is NULL beyond its end. *)
+  |> List.map (fun p ->
+         let pad = Array.make (col j - col i + 1 - Array.length p) Gom.Value.Null in
+         match dir with Fwd -> Array.append p pad | Bwd -> Array.append pad p)
 
 (* One probe, per-key lookups: the paper's reference cost. *)
 let supported env index dir ~i ~j probe =
@@ -206,12 +243,6 @@ let forward_supported env index ~i ~j oid =
 
 let backward_supported env index ~i ~j ~target =
   supported env index Bwd ~i ~j target |> List.map Gom.Value.oid_exn |> sort_oids
-
-let forward ?index env path ~i ~j oid =
-  match index with
-  | Some a when Asr.supports a ~i ~j && Gom.Path.equal (Asr.path a) path ->
-    forward_supported env a ~i ~j oid
-  | Some _ | None -> forward_scan env path ~i ~j oid
 
 let backward ?index env path ~i ~j ~target =
   match index with

@@ -131,6 +131,23 @@ val stitch :
     Stops as soon as every frontier is empty; calls {!checkpoint} once
     per partition round. *)
 
+val paths :
+  env ->
+  Asr.t ->
+  lookup:lookup ->
+  scan:(int -> Relation.Tuple.t list) ->
+  dir ->
+  i:int ->
+  j:int ->
+  Gom.Value.t ->
+  Relation.Tuple.t list
+(** The tuple-carrying sibling of {!stitch}: the same walk, carrying
+    partial paths over columns [col i .. col j] from a probe at object
+    position [i] ([Fwd]) or [j] ([Bwd]), NULL beyond a dead end; [[]]
+    when the relation does not hold the probe.  [scan] reads a partition
+    entered away from its clustering column.  Distinct, sorted.
+    Maintenance reads the §6.1 sides [I_l] and [I_r] this way. *)
+
 val lookup_each : env -> Asr.t -> dir -> lookup
 (** One {!Asr.lookup_fwd} (or {!Asr.lookup_bwd}) each time a probe asks
     for a key: the paper's per-probe reference cost. *)
@@ -151,17 +168,6 @@ val backward_supported :
   env -> Asr.t -> i:int -> j:int -> target:Gom.Value.t -> Gom.Oid.t list
 (** Backward analogue of {!forward_supported}; distinct, sorted. *)
 
-val forward :
-  ?index:Asr.t ->
-  env ->
-  Gom.Path.t ->
-  i:int ->
-  j:int ->
-  Gom.Oid.t ->
-  Gom.Value.t list
-(** Dispatch per equation 35: use the index when it applies to [(i,j)],
-    fall back to navigation otherwise. *)
-
 val backward :
   ?index:Asr.t ->
   env ->
@@ -170,3 +176,5 @@ val backward :
   j:int ->
   target:Gom.Value.t ->
   Gom.Oid.t list
+(** Dispatch per equation 35: use the index when it applies to [(i,j)],
+    fall back to the exhaustive scan otherwise. *)

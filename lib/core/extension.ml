@@ -21,10 +21,7 @@ let join_kind = function
   | Left_complete -> Relation.Left_outer
   | Right_complete -> Relation.Right_outer
 
-let compute_view view path kind =
-  Relation.join_chain (join_kind kind) (Aux_rel.build_view view path)
-
-let compute store path kind = compute_view (Gom.Store_view.live store) path kind
+let compute store path kind = Relation.join_chain (join_kind kind) (Aux_rel.build store path)
 
 let supports kind ~n ~i ~j =
   0 <= i && i < j && j <= n

@@ -18,16 +18,9 @@ val name : kind -> string
 
 val of_name : string -> kind option
 
-val join_kind : kind -> Relation.join_kind
-
-val compute_view : Gom.Store_view.t -> Gom.Path.t -> kind -> Relation.t
-(** Materialise the extension from the object base behind the view,
-    composing the auxiliary relations with the corresponding join
-    chain.  Over a frozen view this is ground truth {e for that epoch}
-    (the scrubber audits published snapshots this way). *)
-
 val compute : Gom.Store.t -> Gom.Path.t -> kind -> Relation.t
-(** {!compute_view} over the live store. *)
+(** Materialise the extension from the object base, composing the
+    auxiliary relations with the kind's join chain. *)
 
 val supports : kind -> n:int -> i:int -> j:int -> bool
 (** Applicability of the extension to a query over sub-path
@@ -35,18 +28,10 @@ val supports : kind -> n:int -> i:int -> j:int -> bool
     canonical only for [(0, n)], left-complete for [i = 0],
     right-complete for [j = n], full always. *)
 
-val origin_complete : Gom.Path.t -> Relation.Tuple.t -> bool
-(** True iff the tuple's path originates in [t0] (column [S0] is
-    defined). *)
-
-val terminal_complete : Gom.Path.t -> Relation.Tuple.t -> bool
-(** True iff the last auxiliary relation [E_{n-1}] contributed to the
-    tuple: either [Sn]'s column is defined, or — when [An] is set-valued
-    — the final set-OID column is defined with the empty-set NULL
-    marker. *)
-
 val member : kind -> Gom.Path.t -> Relation.Tuple.t -> bool
 (** Whether a {e maximal partial-path} tuple belongs to the extension:
-    canonical requires origin and terminal completeness, left-complete
-    origin, right-complete terminal, full neither.  (Used by incremental
+    canonical requires origin completeness (column [S0] defined) and
+    terminal completeness ([Sn] defined, or the final set column with
+    the empty-set marker), left-complete the first, right-complete the
+    second, full neither.  (Used by incremental
     maintenance; agreement with {!compute} is property-tested.) *)

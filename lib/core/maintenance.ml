@@ -72,16 +72,15 @@ let set_positions_matching schema path ~set_ty =
 (* ------------------------------------------------------------------ *)
 
 (* Maximal prefixes ending at [oid] sitting at object position [pos]:
-   arrays covering columns 0 .. col(pos).  With [charge], the extent
-   scans that implement backward traversal over uni-directional
-   references are charged to [stats]. *)
-let rec graph_prefixes t ~charge path ~pos ~oid =
+   arrays covering columns 0 .. col(pos).  The extent scans that
+   implement backward traversal over uni-directional references are
+   charged. *)
+let rec graph_prefixes t path ~pos ~oid =
   let ci = Gom.Path.column_of_object_position path pos in
   if pos = 0 then [ [| Gom.Value.Ref oid |] ]
   else begin
     let step = Gom.Path.step path pos in
-    if charge then
-      Storage.Heap.scan_extent ~deep:true t.env.Exec.heap t.stats step.Gom.Path.domain;
+    Storage.Heap.scan_extent ~deep:true t.env.Exec.heap t.stats step.Gom.Path.domain;
     let refs =
       Gom.Store.referencers t.store step.Gom.Path.domain step.Gom.Path.attr oid
     in
@@ -99,17 +98,33 @@ let rec graph_prefixes t ~charge path ~pos ~oid =
                | Some s -> [| Gom.Value.Ref s; Gom.Value.Ref oid |]
                | None -> [| Gom.Value.Ref oid |]
              in
-             graph_prefixes t ~charge path ~pos:(pos - 1) ~oid:q
+             graph_prefixes t path ~pos:(pos - 1) ~oid:q
              |> List.map (fun pre -> Array.append pre tail))
   end
 
+(* The event being applied, as graph walks undo it at the positions not
+   yet applied: an attribute's old value, or a collection's elements
+   before the insertion ([true]) or removal of one element. *)
+type undo =
+  | Attr of Gom.Oid.t * Gom.Schema.attr_name * Gom.Value.t
+  | Elem of Gom.Oid.t * Gom.Value.t * bool
+
+let elements_before ~inserted elem now =
+  let rec drop = function
+    | [] -> []
+    | x :: rest -> if Gom.Value.equal x elem then rest else x :: drop rest
+  in
+  if inserted then drop now else now @ [ elem ]
+
 (* Maximal suffixes from [oid] at object position [pos]: arrays covering
    columns col(pos) .. m (NULL-padded after the path dies).  Forward
-   traversal; object and set pages are charged. *)
-let rec graph_suffixes t path ~pos ~oid =
+   traversal; object and set pages are charged.  Positions after
+   [applied] read the graph as it was before [undo]'s event. *)
+let rec graph_suffixes t ~undo ~applied path ~pos ~oid =
   let m = Gom.Path.arity path - 1 in
   let ci = Gom.Path.column_of_object_position path pos in
   let n = Gom.Path.length path in
+  let stale = pos > applied in
   let pad arr =
     let out = Array.make (m - ci + 1) Gom.Value.Null in
     Array.blit arr 0 out 0 (Array.length arr);
@@ -119,7 +134,14 @@ let rec graph_suffixes t path ~pos ~oid =
   if pos = n then [ [| Gom.Value.Ref oid |] ]
   else begin
     let step = Gom.Path.step path (pos + 1) in
-    match Gom.Store.get_attr t.store oid step.Gom.Path.attr with
+    let value =
+      match undo with
+      | Attr (o, a, old) when stale && Gom.Oid.equal o oid && String.equal a step.Gom.Path.attr
+        ->
+        old
+      | _ -> Gom.Store.get_attr t.store oid step.Gom.Path.attr
+    in
+    match value with
     | Gom.Value.Null -> [ pad [| Gom.Value.Ref oid |] ]
     | v -> (
       match step.Gom.Path.set_type with
@@ -127,19 +149,24 @@ let rec graph_suffixes t path ~pos ~oid =
         if pos + 1 = n && step.Gom.Path.range_atomic <> None then
           [ pad [| Gom.Value.Ref oid; v |] ]
         else
-          graph_suffixes t path ~pos:(pos + 1) ~oid:(Gom.Value.oid_exn v)
+          graph_suffixes t ~undo ~applied path ~pos:(pos + 1) ~oid:(Gom.Value.oid_exn v)
           |> List.map (fun suf -> Array.append [| Gom.Value.Ref oid |] suf)
       | Some _ ->
         let set_oid = Gom.Value.oid_exn v in
         Storage.Heap.read_object t.env.Exec.heap t.stats set_oid;
-        (match Gom.Store.elements t.store set_oid with
+        let elems = Gom.Store.elements t.store set_oid in
+        (match undo with
+        | Elem (s, elem, inserted) when stale && Gom.Oid.equal s set_oid ->
+          elements_before ~inserted elem elems
+        | _ -> elems)
+        |> (function
         | [] -> [ pad [| Gom.Value.Ref oid; v; Gom.Value.Null |] ]
         | elems ->
           elems
           |> List.concat_map (fun e ->
                  match value_oid e with
                  | Some eo when pos + 1 < n || (Gom.Path.step path n).Gom.Path.range_atomic = None ->
-                   graph_suffixes t path ~pos:(pos + 1) ~oid:eo
+                   graph_suffixes t ~undo ~applied path ~pos:(pos + 1) ~oid:eo
                    |> List.map (fun suf ->
                           Array.append [| Gom.Value.Ref oid; v |] suf)
                  | Some _ | None ->
@@ -147,178 +174,176 @@ let rec graph_suffixes t path ~pos ~oid =
                    [ pad [| Gom.Value.Ref oid; v; e |] ])))
   end
 
-let has_edge (tup : Relation.Tuple.t) =
-  match Relation.Tuple.defined_span tup with
-  | Some (first, last) -> last > first
-  | None -> false
+(* The relation's own partial paths from [probe] at object position [i]
+   to position [j]: the §5.6 walk over the partitions, with pending
+   deferred deltas overlaid. *)
+let read_paths t index dir ~i ~j probe =
+  let lookup part _keys key = Asr.probe ~stats:t.stats index part ~fwd:(dir = Exec.Fwd) key in
+  Exec.paths t.env index ~lookup ~scan:(Asr.probe_scan ~stats:t.stats index) dir ~i ~j
+    probe
 
-let combine prefix suffix =
-  Array.append prefix (Array.sub suffix 1 (Array.length suffix - 1))
+(* ------------------------------------------------------------------ *)
+(* Edge-local deltas (section 6.1)                                     *)
+(* ------------------------------------------------------------------ *)
 
-(* Prefixes recovered from the stored tuples through [o_i]: valid for
-   full and left-complete extensions, where every inbound path of [o_i]
-   is recorded.  [ci] is the column of position [i]. *)
-let prefixes_from_affected ~ci affected =
-  affected
-  |> List.map (fun (tup : Relation.Tuple.t) -> Array.sub tup 0 (ci + 1))
-  |> List.sort_uniq Relation.Tuple.compare
+(* The edges of step [i+1] out of a holder whose attribute holds [v]:
+   the intermediate set, if the step is set-valued, and the target
+   ([Null] for the empty-set marker). *)
+let edges_of t (step : Gom.Path.step) v =
+  match (v, step.Gom.Path.set_type) with
+  | Gom.Value.Null, _ -> []
+  | v, None -> [ (None, v) ]
+  | v, Some _ -> (
+    let elems =
+      match value_oid v with
+      | Some s when Gom.Store.mem t.store s -> Gom.Store.elements t.store s
+      | Some _ | None -> []
+    in
+    match List.sort_uniq Gom.Value.compare elems with
+    | [] -> [ (Some v, Gom.Value.Null) ]
+    | es -> List.map (fun e -> (Some v, e)) es)
 
-let referenced_now store path ~pos ~oid =
-  if pos = 0 then true
-  else
-    let step = Gom.Path.step path pos in
-    Gom.Store.referencers store step.Gom.Path.domain step.Gom.Path.attr oid <> []
-
-(* [before ∖ after] and [after ∖ before], each sorted and duplicate-free. *)
-let net_difference before after =
-  let rec go before after removed added =
-    match (before, after) with
-    | [], _ -> (List.rev removed, List.rev_append added after)
-    | _, [] -> (List.rev_append removed before, List.rev added)
-    | b :: bs, a :: rest ->
-      let c = Relation.Tuple.compare b a in
-      if c = 0 then go bs rest removed added
-      else if c < 0 then go bs after (b :: removed) added
-      else go before rest removed (a :: added)
-  in
-  go
-    (List.sort_uniq Relation.Tuple.compare before)
-    (List.sort_uniq Relation.Tuple.compare after)
-    [] []
-
-(* Core routine: attribute [A(i+1)] of [obj] changed; [targets] are the
-   position-(i+1) objects gaining or losing an inbound edge.  The tuples
-   the event can change are those through [obj] and the truncated tuples
-   of [targets]; they are derived again from the store, and only the
-   difference between the stored and the derived ones is written
-   (paper, section 6.1). *)
-let handle_change t index ~i ~obj ~targets =
-  let path = Asr.path index in
-  let kind = Asr.kind index in
+(* One path position [i] of an event (see the interface for the rules).
+   Each [(holder, gone, fresh)] loses and gains those edges at step
+   [i+1]; with [whole], they are all its edges before and after.
+   [others x]: whether [x] has an inbound edge at the step that the
+   event leaves alone.  Holders changing together may emit one
+   truncated tuple twice; the sets written are duplicate-free. *)
+let apply_position t index ~undo ~i ~whole ~others changes =
+  let path = Asr.path index and kind = Asr.kind index and owner = Asr.owner index in
+  let n = Gom.Path.length path and m = Asr.arity index - 1 in
   let ci = Gom.Path.column_of_object_position path i in
   let ci1 = Gom.Path.column_of_object_position path (i + 1) in
-  let truncates =
+  let nulls k = Array.make k Gom.Value.Null in
+  let full = kind = Extension.Full in
+  let prefixes h =
     match kind with
-    | Extension.Full | Extension.Right_complete -> true
-    | Extension.Canonical | Extension.Left_complete -> false
+    | _ when i = 0 -> [ [| Gom.Value.Ref h |] ]
+    | Extension.Canonical | Extension.Right_complete -> graph_prefixes t path ~pos:i ~oid:h
+    | Extension.Full | Extension.Left_complete -> (
+      match read_paths t index Exec.Bwd ~i:0 ~j:i (Gom.Value.Ref h) with
+      | [] when full ->
+        (* Not in the relation: no inbound path, so a NULL-headed prefix.
+           A horizontal fragment holds only its {e owned} tuples, so
+           there the store must confirm it: inbound paths owned by other
+           shards would make that prefix a tuple outside the extension. *)
+        let step = Gom.Path.step path i in
+        if
+          owner <> None
+          && Gom.Store.referencers t.store step.Gom.Path.domain step.Gom.Path.attr h <> []
+        then []
+        else [ Array.append (nulls ci) [| Gom.Value.Ref h |] ]
+      | ps -> ps)
   in
-  let derive pre sufs =
-    List.filter_map
-      (fun suf ->
-        let tup = combine pre suf in
-        if has_edge tup && Extension.member kind path tup then Some tup else None)
+  let memo = Hashtbl.create 8 in
+  let suffixes x =
+    match Hashtbl.find_opt memo x with
+    | Some sufs -> sufs
+    | None ->
+      let sufs =
+        match value_oid x with
+        | Some o when i + 1 < n -> (
+          if not (full && owner = None) then
+            List.sort_uniq Relation.Tuple.compare
+              (graph_suffixes t ~undo ~applied:i path ~pos:(i + 1) ~oid:o)
+          else
+            match read_paths t index Exec.Fwd ~i:(i + 1) ~j:n x with
+            | [] -> [ Array.append [| x |] (nulls (m - ci1)) ]
+            | sufs -> sufs)
+        | Some _ | None -> [ Array.append [| x |] (nulls (m - ci1)) ]
+      in
+      Hashtbl.replace memo x sufs;
       sufs
   in
-  (* 1. Before: the stored tuples through obj and the truncated tuples
-     of the targets. *)
-  let affected =
-    Asr.find_by_column ~stats:t.stats index ~col:ci (Gom.Value.Ref obj)
+  let remove = ref [] and add = ref [] in
+  let emit acc =
+    List.iter (fun tup ->
+        if Relation.Tuple.has_edge tup && Extension.member kind path tup then
+          acc := tup :: !acc)
   in
-  let truncated =
-    if truncates then
-      List.concat_map
-        (fun x ->
-          Asr.find_by_column ~stats:t.stats index ~col:ci1 (Gom.Value.Ref x)
-          |> List.filter (fun (tup : Relation.Tuple.t) -> Gom.Value.is_null tup.(ci)))
-        targets
-    else []
-  in
-  (* 2. After: the paths through obj ... *)
-  let prefixes =
-    match kind with
-    | Extension.Full ->
-      let ps = prefixes_from_affected ~ci affected in
-      if ps = [] then begin
-        (* No recorded inbound path: mark the prefix NULL.  A horizontal
-           fragment only records its {e owned} tuples, so an empty [ps]
-           there must be confirmed against the store — the object may
-           have inbound paths whose tuples live on other shards, and
-           fabricating the NULL marker here would invent a tuple outside
-           the global extension. *)
-        if i > 0 && Asr.owner index <> None && referenced_now t.store path ~pos:i ~oid:obj
-        then []
-        else begin
-          let arr = Array.make (ci + 1) Gom.Value.Null in
-          arr.(ci) <- Gom.Value.Ref obj;
-          [ arr ]
-        end
-      end
-      else ps
-    | Extension.Left_complete ->
-      (* Position-0 objects are origin-complete by themselves; deeper
-         positions are reachable from t0 iff the (left-complete) ASR
-         held tuples through them. *)
-      if i = 0 then [ [| Gom.Value.Ref obj |] ]
-      else prefixes_from_affected ~ci affected
-    | Extension.Canonical | Extension.Right_complete ->
-      graph_prefixes t ~charge:true path ~pos:i ~oid:obj
-  in
-  let through =
-    if prefixes = [] then []
-    else
-      let suffixes = graph_suffixes t path ~pos:i ~oid:obj in
-      List.concat_map (fun pre -> derive pre suffixes) prefixes
-  in
-  (* ... and the truncated tuples of orphaned targets. *)
-  let orphaned =
-    if truncates then
-      List.concat_map
-        (fun x ->
-          if
-            Gom.Store.mem t.store x
-            && not (referenced_now t.store path ~pos:(i + 1) ~oid:x)
-          then begin
-            let pre = Array.make (ci1 + 1) Gom.Value.Null in
-            pre.(ci1) <- Gom.Value.Ref x;
-            derive pre (graph_suffixes t path ~pos:(i + 1) ~oid:x)
-          end
-          else [])
-        targets
-    else []
-  in
-  (* 3. Write only the difference. *)
-  let remove, add = net_difference (affected @ truncated) (through @ orphaned) in
-  ignore (Asr.apply_delta ~stats:t.stats index ~remove ~add : int)
-
-let targets_of_value t (step : Gom.Path.step) v =
-  match v with
-  | Gom.Value.Null -> []
-  | v -> (
-    match step.Gom.Path.set_type with
-    | None -> ( match value_oid v with Some o -> [ o ] | None -> [])
-    | Some _ -> (
-      match value_oid v with
-      | Some set_oid when Gom.Store.mem t.store set_oid ->
-        Gom.Store.elements t.store set_oid |> List.filter_map value_oid
-      | Some _ | None -> []))
+  List.iter
+    (fun (h, gone, fresh) ->
+      let pres = lazy (prefixes h) in
+      let through (s, x) =
+        let mid = match s with Some s -> [| s |] | None -> [||] in
+        List.concat_map
+          (fun pre -> List.map (fun suf -> Array.concat [ pre; mid; suf ]) (suffixes x))
+          (Lazy.force pres)
+      in
+      List.iter (fun e -> emit remove (through e)) gone;
+      List.iter (fun e -> emit add (through e)) fresh;
+      let dangling () =
+        List.map (fun pre -> Array.append pre (nulls (m - ci))) (Lazy.force pres)
+      in
+      if whole && gone = [] then emit remove (dangling ())
+      else if whole && fresh = [] then emit add (dangling ());
+      if i + 1 < n then begin
+        let oids es = List.filter (fun x -> value_oid x <> None) (List.map snd es) in
+        let lost = oids gone and gained = oids fresh in
+        let orphan x = List.map (Array.append (nulls ci1)) (suffixes x) in
+        let mem x l = List.exists (Gom.Value.equal x) l in
+        List.iter (fun x -> if not (mem x gained || others x) then emit add (orphan x)) lost;
+        List.iter (fun x -> if not (mem x lost || others x) then emit remove (orphan x)) gained
+      end)
+    changes;
+  if !remove <> [] || !add <> [] then
+    ignore
+      (Asr.apply_delta ~stats:t.stats index
+         ~remove:(List.sort_uniq Relation.Tuple.compare !remove)
+         ~add:(List.sort_uniq Relation.Tuple.compare !add)
+        : int)
 
 let handle_event t index ev =
   let store = t.store in
   let schema = Gom.Store.schema store in
   let path = Asr.path index in
+  (* Whether [x] has an inbound edge at step [i+1] that [mine] does not
+     claim. *)
+  let inbound i x ~mine =
+    let step = Gom.Path.step path (i + 1) in
+    match value_oid x with
+    | Some o ->
+      List.exists
+        (fun r -> not (mine r))
+        (Gom.Store.referencers store step.Gom.Path.domain step.Gom.Path.attr o)
+    | None -> false
+  in
   match ev with
   | Gom.Store.Created _ | Gom.Store.Deleted _ -> ()
   | Gom.Store.Attr_set { obj; attr; old_value; new_value } ->
     if Gom.Store.mem store obj then
-      let ty = Gom.Store.type_of store obj in
-      positions_matching schema path ~ty ~attr
+      positions_matching schema path ~ty:(Gom.Store.type_of store obj) ~attr
       |> List.iter (fun i ->
              let step = Gom.Path.step path (i + 1) in
-             let targets =
-               targets_of_value t step old_value @ targets_of_value t step new_value
-               |> List.sort_uniq Gom.Oid.compare
-             in
-             handle_change t index ~i ~obj ~targets)
+             apply_position t index ~undo:(Attr (obj, attr, old_value)) ~i ~whole:true
+               ~others:(fun x -> inbound i x ~mine:(fun (q, _) -> Gom.Oid.equal q obj))
+               [ (obj, edges_of t step old_value, edges_of t step new_value) ])
   | Gom.Store.Set_inserted { set; elem } | Gom.Store.Set_removed { set; elem } ->
-    if Gom.Store.mem store set then
-      let set_ty = Gom.Store.type_of store set in
-      set_positions_matching schema path ~set_ty
-      |> List.iter (fun i ->
-             let step = Gom.Path.step path (i + 1) in
-             let os = Gom.Store.holders store step.Gom.Path.domain step.Gom.Path.attr set in
-             let targets = match value_oid elem with Some o -> [ o ] | None -> [] in
-             (* An orphan set is not represented in any extension. *)
-             List.iter (fun o -> handle_change t index ~i ~obj:o ~targets) os)
+    let inserted = match ev with Gom.Store.Set_inserted _ -> true | _ -> false in
+    if Gom.Store.mem store set then begin
+      let now = Gom.Store.elements store set in
+      let was = elements_before ~inserted elem now in
+      let holds = List.exists (Gom.Value.equal elem) in
+      (* Inserting an element a list already holds changes no edge. *)
+      if holds was <> holds now then
+        let edge = (Some (Gom.Value.Ref set), elem) in
+        let marker = (Some (Gom.Value.Ref set), Gom.Value.Null) in
+        let gone, fresh =
+          if inserted then ((if was = [] then [ marker ] else []), [ edge ])
+          else ([ edge ], if now = [] then [ marker ] else [])
+        in
+        set_positions_matching schema path ~set_ty:(Gom.Store.type_of store set)
+        |> List.iter (fun i ->
+               let step = Gom.Path.step path (i + 1) in
+               (* An orphan set is not represented in any extension. *)
+               let hs = Gom.Store.holders store step.Gom.Path.domain step.Gom.Path.attr set in
+               let others x =
+                 inbound i x ~mine:(fun (_, s) -> Option.equal Gom.Oid.equal s (Some set))
+               in
+               apply_position t index ~undo:(Elem (set, elem, inserted)) ~i ~whole:false
+                 ~others
+                 (List.map (fun h -> (h, gone, fresh)) hs))
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Flush policies                                                      *)
@@ -326,11 +351,9 @@ let handle_event t index ev =
 
 let policy t = t.policy
 
-let flush_asr t index = Asr.flush ~stats:t.stats index
-
 let flush_all t =
   t.events_since_flush <- 0;
-  List.fold_left (fun acc a -> acc + flush_asr t a) 0 t.asrs
+  List.fold_left (fun acc a -> acc + Asr.flush ~stats:t.stats a) 0 t.asrs
 
 let pending t = List.fold_left (fun acc a -> acc + Asr.pending_deltas a) 0 t.asrs
 
@@ -395,5 +418,3 @@ let suspend t index = Hashtbl.replace t.suspended (Asr.id index) ()
 let resume t index = Hashtbl.remove t.suspended (Asr.id index)
 
 let is_suspended t index = Hashtbl.mem t.suspended (Asr.id index)
-
-let apply_event t index ev = handle_event t index ev

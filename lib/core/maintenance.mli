@@ -2,39 +2,58 @@
     base updates (paper, section 6).
 
     A manager subscribes to a {!Gom.Store.t} and keeps every registered
-    {!Asr.t} consistent with the object graph.  An update of attribute
-    [A(i+1)] of an object [o_i] (attribute assignment, set insertion or
-    removal, and — via the store's nullify-then-drop protocol — object
-    deletion) is processed per affected path position:
+    {!Asr.t} consistent with the object graph.  A store event changes
+    the edges of step [A(i+1)] out of one holder [o_i] (attribute
+    assignment), or out of every holder of one set (set insertion or
+    removal; object deletion arrives as such events through the store's
+    nullify-then-drop protocol).  The difference of the extension is
+    computed {e edge-locally}, per matching path position and holder,
+    and written with {!Asr.apply_delta}:
 
-    + {e before}: the stored extension tuples passing through [o_i] at
-      position [i], and the prefix-truncated tuples headed by the
-      affected targets at position [i+1];
-    + {e after}: the maximal partial paths through [o_i], derived again
-      as the cross product of maximal prefixes [I_l] and maximal
-      suffixes [I_r] and filtered by {!Extension.member}, plus the
-      prefix-truncated tuples of targets that lost their last inbound
-      reference (full/right-complete extensions only);
-    + only the net difference — [before ∖ after] retracted, then
-      [after ∖ before] added — reaches {!Asr.apply_delta}.  Tuples the
-      event leaves unchanged are never written, so inserting an edge
-      into a set writes just [I_l × {edge} × I_r] (section 6.1).
+    + an edge [(o_i, S, x)] gained adds, and one lost removes,
+      [I_l(o_i) × {edge} × I_r(x)] (section 6.1), filtered by
+      {!Extension.member};
+    + an insertion into an empty set retracts its empty-set marker
+      [(…, o_i, S, NULL…)], a removal emptying it restores the marker;
+    + a holder gaining its first edge at the step retracts its
+      right-truncated tuples [I_l(o_i) × NULL…], losing its last one
+      restores them (full and left-complete extensions);
+    + a target gaining its first inbound edge at the step retracts its
+      left-truncated tuples [NULL… × I_r(x)], losing its last one
+      restores them (full and right-complete extensions).
+
+    Nothing else through [o_i] is derived again, and a truncated tuple
+    without an edge is never written.
 
     Following the paper's analysis of which extensions require searches
-    in the {e data} (section 6.1): prefixes are recovered from the
-    access support relation itself for full and left-complete
-    extensions, but require a charged backward search through the
-    object extents for canonical and right-complete extensions; suffix
-    computation is a charged forward traversal for every extension.
-    All page traffic accumulates in the manager's {!Storage.Stats.t}. *)
+    in the {e data} (section 6.1), the sides come from the relation
+    itself where it stores them: [I_l] is read from the partitions that
+    end at [o_i]'s column for full and left-complete extensions, [I_r]
+    from those that start at [x]'s column for full ones, both with the
+    §5.6 walk ({!Exec.paths}) and, in deferred mode, through the pending
+    deltas ({!Asr.probe}).  These reads charge the pages whose
+    contents produce the answer.  Every other side is walked over the
+    object graph from the edge's endpoint alone: a charged backward
+    search through the extents for canonical and right-complete
+    prefixes, a charged forward traversal for suffixes.  A horizontal
+    fragment takes [I_r] from the graph (suffix tuples are owned by
+    whoever owns their prefix) and confirms an empty [I_l] against the
+    store.
+
+    An event matching several positions of one path applies them in
+    increasing order, each seeing the applied positions on its left and
+    the pending ones on its right: the trees give that as read, and
+    graph walks undo the event at later positions.  The holders of one
+    set change together, one delta per position.  All page traffic
+    accumulates in the manager's {!Storage.Stats.t}. *)
 
 type t
 
 (** {2 Flush policies}
 
-    The manager keeps every registered ASR's {e logical} extension
-    exact on every event; what a policy controls is when the physical
-    partition trees catch up:
+    The manager computes every event's difference at once; what a
+    policy controls is when the partition trees take it (until then it
+    waits in write-behind buffers that maintenance reads through):
 
     - [Immediate] — classic write-through: every event's tree writes
       happen inline (the pre-deferred behaviour, and the default);
@@ -80,13 +99,8 @@ val flush_all : t -> int
 (** Drain every registered ASR's buffers into its partition trees
     ({!Asr.flush}); returns the number of net deltas applied. *)
 
-val flush_asr : t -> Asr.t -> int
-(** Drain one ASR's buffers. *)
-
 val pending : t -> int
 (** Net buffered deltas over all registered ASRs. *)
-
-val pending_bytes : t -> int
 
 val asrs : t -> Asr.t list
 
@@ -103,8 +117,8 @@ val last_event_cost : t -> int
     During a background rebuild the repairer takes over one ASR's
     maintenance: live store events must not race the slice-wise
     reconstruction, so the manager is told to {e skip} that ASR while
-    the repairer buffers the events itself and replays them — through
-    {!apply_event} — once the rebuild pass is done. *)
+    the repairer rebuilds it; its final reconciliation against the
+    object base takes in the events skipped meanwhile. *)
 
 val suspend : t -> Asr.t -> unit
 (** Stop processing store events against this ASR (idempotent).  Other
@@ -114,9 +128,3 @@ val resume : t -> Asr.t -> unit
 (** Resume normal event processing for the ASR. *)
 
 val is_suspended : t -> Asr.t -> bool
-
-val apply_event : t -> Asr.t -> Gom.Store.event -> unit
-(** Process one store event against one ASR, exactly as the manager's
-    own subscription would.  Used to replay events buffered while the
-    ASR was suspended; the caller is responsible for operation
-    boundaries ({!Storage.Stats.begin_op}). *)

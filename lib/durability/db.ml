@@ -373,6 +373,8 @@ let close t =
     | Some sub -> Gom.Store.unsubscribe t.t_store sub
     | None -> ());
     t.sub <- None;
+    Core.Maintenance.close t.mgr;
+    Storage.Heap.close t.t_env.Core.Exec.heap;
     Wal.sync t.wal;
     Wal.close t.wal
   end

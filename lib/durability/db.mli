@@ -190,4 +190,5 @@ val wal_appended : t -> int
 (** Records appended through this handle (for status display). *)
 
 val close : t -> unit
-(** Flush, close the log, detach listeners and hooks.  Idempotent. *)
+(** Flush, close the log, detach listeners and hooks (the log's, the
+    maintenance manager's and the heap's).  Idempotent. *)

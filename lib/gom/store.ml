@@ -30,7 +30,7 @@ type t = {
   objects : (Oid.t, Instance.t) Hashtbl.t;
   extents : (Schema.type_name, Oid.t list ref) Hashtbl.t; (* reverse creation order *)
   names : (string, Oid.t) Hashtbl.t;
-  mutable listeners : (int * (event -> unit)) list; (* reverse subscription order *)
+  mutable listeners : (int * (event -> unit)) list; (* subscription = notification order *)
   mutable next_subscription : int;
   mutable epoch : int; (* bumped once per emitted mutation event *)
   mutable refindex : refindex option;
@@ -59,7 +59,7 @@ let epoch t = t.epoch
 
 let emit t ev =
   t.epoch <- t.epoch + 1;
-  List.iter (fun (_, f) -> f ev) (List.rev t.listeners)
+  List.iter (fun (_, f) -> f ev) t.listeners
 
 (* Deep structural clone: every instance body is copied, the immutable
    schema is shared, listeners are not carried over (a copy starts with
@@ -95,10 +95,12 @@ type subscription = int
 let subscribe t f =
   let id = t.next_subscription in
   t.next_subscription <- id + 1;
-  t.listeners <- (id, f) :: t.listeners;
+  t.listeners <- t.listeners @ [ (id, f) ];
   id
 
 let unsubscribe t id = t.listeners <- List.filter (fun (i, _) -> i <> id) t.listeners
+
+let listener_count t = List.length t.listeners
 
 let get t oid = Hashtbl.find_opt t.objects oid
 

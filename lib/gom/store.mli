@@ -133,6 +133,11 @@ val subscribe : t -> (event -> unit) -> subscription
 val unsubscribe : t -> subscription -> unit
 (** Detach; idempotent. *)
 
+val listener_count : t -> int
+(** Listeners currently subscribed: what every component still open
+    over the store holds.  Closing a component returns it to what it
+    was before the component was built. *)
+
 val restore_object : t -> Oid.t -> Schema.type_name -> unit
 (** Re-create a previously deleted object under its {e original}
     identifier, with all attributes NULL / collections empty (the

@@ -2,13 +2,14 @@
    relation.
 
    A repair job takes over the relation's maintenance: the manager is
-   told to skip it ([Maintenance.suspend]) while the job buffers the
+   told to skip it ([Maintenance.suspend]) while the job counts the
    store events arriving mid-rebuild through its own subscription.  The
-   rebuild itself converges the logical extension onto a freshly
+   rebuild itself converges the stitched relation onto a freshly
    computed target in bounded slices ([step]), then reconciles each
-   partition's trees with the extension ([Asr.patch_partition], fixing
-   physical-only damage), replays the buffered events through
-   [Maintenance.apply_event], and re-verifies with an exhaustive scrub.
+   partition's trees with the object base as it is by then
+   ([Asr.patch_partition], fixing damage the stitched relation cannot
+   show, and absorbing the counted events), and re-verifies with an
+   exhaustive scrub.
    Only a clean verification lifts the quarantine — so a crash at any
    point of the cycle leaves the relation quarantined and queries
    degraded, never a half-rebuilt partition answering queries. *)
@@ -30,7 +31,7 @@ type job = {
   fault : Durability.Fault.t option;
   stats : Storage.Stats.t option;
   sub : Gom.Store.subscription;
-  buffer : Gom.Store.event Queue.t;
+  buffered : int ref;  (* store events since the last reconciliation *)
   mutable pending : op list;
   mutable rounds : int;
   mutable slices : int;
@@ -46,7 +47,7 @@ let outcome_to_string = function
   | Failed { rounds; remaining } ->
     Printf.sprintf "failed after %d round(s): %d divergence(s) remain" rounds remaining
 
-(* Diff the relation's logical extension against a fresh ground-truth
+(* Diff the relation stitched from its trees against a fresh ground-truth
    computation; retractions first so multiplicity fixes cannot clash. *)
 let diff index =
   let target =
@@ -70,10 +71,8 @@ let diff index =
 let start ?(slice = 32) ?(max_rounds = 4) ?fault ?stats ~registry ~maintenance index =
   if slice < 1 then invalid_arg "Repair.start: slice must be >= 1";
   Core.Maintenance.suspend maintenance index;
-  let buffer = Queue.create () in
-  let sub =
-    Gom.Store.subscribe (Core.Asr.store index) (fun ev -> Queue.add ev buffer)
-  in
+  let buffered = ref 0 in
+  let sub = Gom.Store.subscribe (Core.Asr.store index) (fun _ -> incr buffered) in
   {
     index;
     registry;
@@ -83,7 +82,7 @@ let start ?(slice = 32) ?(max_rounds = 4) ?fault ?stats ~registry ~maintenance i
     fault;
     stats;
     sub;
-    buffer;
+    buffered;
     pending = diff index;
     rounds = 1;
     slices = 0;
@@ -101,28 +100,27 @@ let close job =
 
 let abort job = close job
 
+(* The work list is a difference against the stitched relation, exact
+   while the relation is suspended, so its tuples are written as they
+   are. *)
 let apply_op job op =
-  match op with
-  | Retract tup -> ignore (Core.Asr.remove_tuple ?stats:job.stats job.index tup : bool)
-  | Restore tup -> ignore (Core.Asr.insert_tuple ?stats:job.stats job.index tup : bool)
-
-let replay job =
-  while not (Queue.is_empty job.buffer) do
-    let ev = Queue.pop job.buffer in
-    (match job.stats with Some st -> Storage.Stats.begin_op st | None -> ());
-    Core.Maintenance.apply_event job.maint job.index ev;
-    job.replayed <- job.replayed + 1
-  done
+  let remove, add =
+    match op with Retract tup -> ([ tup ], []) | Restore tup -> ([], [ tup ])
+  in
+  job.fixes <- job.fixes + Core.Asr.apply_delta ?stats:job.stats job.index ~remove ~add
 
 let finish_round job =
-  (* Logical extension converged: reconcile every partition's trees
-     with it (repairing damage injected below the logical level), then
-     catch up on the events buffered while we were rebuilding. *)
+  (* Stitched relation converged: drive every partition's reference
+     counts to the object base as it is now (repairing damage the
+     stitched relation cannot show, such as surplus counts).  That also
+     takes in every event the suspended maintenance skipped meanwhile,
+     so none needs replaying. *)
   let parts = Core.Asr.partition_count job.index in
   for p = 0 to parts - 1 do
     job.fixes <- job.fixes + Core.Asr.patch_partition ?stats:job.stats job.index p
   done;
-  replay job;
+  job.replayed <- job.replayed + !(job.buffered);
+  job.buffered := 0;
   let report = Scrub.run ?fault:job.fault ?stats:job.stats job.index in
   if Scrub.clean report then begin
     Quarantine.lift job.registry job.index;

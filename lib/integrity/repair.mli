@@ -2,18 +2,20 @@
     relation.
 
     A repair job suspends the relation's normal maintenance, converges
-    its logical extension onto a freshly computed ground truth in
-    bounded slices, reconciles every partition's B+ trees with the
-    extension, replays the store events buffered while rebuilding, and
-    re-verifies with an exhaustive scrub.  The quarantine is lifted
+    the relation stitched from its trees onto a freshly computed ground
+    truth in bounded slices, reconciles every partition's B+ trees with
+    the object base as it stands by then (taking in the store events
+    that arrived while rebuilding), and re-verifies with an exhaustive
+    scrub.  The quarantine is lifted
     {e only} after a clean verification: interrupt or crash the cycle
     anywhere and the relation stays quarantined (queries keep degrading
     to healthy strategies), never half-repaired and serving. *)
 
 type outcome =
   | Repaired of { rounds : int; slices : int; fixes : int; replayed : int }
-      (** [fixes] counts distinct projections reconciled in partition
-          trees; [replayed] the buffered live events applied. *)
+      (** [fixes] counts the tuples restored or retracted plus the
+          distinct projections reconciled in partition trees;
+          [replayed] the live events taken in by the reconciliation. *)
   | Failed of { rounds : int; remaining : int }
       (** Verification still found divergences after [rounds] rounds;
           the quarantine is left in place. *)
@@ -23,7 +25,7 @@ val outcome_to_string : outcome -> string
 type job
 (** An in-flight repair.  Between {!step} calls the object base may be
     mutated freely: the suspended maintenance manager skips this
-    relation and the job buffers the events for replay. *)
+    relation, and the job's final reconciliation takes the changes in. *)
 
 val start :
   ?slice:int ->
@@ -35,15 +37,16 @@ val start :
   Core.Asr.t ->
   job
 (** Begin a repair: suspends maintenance for the relation, subscribes a
-    buffering listener, and computes the initial rebuild work list.
+    listener counting the events it skips, and computes the initial
+    rebuild work list.
     [slice] bounds extension operations per {!step} (default 32);
     [max_rounds] bounds re-verification rounds (default 4).
     @raise Invalid_argument if [slice < 1]. *)
 
 val step : job -> [ `More | `Done of outcome ]
 (** Apply one bounded slice of rebuild work.  The slice that exhausts
-    the work list also patches the partition trees, replays buffered
-    events, and verifies; each slice counts one logical read against
+    the work list also patches the partition trees against the object
+    base as it is then, and verifies; each slice counts one logical read against
     the job's fault plan (so crash sweeps can target any point).
     After [`Done] the job is closed (maintenance resumed, listener
     unsubscribed); further calls raise.
@@ -51,8 +54,8 @@ val step : job -> [ `More | `Done of outcome ]
     dead and the relation remains quarantined. *)
 
 val abort : job -> unit
-(** Abandon the repair: maintenance resumes, buffered events are
-    dropped, the quarantine stays. *)
+(** Abandon the repair: maintenance resumes without the events it
+    skipped, the quarantine stays. *)
 
 val run :
   ?slice:int ->

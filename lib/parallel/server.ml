@@ -239,4 +239,6 @@ let serve_deadlined ?snapshot t entries =
   Array.to_list out
 
 let stats t = Mutex.protect t.acc_lock (fun () -> Storage.Stats.snapshot t.accountant)
-let shutdown t = Pool.shutdown t.pool
+let shutdown t =
+  Pool.shutdown t.pool;
+  Snapshot.close_source t.source

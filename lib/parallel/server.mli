@@ -153,4 +153,6 @@ val stats : t -> Storage.Stats.summary
 (** Cumulative merged accounting over everything the server executed. *)
 
 val shutdown : t -> unit
-(** Join the worker domains; the server remains usable inline. *)
+(** Join the worker domains and close the server's snapshot source
+    ({!Snapshot.close_source}): the server stops following the base,
+    and the last published epoch stays readable. *)

@@ -10,6 +10,8 @@ type source = {
   src_engine : Engine.t;
   src_indexes : Core.Asr.t list;
   src_maintenance : Core.Maintenance.t;
+  src_owns_maintenance : bool;
+  src_tap : Gom.Store.subscription;
   mutable src_frozen : Gom.Frozen.t;
   src_events : Gom.Store.event list ref;  (* reversed suffix since src_frozen *)
 }
@@ -28,6 +30,7 @@ type t = {
 let source ?(sizes = fun _ -> 100) ?maintenance ~specs base =
   let heap = Storage.Heap.create ~size_of:sizes base in
   let engine = Engine.create ~sizes (Core.Exec.make base heap) in
+  let owned = maintenance = None in
   let maintenance =
     match maintenance with
     | Some m -> m
@@ -46,18 +49,25 @@ let source ?(sizes = fun _ -> 100) ?maintenance ~specs base =
      the tap sees is strictly younger than [src_frozen]. *)
   let frozen = Gom.Frozen.of_store base in
   let events = ref [] in
-  let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe base (fun ev -> events := ev :: !events)
-  in
+  let tap = Gom.Store.subscribe base (fun ev -> events := ev :: !events) in
   {
     src_base = base;
     src_heap = heap;
     src_engine = engine;
     src_indexes = indexes;
     src_maintenance = maintenance;
+    src_owns_maintenance = owned;
+    src_tap = tap;
     src_frozen = frozen;
     src_events = events;
   }
+
+let close_source src =
+  Gom.Store.unsubscribe src.src_base src.src_tap;
+  src.src_events := [];
+  Engine.close src.src_engine;
+  if src.src_owns_maintenance then Core.Maintenance.close src.src_maintenance;
+  Storage.Heap.close src.src_heap
 
 let source_engine src = src.src_engine
 let source_indexes src = src.src_indexes

@@ -55,6 +55,13 @@ val advance : source -> t
     instances), freeze the heap layout, and pin each ASR's tree version.
     O(events since the previous publication). *)
 
+val close_source : source -> unit
+(** Detach the source from the base: its event tap, engine, heap and
+    the maintenance manager it created (not one passed in) stop
+    listening, and buffered events are dropped.  Snapshots already
+    published stay readable; {!advance} must not be called again.
+    Idempotent. *)
+
 val source_engine : source -> Engine.t
 val source_indexes : source -> Core.Asr.t list
 val source_maintenance : source -> Core.Maintenance.t

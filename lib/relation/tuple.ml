@@ -39,6 +39,9 @@ let defined_span (t : t) =
     t;
   if !first < 0 then None else Some (!first, !last)
 
+let has_edge (t : t) =
+  match defined_span t with Some (first, last) -> last > first | None -> false
+
 let contiguous (t : t) =
   match defined_span t with
   | None -> true

@@ -27,6 +27,11 @@ val defined_span : t -> (int * int) option
     [None] for an all-NULL tuple.  Extension tuples always have
     contiguous defined segments; {!contiguous} checks it. *)
 
+val has_edge : t -> bool
+(** True iff the defined span covers two columns or more: the tuple
+    records at least one reference of its path.  Every extension tuple
+    has one. *)
+
 val contiguous : t -> bool
 (** True iff all non-NULL columns form one contiguous block. *)
 

@@ -14,6 +14,7 @@ let read_all path =
 
 type state = {
   rs_store : Gom.Store.t;
+  rs_heap : Storage.Heap.t;
   rs_mgr : Core.Maintenance.t;
   rs_source : Parallel.Snapshot.source;
   rs_specs : Durability.Db.spec list;
@@ -89,8 +90,18 @@ let build_state t store specs =
   in
   let snap = Parallel.Snapshot.advance source in
   t.epochs <- t.epochs + 1;
-  { rs_store = store; rs_mgr = mgr; rs_source = source; rs_specs = specs;
-    rs_snap = snap }
+  { rs_store = store; rs_heap = heap; rs_mgr = mgr; rs_source = source;
+    rs_specs = specs; rs_snap = snap }
+
+(* Detach a state's listeners from its store: on reseeding, and on
+   close, where the state stays readable. *)
+let close_state t =
+  Option.iter
+    (fun st ->
+      Parallel.Snapshot.close_source st.rs_source;
+      Core.Maintenance.close st.rs_mgr;
+      Storage.Heap.close st.rs_heap)
+    t.state
 
 let open_wal t =
   (match t.wal_out with
@@ -139,6 +150,7 @@ let resume t =
   t.wal_bytes <- String.length text;
   t.applied_off <- Durability.Wal.Scanner.committed_bytes scanner;
   t.applied_records <- !records;
+  close_state t;
   t.state <- Some (build_state t store specs);
   open_wal t
 
@@ -228,6 +240,7 @@ let apply_reset t ~gen ~snapshot ~specs =
   t.applied_off <- 0;
   t.applied_records <- 0;
   t.applies_since_publish <- 0;
+  close_state t;
   t.state <- Some (build_state t store specs);
   open_wal t
 
@@ -401,6 +414,7 @@ let env ?deadline ?max_lag_bytes t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    close_state t;
     match t.wal_out with
     | Some f ->
       t.wal_out <- None;

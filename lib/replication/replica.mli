@@ -136,4 +136,6 @@ val flush_maintenance : t -> int
     mirrored primary flush barriers do it organically). *)
 
 val close : t -> unit
-(** Close the log file handle.  Idempotent. *)
+(** Close the log file handle and detach the replica's maintenance,
+    heap and snapshot source from its store (what it holds stays
+    readable).  Idempotent. *)

@@ -16,6 +16,7 @@ type t = {
   mutable specs : (Gom.Path.t * Core.Extension.kind * Core.Decomposition.t) list;
   asrs : Core.Asr.t list array;  (* mutated in place, per shard *)
   fanout : Gom.Store.subscription option;
+  heaps : Storage.Heap.t list;  (* the ones the group laid out, closed with it *)
   mutable closed : bool;
 }
 
@@ -73,6 +74,7 @@ let create_on ?jobs ~placement ~stores ~managers ~envs () =
     specs = [];
     asrs = Array.make n [];
     fanout;
+    heaps = [];
     closed = false;
   }
 
@@ -90,17 +92,22 @@ let of_primary ?jobs ?(size_of = fun _ -> 100) ~placement ~env ~manager () =
     Array.init (Placement.shards placement) (fun k ->
         if k = 0 then (primary, env, manager) else replica ~size_of primary)
   in
-  create_on ?jobs ~placement
-    ~stores:(Array.map (fun (s, _, _) -> s) shards)
-    ~envs:(Array.map (fun (_, e, _) -> e) shards)
-    ~managers:(Array.map (fun (_, _, m) -> m) shards)
-    ()
+  let t =
+    create_on ?jobs ~placement
+      ~stores:(Array.map (fun (s, _, _) -> s) shards)
+      ~envs:(Array.map (fun (_, e, _) -> e) shards)
+      ~managers:(Array.map (fun (_, _, m) -> m) shards)
+      ()
+  in
+  { t with heaps = List.tl (Array.to_list (Array.map (fun e -> e.Core.Exec.heap) t.envs)) }
 
 let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
-  let env = Core.Exec.make store (Storage.Heap.create ~size_of store) in
+  let heap = Storage.Heap.create ~size_of store in
+  let env = Core.Exec.make store heap in
   let t =
     of_primary ?jobs ~size_of ~placement ~env ~manager:(Core.Maintenance.create env) ()
   in
+  let t = { t with heaps = heap :: t.heaps } in
   Option.iter (fun p -> Array.iter (fun m -> Core.Maintenance.set_policy m p) t.managers) policy;
   t
 
@@ -290,5 +297,6 @@ let close t =
     | None -> ());
     Array.iter Engine.close t.engines;
     Array.iter Core.Maintenance.close t.managers;
+    List.iter Storage.Heap.close t.heaps;
     Parallel.Pool.shutdown t.pool
   end

@@ -164,7 +164,8 @@ val total_pages : t -> int array
 
 val close : t -> unit
 (** Detach the fan-out subscription, close every shard's engine and
-    maintenance manager ({!Engine.close}, {!Core.Maintenance.close}) and
-    shut the domain pool down.  Idempotent; the stores and relations
+    maintenance manager ({!Engine.close}, {!Core.Maintenance.close})
+    and the heaps the group laid out ({!Storage.Heap.close}), and shut
+    the domain pool down.  Idempotent; the stores and relations
     survive (shard 0's store is the caller's), but no longer follow
     mutations. *)

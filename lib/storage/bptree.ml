@@ -435,8 +435,6 @@ let fold_run ?stats t key ~init ~f =
 
 let lookup ?stats t key = List.rev (fold_run ?stats t key ~init:[] ~f:(collect_run t key))
 
-let touch ?stats t key = fold_run ?stats t key ~init:() ~f:(fun _ () -> ())
-
 (* Serve many point lookups at once, in ascending key order, sharing
    tree descents between adjacent keys: when the next key falls strictly
    inside the key range of the leaf the previous lookup ended on, the

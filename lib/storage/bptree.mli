@@ -59,11 +59,6 @@ val lookup : ?stats:Stats.t -> t -> Gom.Value.t -> tuple list
     descent reads the inner pages, then every leaf page holding a
     matching entry. *)
 
-val touch : ?stats:Stats.t -> t -> Gom.Value.t -> unit
-(** Charge exactly the pages {!lookup} of the same key reads, in the
-    same order, without collecting the tuples: for accounting probes
-    whose answer comes from elsewhere. *)
-
 val lookup_many :
   ?stats:Stats.t -> t -> Gom.Value.t list -> (Gom.Value.t * tuple list) list
 (** Batched {!lookup}: serves the (deduplicated) keys in ascending

@@ -31,6 +31,8 @@ type t = {
   mutable rc_moved : int;  (* recluster progress: object moves applied *)
   mutable rc_planned : int;  (* ... out of this many planned *)
   mutable rc_active : bool;
+  mutable sub : (Gom.Store.t * Gom.Store.subscription) option;
+      (* the live heap's store listener; snapshots have none *)
 }
 
 let objects_per_page t ty = max 1 (t.config.Config.page_size / max 1 (t.size_of ty))
@@ -114,19 +116,26 @@ let create ?(config = Config.default) ?(pager = Pager.create ()) ~size_of store 
       rc_moved = 0;
       rc_planned = 0;
       rc_active = false;
+      sub = None;
     }
   in
   Gom.Store.fold_objects store ~init:() ~f:(fun () inst ->
       place t (Gom.Instance.ty inst) (Gom.Instance.oid inst));
-  let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe store (function
-      | Gom.Store.Created oid -> place t (Gom.Store.type_of store oid) oid
-      | Gom.Store.Deleted { obj = oid; _ } -> remove t oid
-      | Gom.Store.Attr_set _ | Gom.Store.Set_inserted _ | Gom.Store.Set_removed _ -> ())
-  in
+  t.sub <-
+    Some
+      ( store,
+        Gom.Store.subscribe store (function
+          | Gom.Store.Created oid -> place t (Gom.Store.type_of store oid) oid
+          | Gom.Store.Deleted { obj = oid; _ } -> remove t oid
+          | Gom.Store.Attr_set _ | Gom.Store.Set_inserted _ | Gom.Store.Set_removed _ -> ())
+      );
   t
 
-let snapshot t = { t with placements = t.placements; tracer = None }
+let close t =
+  Option.iter (fun (store, sub) -> Gom.Store.unsubscribe store sub) t.sub;
+  t.sub <- None
+
+let snapshot t = { t with placements = t.placements; tracer = None; sub = None }
 
 let config t = t.config
 

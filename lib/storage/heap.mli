@@ -32,6 +32,10 @@ val create :
     average object size per type (the paper's [size_i]); objects larger
     than a page span several consecutive pages. *)
 
+val close : t -> unit
+(** Unsubscribe from the store: objects created later get no pages.
+    Idempotent; a no-op on snapshots. *)
+
 val snapshot : t -> t
 (** O(1) frozen fork: shares the persistent placement/occupancy maps of
     the live heap at this instant and is not subscribed to any store, so

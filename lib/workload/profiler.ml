@@ -10,6 +10,7 @@ module Monitor = struct
     updates : (int, int) Hashtbl.t; (* position -> count *)
     mutable query_total : int;
     mutable update_total : int;
+    mutable sub : Gom.Store.subscription option;
   }
 
   let bump tbl key =
@@ -42,11 +43,13 @@ module Monitor = struct
         updates = Hashtbl.create 16;
         query_total = 0;
         update_total = 0;
+        sub = None;
       }
     in
     let schema = Gom.Store.schema store in
-    let (_ : Gom.Store.subscription) =
-      Gom.Store.subscribe store (fun ev ->
+    t.sub <-
+      Some
+        (Gom.Store.subscribe store (fun ev ->
         let hit positions =
           match positions with
           | [] -> ()
@@ -62,9 +65,12 @@ module Monitor = struct
           hit (set_positions_of schema path ~set_ty:(Gom.Store.type_of store set))
         | Gom.Store.Created _ | Gom.Store.Deleted _ | Gom.Store.Attr_set _
         | Gom.Store.Set_inserted _ | Gom.Store.Set_removed _ ->
-          ())
-    in
+          ()));
     t
+
+  let close t =
+    Option.iter (Gom.Store.unsubscribe t.store) t.sub;
+    t.sub <- None
 
   let record_query t kind ~i ~j =
     let n = Gom.Path.length t.path in

@@ -27,6 +27,9 @@ module Monitor : sig
   (** Subscribes to the store: every mutation hitting one of the path's
       attributes is counted as an update at its position. *)
 
+  val close : t -> unit
+  (** Unsubscribe: later mutations are no longer counted.  Idempotent. *)
+
   val record_query : t -> [ `Fw | `Bw ] -> i:int -> j:int -> unit
   (** Tell the monitor a query over positions [(i,j)] ran. *)
 

@@ -38,29 +38,11 @@ let agree a =
 
 let check_agree label a = check label true (agree a)
 
-(* The column index answers every probe as a filter of the logical
-   extension would, in the same order: every column, every value seen
-   anywhere in the extension (absent ones included), and NULL. *)
-let columns_agree a =
-  let ext = Core.Asr.extension_relation a in
-  let values =
-    V.Null
-    :: List.concat_map Array.to_list (Relation.to_list ext)
-    |> List.sort_uniq V.compare
-  in
-  List.for_all
-    (fun col ->
-      List.for_all
-        (fun v ->
-          Core.Asr.find_by_column a ~col v
-          = Relation.to_list (Relation.filter ext (fun tup -> V.equal tup.(col) v)))
-        values)
-    (List.init (Core.Asr.arity a) Fun.id)
-
-(* The trees, not only the logical extension: an exhaustive scrub finds
-   no missing or phantom projection, every projection carries exactly
-   its multiplicity in the extension, and both redundant trees of every
-   partition are well-formed and hold the same reference counts. *)
+(* The trees hold exactly the extension: an exhaustive scrub finds no
+   missing or phantom projection, every projection carries exactly its
+   multiplicity in a from-scratch recomputation, and both redundant
+   trees of every partition are well-formed and hold the same reference
+   counts. *)
 let trees_exact a =
   Integrity.Scrub.clean (Integrity.Scrub.run a)
   && List.for_all
@@ -73,7 +55,10 @@ let trees_exact a =
              let k = Relation.Tuple.to_string proj in
              let n = match Hashtbl.find_opt want k with Some (n, _) -> n | None -> 0 in
              Hashtbl.replace want k (n + 1, proj))
-           (Relation.to_list (Core.Asr.extension_relation a));
+           (Relation.to_list
+              (Core.Asr.restrict a
+                 (Core.Extension.compute (Core.Asr.store a) (Core.Asr.path a)
+                    (Core.Asr.kind a))));
          Core.Asr.check_partition a i = Ok ()
          && Hashtbl.fold
               (fun _ (n, proj) ok -> ok && Core.Asr.partition_refcount a i proj = n)
@@ -312,7 +297,7 @@ let prop_incremental_equals_scratch =
       for _ = 1 to 12 do
         if !ok then begin
           apply_random_op rng store path;
-          if not (agree a && trees_exact a && columns_agree a) then ok := false
+          if not (agree a && trees_exact a) then ok := false
         end
       done;
       !ok)
@@ -355,6 +340,254 @@ let test_soak () =
   done;
   List.iter (fun a -> check "soak final" true (agree a)) (a_short :: asrs)
 
+(* --- edge cases of edge-local deltas -------------------------------- *)
+
+(* Nodes that hold sets and lists of nodes (possibly shared, possibly
+   holding themselves, a list possibly holding one node twice), point to
+   a next node and end in elementary values, so that one event can
+   match two positions of a path, one set can have two holders, and a
+   path can end in an atomic attribute or a set of atomic values. *)
+let edge_schema () =
+  let module S = Gom.Schema in
+  let s = S.define_forward S.empty "Node" in
+  let s = S.define_forward s "NodeSet" in
+  let s = S.define_forward s "NodeList" in
+  let s = S.define_set s "TagSet" "STRING" in
+  let s =
+    S.define_tuple s "Node"
+      [
+        ("kids", "NodeSet"); ("line", "NodeList"); ("next", "Node"); ("label", "STRING");
+        ("tags", "TagSet");
+      ]
+  in
+  let s = S.define_list s "NodeList" "Node" in
+  S.define_set s "NodeSet" "Node"
+
+let edge_paths schema =
+  [
+    Gom.Path.make schema "Node" [ "kids"; "kids"; "label" ];
+    Gom.Path.make schema "Node" [ "next"; "kids"; "tags" ];
+    Gom.Path.make schema "Node" [ "next"; "next"; "label" ];
+    Gom.Path.make schema "Node" [ "line"; "line"; "label" ];
+  ]
+
+(* Every kind over every path, binary and split once after column 2,
+   maintained by one manager under [policy]; with [shards], as the
+   fragments of a 2-shard placement, both over the one store. *)
+let edge_rig ~policy ~shards store =
+  let heap = Storage.Heap.create ~size_of:(fun _ -> 100) store in
+  let mgr = M.create (E.make store heap) in
+  let config = Storage.Config.make ~page_size:256 () in
+  let owners =
+    if shards then
+      let p = Shard.Placement.make 2 in
+      [ Some (Shard.Placement.owner_pred p 0); Some (Shard.Placement.owner_pred p 1) ]
+    else [ None ]
+  in
+  let asrs =
+    List.concat_map
+      (fun path ->
+        let m = Gom.Path.arity path - 1 in
+        List.concat_map
+          (fun dec ->
+            List.concat_map
+              (fun kind ->
+                List.map
+                  (fun owner ->
+                    let a = Core.Asr.create ~config ?owner store path kind dec in
+                    M.register mgr a;
+                    a)
+                  owners)
+              Core.Extension.all)
+          [ D.binary ~m; D.make ~m [ 0; 2; m ] ])
+      (edge_paths (Gom.Store.schema store))
+  in
+  M.set_policy mgr policy;
+  (mgr, asrs)
+
+(* The stitched trees equal a from-scratch recomputation (restricted to
+   the fragment) and, where [exact], every partition's reference counts
+   equal the projection multiplicities (a scrub, which flushes). *)
+let edge_agree ~exact asrs =
+  List.for_all
+    (fun a ->
+      let truth =
+        Core.Asr.restrict a
+          (Core.Extension.compute (Core.Asr.store a) (Core.Asr.path a) (Core.Asr.kind a))
+      in
+      Relation.equal truth (Core.Asr.extension_relation a) && ((not exact) || trees_exact a))
+    asrs
+
+let edge_configs =
+  List.concat_map
+    (fun policy -> [ (policy, false); (policy, true) ])
+    [ M.Immediate; M.On_query ]
+
+let config_name (policy, shards) =
+  M.policy_to_string policy ^ if shards then ", 2 fragments" else ""
+
+let test_edge_cases () =
+  List.iter
+    (fun ((policy, shards) as cfg) ->
+      let store = Gom.Store.create (edge_schema ()) in
+      let node label =
+        let n = Gom.Store.new_object store "Node" in
+        Gom.Store.set_attr store n "label" (V.Str label);
+        n
+      in
+      let set elems =
+        let s = Gom.Store.new_object store "NodeSet" in
+        List.iter (fun e -> Gom.Store.insert_elem store s (V.Ref e)) elems;
+        s
+      in
+      let a = node "a" and b = node "b" and c = node "c" and d = node "d" and e = node "e" in
+      let s1 = set [ b; c ] and s2 = set [ d ] and s3 = set [] in
+      let tags = Gom.Store.new_object store "TagSet" in
+      Gom.Store.insert_elem store tags (V.Str "x");
+      let attr o k v = Gom.Store.set_attr store o k v in
+      let line = Gom.Store.new_object store "NodeList" in
+      Gom.Store.insert_elem store line (V.Ref b);
+      attr a "kids" (V.Ref s1);
+      (* b and c hold one set. *)
+      attr b "kids" (V.Ref s2);
+      attr c "kids" (V.Ref s2);
+      attr a "next" (V.Ref b);
+      attr b "next" (V.Ref c);
+      attr c "tags" (V.Ref tags);
+      let mgr, asrs = edge_rig ~policy ~shards store in
+      let steps =
+        [
+          ("insert into a set two holders share, at two positions", fun () ->
+            Gom.Store.insert_elem store s2 (V.Ref e));
+          ("insert closing a cycle", fun () -> Gom.Store.insert_elem store s2 (V.Ref a));
+          ("insert a node already reached", fun () -> Gom.Store.insert_elem store s1 (V.Ref d));
+          ("reassign a shared set to an empty one", fun () -> attr c "kids" (V.Ref s3));
+          ("first element of the empty set", fun () -> Gom.Store.insert_elem store s3 (V.Ref e));
+          ("set attribute to NULL", fun () -> attr c "kids" V.Null);
+          ("set attribute from NULL", fun () -> attr c "kids" (V.Ref s2));
+          ("rename an atomic end", fun () -> attr d "label" (V.Str "dd"));
+          ("atomic end to NULL", fun () -> attr d "label" V.Null);
+          ("atomic end from NULL", fun () -> attr d "label" (V.Str "d"));
+          ("insert into a set of atomic values", fun () ->
+            Gom.Store.insert_elem store tags (V.Str "y"));
+          ("atomic set to NULL", fun () -> attr c "tags" V.Null);
+          ("atomic set from NULL", fun () -> attr c "tags" (V.Ref tags));
+          ("remove from a set of atomic values", fun () ->
+            Gom.Store.remove_elem store tags (V.Str "x"));
+          ("attach a list", fun () -> attr a "line" (V.Ref line));
+          ("append to a list", fun () -> Gom.Store.insert_elem store line (V.Ref d));
+          ("append an element a list holds", fun () -> Gom.Store.insert_elem store line (V.Ref d));
+          ("list holding its holder", fun () ->
+            attr b "line" (V.Ref line);
+            Gom.Store.insert_elem store line (V.Ref a));
+          ("remove an element a list holds twice", fun () ->
+            Gom.Store.remove_elem store line (V.Ref d));
+          ("repoint next into a cycle", fun () -> attr c "next" (V.Ref a));
+          ("single-valued self-loop", fun () -> attr e "next" (V.Ref e));
+          ("next to NULL", fun () -> attr b "next" V.Null);
+          ("set holding its holder", fun () ->
+            attr e "kids" (V.Ref s3);
+            Gom.Store.insert_elem store s3 (V.Ref d));
+          ("remove from a shared set", fun () -> Gom.Store.remove_elem store s2 (V.Ref e));
+          ("remove the cycle", fun () -> Gom.Store.remove_elem store s2 (V.Ref a));
+          ("empty a shared set", fun () -> Gom.Store.remove_elem store s2 (V.Ref d));
+          ("delete a held set", fun () -> Gom.Store.delete store s1);
+          ("delete a holder", fun () -> Gom.Store.delete store b);
+          ("delete a target", fun () -> Gom.Store.delete store d);
+          ("delete a self-referencing node", fun () -> Gom.Store.delete store e);
+        ]
+      in
+      List.iteri
+        (fun k (name, mutate) ->
+          mutate ();
+          let exact = policy = M.Immediate || k mod 4 = 3 in
+          check (Printf.sprintf "%s: %s" (config_name cfg) name) true (edge_agree ~exact asrs))
+        steps;
+      ignore (M.flush_all mgr);
+      check (config_name cfg ^ ": flushed trees exact") true (edge_agree ~exact:true asrs))
+    edge_configs
+
+(* The same schema under seeded random streams: reassignments between
+   existing and fresh sets, shared sets, inserts, removals, atomic ends
+   and deletes of holders, sets and targets. *)
+let apply_edge_op rng store =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let nodes = Gom.Store.extent store "Node" in
+  let sets = Gom.Store.extent store "NodeSet" in
+  let tag_sets = Gom.Store.extent store "TagSet" in
+  let lines = Gom.Store.extent store "NodeList" in
+  let tag () = V.Str (pick [ "x"; "y"; "z" ]) in
+  let n = pick nodes in
+  match Random.State.int rng 15 with
+  | 0 | 1 when sets <> [] -> Gom.Store.insert_elem store (pick sets) (V.Ref (pick nodes))
+  | 2 when sets <> [] -> (
+    let s = pick sets in
+    match Gom.Store.elements store s with
+    | [] -> ()
+    | es -> Gom.Store.remove_elem store s (pick es))
+  | 3 ->
+    let v =
+      match Random.State.int rng 3 with
+      | 0 -> V.Null
+      | 1 when sets <> [] -> V.Ref (pick sets)
+      | _ -> V.Ref (Gom.Store.new_object store "NodeSet")
+    in
+    Gom.Store.set_attr store n "kids" v
+  | 4 -> Gom.Store.set_attr store n "next" (if Random.State.int rng 4 = 0 then V.Null else V.Ref (pick nodes))
+  | 5 -> Gom.Store.set_attr store n "label" (if Random.State.int rng 4 = 0 then V.Null else tag ())
+  | 6 when tag_sets <> [] ->
+    let ts = pick tag_sets in
+    if Random.State.bool rng then Gom.Store.insert_elem store ts (tag ())
+    else Gom.Store.remove_elem store ts (tag ())
+  | 7 ->
+    let v =
+      if tag_sets = [] || Random.State.bool rng then V.Ref (Gom.Store.new_object store "TagSet")
+      else V.Ref (pick tag_sets)
+    in
+    Gom.Store.set_attr store n "tags" (if Random.State.int rng 4 = 0 then V.Null else v)
+  | 8 -> if List.length nodes > 2 then Gom.Store.delete store n
+  | 9 when sets <> [] -> Gom.Store.delete store (pick sets)
+  | 10 -> Gom.Store.set_attr store (Gom.Store.new_object store "Node") "next" (V.Ref n)
+  | 11 when lines <> [] -> Gom.Store.insert_elem store (pick lines) (V.Ref (pick nodes))
+  | 12 when lines <> [] -> (
+    let l = pick lines in
+    match Gom.Store.elements store l with
+    | [] -> ()
+    | es -> Gom.Store.remove_elem store l (pick es))
+  | 13 ->
+    let v =
+      if lines = [] || Random.State.bool rng then V.Ref (Gom.Store.new_object store "NodeList")
+      else V.Ref (pick lines)
+    in
+    Gom.Store.set_attr store n "line" (if Random.State.int rng 4 = 0 then V.Null else v)
+  | _ -> if tag_sets <> [] then Gom.Store.delete store (pick tag_sets)
+
+let prop_edge_streams =
+  QCheck.Test.make
+    ~name:"edge-local deltas = scratch on recursive paths (random streams)"
+    ~count:(Qc.iters_env "ASR_EDGE_COUNT" 20)
+    QCheck.(pair (int_bound (List.length edge_configs - 1)) (int_bound 100000))
+    (fun (cfg, seed) ->
+      let policy, shards = List.nth edge_configs cfg in
+      let rng = Random.State.make [| seed |] in
+      let store = Gom.Store.create (edge_schema ()) in
+      for _ = 1 to 5 do
+        ignore (Gom.Store.new_object store "Node")
+      done;
+      for _ = 1 to 12 do
+        apply_edge_op rng store
+      done;
+      let mgr, asrs = edge_rig ~policy ~shards store in
+      let ok = ref true in
+      for k = 1 to 16 do
+        if !ok then begin
+          apply_edge_op rng store;
+          if not (edge_agree ~exact:(policy = M.Immediate || k mod 4 = 0) asrs) then ok := false
+        end
+      done;
+      ignore (M.flush_all mgr);
+      !ok && edge_agree ~exact:true asrs)
+
 let suite =
   [
     Alcotest.test_case "set insert" `Quick test_set_insert;
@@ -368,4 +601,7 @@ let suite =
     Alcotest.test_case "one event writes only its difference" `Quick
       test_event_writes_only_difference;
     Qc.to_alcotest prop_incremental_equals_scratch;
+    Alcotest.test_case "edge cases: shared sets, recursion, reassignment, deletes" `Quick
+      test_edge_cases;
+    Qc.to_alcotest prop_edge_streams;
   ]

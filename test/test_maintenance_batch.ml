@@ -374,6 +374,14 @@ let prop_deferred_equals_immediate =
                 if !ok then begin
                   Test_maintenance.apply_random_op rng_i store_i path_i;
                   Test_maintenance.apply_random_op rng_d store_d path_d;
+                  (* The deferred relation, stitched through its pending
+                     deltas, is the extension at every step. *)
+                  if
+                    not
+                      (Relation.equal
+                         (Core.Asr.extension_relation a_d)
+                         (Core.Extension.compute store_d path_d kind))
+                  then ok := false;
                   if step mod 3 = 0 then begin
                     let sources =
                       Gom.Store.extent ~deep:true store_i (Gom.Path.type_at path_i 0)
@@ -389,10 +397,15 @@ let prop_deferred_equals_immediate =
                 end
               done;
               (* Final: drain and the physical partitions must equal
-                 the immediate twin's, tuple for tuple. *)
+                 the immediate twin's, tuple for tuple, and both must
+                 hold the extension with exact reference counts. *)
               ignore (M.flush_all mgr_d);
               !ok
               && M.pending mgr_d = 0
+              && Test_maintenance.agree a_i
+              && Test_maintenance.agree a_d
+              && Test_maintenance.trees_exact a_i
+              && Test_maintenance.trees_exact a_d
               && Relation.equal
                    (Core.Asr.extension_relation a_i)
                    (Core.Asr.extension_relation a_d)

@@ -674,9 +674,103 @@ let prop_replica_equals_primary =
               assert_counters_balanced "property" stats;
               R.Replica.lag_bytes replica = 0)))
 
+(* Every component that subscribes to a store detaches when closed:
+   built and closed one by one over one base, each must leave the
+   store's listener count where it found it.  A replica's listeners sit
+   on its own store, which it must leave with none. *)
+let test_close_restores_listener_count () =
+  with_dirs (fun pdir rdir ->
+      let b = C.base () in
+      let store = b.C.store in
+      let path = C.name_path store in
+      let m = Gom.Path.arity path - 1 in
+      let baseline = Gom.Store.listener_count store in
+      let closes name open_ =
+        let close = open_ () in
+        check (name ^ " subscribes") true (Gom.Store.listener_count store > baseline);
+        close ();
+        check_int (name ^ " closed: listener count restored") baseline
+          (Gom.Store.listener_count store)
+      in
+      let heap () = Storage.Heap.create ~size_of:(fun _ -> 100) store in
+      let specs =
+        [
+          {
+            Parallel.Snapshot.sp_path = path;
+            sp_kind = Core.Extension.Full;
+            sp_decomposition = Core.Decomposition.binary ~m;
+          };
+        ]
+      in
+      closes "heap" (fun () ->
+          let h = heap () in
+          fun () -> Storage.Heap.close h);
+      closes "engine" (fun () ->
+          let h = heap () in
+          let e = Engine.create (Core.Exec.make store h) in
+          fun () ->
+            Engine.close e;
+            Storage.Heap.close h);
+      closes "maintenance" (fun () ->
+          let h = heap () in
+          let mgr = Core.Maintenance.create (Core.Exec.make store h) in
+          fun () ->
+            Core.Maintenance.close mgr;
+            Storage.Heap.close h);
+      closes "profiler monitor" (fun () ->
+          let mon = Workload.Profiler.Monitor.create store path in
+          fun () -> Workload.Profiler.Monitor.close mon);
+      closes "snapshot source" (fun () ->
+          let src = Parallel.Snapshot.source ~specs store in
+          ignore (Parallel.Snapshot.advance src);
+          fun () -> Parallel.Snapshot.close_source src);
+      closes "server" (fun () ->
+          let server = Parallel.Server.create ~jobs:2 ~specs store in
+          fun () -> Parallel.Server.shutdown server);
+      closes "shard group" (fun () ->
+          let g = Shard.Group.create ~placement:(Shard.Placement.make 2) store in
+          Shard.Group.register g ~path ~kind:Core.Extension.Full
+            ~dec:(Core.Decomposition.binary ~m);
+          fun () -> Shard.Group.close g);
+      closes "transaction" (fun () ->
+          let txn = Gom.Txn.start store in
+          fun () -> Gom.Txn.commit txn);
+      closes "repair" (fun () ->
+          let h = heap () in
+          let mgr = Core.Maintenance.create (Core.Exec.make store h) in
+          let a = Core.Asr.create store path Core.Extension.Full (Core.Decomposition.binary ~m) in
+          Core.Maintenance.register mgr a;
+          let job =
+            Integrity.Repair.start ~registry:(Integrity.Quarantine.create ())
+              ~maintenance:mgr a
+          in
+          fun () ->
+            Integrity.Repair.abort job;
+            Core.Maintenance.close mgr;
+            Storage.Heap.close h);
+      closes "durable base" (fun () ->
+          let db = Db.create ~dir:pdir store in
+          ignore (Db.register_asr db ~path:name_path_spec ~kind:Core.Extension.Full ());
+          fun () -> Db.close db);
+      let qdir = fresh_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf qdir)
+        (fun () ->
+          let rig = make_rig qdir rdir in
+          churn_round rig.g_db rig.g_base 1;
+          ignore (R.Session.drain rig.g_session);
+          let rstore = R.Replica.store rig.g_replica in
+          check "replica subscribes" true (Gom.Store.listener_count rstore > 0);
+          close_rig rig;
+          check_int "replica closed: its store has no listener" 0
+            (Gom.Store.listener_count rstore)))
+
 let suite =
   [
     ("catch-up replicates and stays in sync", `Quick, test_catch_up);
+    ( "closing every subscriber restores the listener count",
+      `Quick,
+      test_close_restores_listener_count );
     ( "incremental scanner = batch scan (byte-at-a-time)",
       `Quick,
       test_scanner_incremental_equals_scan );

@@ -173,6 +173,37 @@ let test_shared_maintenance () =
   let sup = Core.Exec.backward_supported (Core.Exec.make store heap) a1 ~i:0 ~j:3 ~target:(V.Str "Door") in
   check "a1 lookups survive" true (nav = sup)
 
+(* A relation stitched from partitions it shares holds only its own
+   tuples.  A product without composition, made by the division, leaves
+   a lone product in the shared Product.Composition partition: the long
+   path reaches it, the short one (which starts at products) does not
+   store it, and NULL-equality stitching would glue it to the shared
+   all-NULL tails. *)
+let test_stitched_sharers () =
+  let store, div_path, _, division, _, door, _ = extended_base () in
+  let short = Gom.Path.make (Gom.Store.schema store) "Product" [ "Composition"; "Name" ] in
+  let pool = A.make_pool store in
+  let a_long = A.create ~pool store div_path X.Full (D.binary ~m:5) in
+  let a_short = A.create ~pool store short X.Full (D.binary ~m:3) in
+  check "the tail is shared" true (A.shared_partition_count a_short > 0);
+  let mgr =
+    Core.Maintenance.create
+      (Core.Exec.make store (Storage.Heap.create ~size_of:(fun _ -> 100) store))
+  in
+  Core.Maintenance.register mgr a_long;
+  Core.Maintenance.register mgr a_short;
+  let trak = Gom.Store.new_object store "Product" in
+  let prods = V.oid_exn (Gom.Store.get_attr store division "Manufactures") in
+  Gom.Store.insert_elem store prods (V.Ref trak);
+  check "long path holds the lone product" true (agree a_long);
+  check "short path stitches only its own tuples" true (agree a_short);
+  Gom.Store.set_attr store trak "Composition"
+    (V.Ref (Gom.Store.new_object store "BasePartSET"));
+  Gom.Store.insert_elem store
+    (V.oid_exn (Gom.Store.get_attr store trak "Composition"))
+    (V.Ref door);
+  check "both follow the new composition" true (agree a_long && agree a_short)
+
 let test_refresh_preserves_sharers () =
   let store, div_path, fac_path, _, _, _, _ = extended_base () in
   let pool = A.make_pool store in
@@ -276,5 +307,6 @@ let suite =
     Alcotest.test_case "sharing saves pages" `Quick test_pool_saves_pages;
     Alcotest.test_case "maintenance through shared partitions" `Quick test_shared_maintenance;
     Alcotest.test_case "refresh preserves sharers" `Quick test_refresh_preserves_sharers;
+    Alcotest.test_case "stitched sharers keep their own tuples" `Quick test_stitched_sharers;
     Alcotest.test_case "pool bound to one store" `Quick test_pool_rejects_foreign_store;
   ]
