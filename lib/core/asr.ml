@@ -1,18 +1,12 @@
-type trees = {
-  fwd : Storage.Bptree.t;
-  bwd : Storage.Bptree.t;
-  skey : string option; (* shared-segment key, when pooled *)
-}
-
-type part = { lo : int; hi : int; trees : trees }
-
-(* One write-behind buffer per partition: the net signed refcount delta
-   of each projected tuple.  A delta whose net reaches zero annihilates —
-   the insert/delete pair never touches a page.  One buffer serves both
-   redundant trees of the partition (they hold the same projection
-   multiset).  Entries are also reachable by their first and last
-   column, so a maintenance read of one key finds that key's pending
-   deltas without scanning the buffer. *)
+(* One write-behind buffer per pair of trees: the net signed refcount
+   delta of each projected tuple.  A delta whose net reaches zero
+   annihilates — the insert/delete pair never touches a page.  One
+   buffer serves both redundant trees (they hold the same projection
+   multiset), and every relation sharing them from a pool, so the trees
+   plus the buffer always count every sharer's references.  Entries are
+   also reachable by their first and last column, so a maintenance read
+   of one key finds that key's pending deltas without scanning the
+   buffer. *)
 module Vtbl = Hashtbl.Make (Gom.Value)
 
 module Ttbl = Hashtbl.Make (struct
@@ -29,6 +23,15 @@ type buffer = {
   by_first : entry list Vtbl.t;
   by_last : entry list Vtbl.t;
 }
+
+type trees = {
+  fwd : Storage.Bptree.t;
+  bwd : Storage.Bptree.t;
+  skey : string option; (* shared-segment key, when pooled *)
+  pending : buffer;
+}
+
+type part = { lo : int; hi : int; trees : trees }
 
 (* Epoch gate over the mutable B+ trees.  Snapshot readers on other
    domains pin [version] at publication and run tree probes inside an
@@ -56,19 +59,19 @@ type t = {
          the extension tuples the predicate owns (horizontal sharding) *)
   parts : part array;
   mutable deferred : bool;
-  pending : buffer array;  (* same length as [parts] *)
-  mutable pending_total : int;  (* net deltas across all buffers *)
   gate : gate;
+  pool : pool option;
 }
 
-let next_id = ref 0
-
-type pool = {
+and pool = {
   pool_store : Gom.Store.t;
   pool_config : Storage.Config.t;
   pool_pager : Storage.Pager.t;
   mutable segments : (string * trees) list;
+  mutable members : t list;  (* every relation created against the pool *)
 }
+
+let next_id = ref 0
 
 let id t = t.id
 let seg t = "asr" ^ string_of_int t.id
@@ -114,7 +117,13 @@ let project_tuple tup (lo, hi) = Relation.Tuple.project tup (cols (lo, hi))
 
 let make_pool ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ()) store
     =
-  { pool_store = store; pool_config = config; pool_pager = pager; segments = [] }
+  {
+    pool_store = store;
+    pool_config = config;
+    pool_pager = pager;
+    segments = [];
+    members = [];
+  }
 
 (* The content of a partition over columns [lo..hi] is determined by the
    path steps whose auxiliary relations contribute the adjacent column
@@ -161,10 +170,13 @@ let segment_key path kind ~lo ~hi =
 
 (* ------------------------------------------------------------------ *)
 
-let insert_projection trees tup (lo, hi) =
-  let proj = project_tuple tup (lo, hi) in
-  Storage.Bptree.insert trees.fwd proj;
-  Storage.Bptree.insert trees.bwd proj
+(* Move a projection's reference count by [d] in both redundant trees. *)
+let adjust ?stats trees proj d =
+  let op = if d > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
+  for _ = 1 to abs d do
+    op ?stats trees.fwd proj;
+    op ?stats trees.bwd proj
+  done
 
 let fresh_trees ~config ~pager ~width ~skey =
   let tuple_bytes = width * config.Storage.Config.oid_size in
@@ -174,6 +186,8 @@ let fresh_trees ~config ~pager ~width ~skey =
       Storage.Bptree.create ~config ~pager ~tuple_bytes ~key_of:(fun tup ->
           tup.(width - 1));
     skey;
+    pending =
+      { entries = Ttbl.create 64; by_first = Vtbl.create 16; by_last = Vtbl.create 16 };
   }
 
 let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ()) ?pool
@@ -207,7 +221,7 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
     | Some trees ->
       (* Contribute this extension's projections on top of the sharing
          relation's: reference counts keep co-maintenance exact. *)
-      List.iter (fun tup -> insert_projection trees tup (lo, hi)) tuples;
+      List.iter (fun tup -> adjust trees (project_tuple tup (lo, hi)) 1) tuples;
       { lo; hi; trees }
     | None ->
       let trees = fresh_trees ~config ~pager ~width ~skey in
@@ -222,24 +236,25 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
   let parts = Array.of_list (List.map mk_part (Decomposition.partitions dec)) in
   let id = !next_id in
   incr next_id;
-  {
-    id;
-    store;
-    path;
-    kind;
-    dec;
-    config;
-    pager;
-    owner;
-    parts;
-    deferred = false;
-    pending =
-      Array.init (Array.length parts) (fun _ ->
-          { entries = Ttbl.create 64; by_first = Vtbl.create 16; by_last = Vtbl.create 16 });
-    pending_total = 0;
-    gate =
-      { closed = Atomic.make false; readers = Atomic.make 0; version = Atomic.make 0 };
-  }
+  let t =
+    {
+      id;
+      store;
+      path;
+      kind;
+      dec;
+      config;
+      pager;
+      owner;
+      parts;
+      deferred = false;
+      gate =
+        { closed = Atomic.make false; readers = Atomic.make 0; version = Atomic.make 0 };
+      pool;
+    }
+  in
+  Option.iter (fun p -> p.members <- t :: p.members) pool;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Tree epoch gate                                                     *)
@@ -280,16 +295,25 @@ let with_sealed t f =
 
 let deferred t = t.deferred
 let set_deferred t flag = t.deferred <- flag
-let pending_deltas t = t.pending_total
+
+(* Folds over the relation's distinct trees: two of its partitions may
+   share one pool segment. *)
+let fold_trees f acc t =
+  let acc = ref acc in
+  Array.iteri
+    (fun i p ->
+      let rec seen k = k < i && (t.parts.(k).trees == p.trees || seen (k + 1)) in
+      if not (seen 0) then acc := f !acc p.trees)
+    t.parts;
+  !acc
+
+let pending_deltas t = fold_trees (fun acc tr -> acc + Ttbl.length tr.pending.entries) 0 t
 
 let pending_bytes t =
-  let total = ref 0 in
-  Array.iteri
-    (fun i buf ->
-      let bytes = Storage.Bptree.tuple_bytes t.parts.(i).trees.fwd in
-      total := !total + (Ttbl.length buf.entries * bytes))
-    t.pending;
-  !total
+  fold_trees
+    (fun acc tr ->
+      acc + (Ttbl.length tr.pending.entries * Storage.Bptree.tuple_bytes tr.fwd))
+    0 t
 
 let index_add tbl key e =
   Vtbl.replace tbl key (e :: Option.value ~default:[] (Vtbl.find_opt tbl key))
@@ -302,8 +326,7 @@ let index_remove tbl key e =
     | es -> Vtbl.replace tbl key es)
   | None -> ()
 
-let buffer_delta ?stats t pi proj d =
-  let buf = t.pending.(pi) in
+let buffer_delta ?stats buf proj d =
   let last = Array.length proj - 1 in
   (match stats with Some st -> Storage.Stats.(incr st Deltas_buffered) | None -> ());
   match Ttbl.find_opt buf.entries proj with
@@ -311,37 +334,36 @@ let buffer_delta ?stats t pi proj d =
     let e = { proj; net = d } in
     Ttbl.replace buf.entries proj e;
     index_add buf.by_first proj.(0) e;
-    index_add buf.by_last proj.(last) e;
-    t.pending_total <- t.pending_total + 1
+    index_add buf.by_last proj.(last) e
   | Some e ->
     e.net <- e.net + d;
     if e.net = 0 then begin
       Ttbl.remove buf.entries proj;
       index_remove buf.by_first proj.(0) e;
       index_remove buf.by_last proj.(last) e;
-      t.pending_total <- t.pending_total - 1;
       match stats with Some st -> Storage.Stats.(incr st Deltas_annihilated) | None -> ()
     end
     else
       match stats with Some st -> Storage.Stats.(incr st Deltas_merged) | None -> ()
 
+(* Drains the buffers of every tree this relation reads, co-sharers'
+   deltas included: they are owed to the same trees. *)
 let flush_unlocked ?stats t =
   let flushed = ref 0 in
-  Array.iteri
-    (fun pi buf ->
+  fold_trees
+    (fun () tr ->
+      let buf = tr.pending in
       if Ttbl.length buf.entries > 0 then begin
         let deltas = Ttbl.fold (fun _ e acc -> (e.proj, e.net) :: acc) buf.entries [] in
         Ttbl.reset buf.entries;
         Vtbl.reset buf.by_first;
         Vtbl.reset buf.by_last;
         flushed := !flushed + List.length deltas;
-        let p = t.parts.(pi) in
         in_seg ?stats t (fun () ->
-            Storage.Bptree.apply_many ?stats p.trees.fwd deltas;
-            Storage.Bptree.apply_many ?stats p.trees.bwd deltas)
+            Storage.Bptree.apply_many ?stats tr.fwd deltas;
+            Storage.Bptree.apply_many ?stats tr.bwd deltas)
       end)
-    t.pending;
-  t.pending_total <- 0;
+    () t;
   (match stats with
   | Some st when !flushed > 0 -> Storage.Stats.(add st Deltas_flushed !flushed)
   | _ -> ());
@@ -350,7 +372,7 @@ let flush_unlocked ?stats t =
 (* Empty buffers leave the gate untouched: the tree version survives, so
    snapshot pins on untouched relations keep their fast path. *)
 let flush ?stats t =
-  if t.pending_total = 0 then 0 else with_sealed t (fun () -> flush_unlocked ?stats t)
+  if pending_deltas t = 0 then 0 else with_sealed t (fun () -> flush_unlocked ?stats t)
 
 let partition_relation t i =
   let p = t.parts.(i) in
@@ -381,9 +403,10 @@ let scan_partition ?stats t i =
    the projections whose tree count plus net delta stays positive, in
    tuple order. *)
 let overlay t pi pending rows =
+  let trees = t.parts.(pi).trees in
   let count proj =
-    Storage.Bptree.refcount t.parts.(pi).trees.fwd proj
-    + match Ttbl.find_opt t.pending.(pi).entries proj with Some e -> e.net | None -> 0
+    Storage.Bptree.refcount trees.fwd proj
+    + match Ttbl.find_opt trees.pending.entries proj with Some e -> e.net | None -> 0
   in
   List.filter
     (fun proj -> count proj > 0)
@@ -391,14 +414,14 @@ let overlay t pi pending rows =
 
 let probe ?stats t i ~fwd key =
   let rows = (if fwd then lookup_fwd else lookup_bwd) ?stats t i key in
-  let buf = t.pending.(i) in
+  let buf = t.parts.(i).trees.pending in
   match Vtbl.find_opt (if fwd then buf.by_first else buf.by_last) key with
   | None -> rows
   | Some pending -> overlay t i pending rows
 
 let probe_scan ?stats t i =
   let rows = scan_partition ?stats t i in
-  let entries = t.pending.(i).entries in
+  let entries = t.parts.(i).trees.pending.entries in
   if Ttbl.length entries = 0 then rows
   else overlay t i (Ttbl.fold (fun _ e acc -> e :: acc) entries []) rows
 
@@ -415,26 +438,6 @@ let extension_relation t =
   restrict t (Relation.filter (Relation.reconstruct parts) Relation.Tuple.has_edge)
 
 let cardinal t = Relation.cardinal (extension_relation t)
-
-let refresh t =
-  (* Retract this relation's contributions (leaving co-sharers intact),
-     then re-add from a fresh computation.  Pending deltas must reach
-     the trees first, or the retraction below would decrement tuples the
-     buffers still owe (robbing a co-sharer in a pooled segment). *)
-  with_sealed t (fun () ->
-      ignore (flush_unlocked t);
-      let stale = Relation.to_list (extension_relation t) in
-      let fresh = Relation.to_list (restrict t (Extension.compute t.store t.path t.kind)) in
-      Array.iter
-        (fun p ->
-          List.iter
-            (fun tup ->
-              let proj = project_tuple tup (p.lo, p.hi) in
-              Storage.Bptree.remove p.trees.fwd proj;
-              Storage.Bptree.remove p.trees.bwd proj)
-            stale;
-          List.iter (fun tup -> insert_projection p.trees tup (p.lo, p.hi)) fresh)
-        t.parts)
 
 (* Write one partition's share of a difference, netting its projection
    deltas first: two extension tuples that differ only outside the
@@ -455,11 +458,7 @@ let write_partition ?stats p ~remove ~add =
     match Ttbl.find_opt net proj with
     | Some d when d * sign > 0 ->
       Ttbl.remove net proj;
-      let op = if d > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
-      for _ = 1 to abs d do
-        op ?stats p.trees.fwd proj;
-        op ?stats p.trees.bwd proj
-      done
+      adjust ?stats p.trees proj d
     | _ -> ()
   in
   List.iter (write (-1)) removed;
@@ -479,9 +478,11 @@ let apply_delta ?stats t ~remove ~add =
   let remove = List.filter mine remove and add = List.filter mine add in
   if remove <> [] || add <> [] then begin
     if t.deferred then
-      Array.iteri
-        (fun pi p ->
-          let buffer d tup = buffer_delta ?stats t pi (project_tuple tup (p.lo, p.hi)) d in
+      Array.iter
+        (fun p ->
+          let buffer d tup =
+            buffer_delta ?stats p.trees.pending (project_tuple tup (p.lo, p.hi)) d
+          in
           List.iter (buffer (-1)) remove;
           List.iter (buffer 1) add)
         t.parts
@@ -491,13 +492,6 @@ let apply_delta ?stats t ~remove ~add =
               Array.iter (fun p -> write_partition ?stats p ~remove ~add) t.parts))
   end;
   List.length remove + List.length add
-
-let insert_tuple ?stats t tup =
-  (not (Relation.mem (extension_relation t) tup))
-  && apply_delta ?stats t ~remove:[] ~add:[ tup ] = 1
-
-let remove_tuple ?stats t tup =
-  Relation.mem (extension_relation t) tup && apply_delta ?stats t ~remove:[ tup ] ~add:[] = 1
 
 let supports t ~i ~j =
   Extension.supports t.kind ~n:(Gom.Path.length t.path) ~i ~j
@@ -545,13 +539,7 @@ let damage_partition t i ds =
           let proj = match d with Drop proj | Phantom proj -> proj in
           if Array.length proj <> width then
             invalid_arg "Asr.damage_partition: projection width mismatch";
-          match d with
-          | Drop proj ->
-            Storage.Bptree.remove p.trees.fwd proj;
-            Storage.Bptree.remove p.trees.bwd proj
-          | Phantom proj ->
-            Storage.Bptree.insert p.trees.fwd proj;
-            Storage.Bptree.insert p.trees.bwd proj)
+          adjust p.trees proj (match d with Drop _ -> -1 | Phantom _ -> 1))
         ds)
 
 let patch_partition_unlocked ?stats t i =
@@ -559,37 +547,49 @@ let patch_partition_unlocked ?stats t i =
      pending work would read as divergence and later double-apply. *)
   ignore (flush_unlocked ?stats t);
   let p = t.parts.(i) in
-  (* Target multiset: the projections of a fresh computation, with
+  (* Target multiset: the projections of a fresh computation of every
+     relation holding these trees (a pool segment counts each sharer's
+     references, possibly from several of its partitions), with
      multiplicities; every projection present now is a candidate too. *)
   let want = Ttbl.create 64 in
+  let sharers =
+    match t.pool with Some pool when p.trees.skey <> None -> pool.members | _ -> [ t ]
+  in
   List.iter
-    (fun tup ->
-      let proj = project_tuple tup (p.lo, p.hi) in
-      Ttbl.replace want proj (1 + Option.value ~default:0 (Ttbl.find_opt want proj)))
-    (Relation.to_list (restrict t (Extension.compute t.store t.path t.kind)));
+    (fun m ->
+      let truth =
+        lazy (Relation.to_list (restrict m (Extension.compute m.store m.path m.kind)))
+      in
+      Array.iter
+        (fun q ->
+          if q.trees == p.trees then
+            List.iter
+              (fun tup ->
+                let proj = project_tuple tup (q.lo, q.hi) in
+                let n = Option.value ~default:0 (Ttbl.find_opt want proj) in
+                Ttbl.replace want proj (n + 1))
+              (Lazy.force truth))
+        m.parts)
+    sharers;
   List.iter
     (fun proj -> if not (Ttbl.mem want proj) then Ttbl.replace want proj 0)
     (Storage.Bptree.scan p.trees.fwd);
   Ttbl.fold
     (fun proj n fixes ->
-      let have = Storage.Bptree.refcount p.trees.fwd proj in
-      (* A shared tree also carries its co-sharers' references: restore
-         missing presence, never retract. *)
-      let delta = if p.trees.skey <> None then max 0 (n - have) else n - have in
+      let delta = n - Storage.Bptree.refcount p.trees.fwd proj in
       if delta = 0 then fixes
       else begin
-        let op = if delta > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
-        in_seg ?stats t (fun () ->
-            for _ = 1 to abs delta do
-              op ?stats p.trees.fwd proj;
-              op ?stats p.trees.bwd proj
-            done);
+        in_seg ?stats t (fun () -> adjust ?stats p.trees proj delta);
         fixes + 1
       end)
     want 0
 
 let patch_partition ?stats t i =
   with_sealed t (fun () -> patch_partition_unlocked ?stats t i)
+
+let refresh t =
+  with_sealed t (fun () ->
+      Array.iteri (fun i _ -> ignore (patch_partition_unlocked t i : int)) t.parts)
 
 type part_geometry = {
   lo : int;

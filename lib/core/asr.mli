@@ -21,8 +21,12 @@ type pool
     spans are generated by identical step sequences — always for full
     extensions, for complete prefixes of left-complete ones and complete
     suffixes of right-complete ones.  Relations created against the same
-    pool reuse each other's partition B+ trees; reference counts keep
-    concurrent maintenance of the sharers exact. *)
+    pool reuse each other's partition B+ trees, and their deferred
+    write-behind buffer; reference counts keep concurrent maintenance of
+    the sharers exact.  A shared tree's contents are therefore not one
+    sharer's state, so maintenance of a relation with a shared partition
+    walks the object graph instead of reading its trees
+    ({!Maintenance}). *)
 
 val make_pool :
   ?config:Storage.Config.t -> ?pager:Storage.Pager.t -> Gom.Store.t -> pool
@@ -57,7 +61,7 @@ val create :
 
     With [?owner], the relation is a {e horizontal fragment}: only the
     extension tuples the predicate accepts are materialised, and
-    {!insert_tuple} silently rejects tuples outside the fragment.  The
+    {!apply_delta} silently drops tuples outside the fragment.  The
     placement layer ([lib/shard]) gives each shard the predicate
     selecting its owned tuples; the fragments partition the full
     extension, so per-shard answers union to the unsharded answer
@@ -161,17 +165,6 @@ val probe :
 
 val probe_scan : ?stats:Storage.Stats.t -> t -> int -> Relation.Tuple.t list
 
-val insert_tuple : ?stats:Storage.Stats.t -> t -> Relation.Tuple.t -> bool
-(** Add a full-width extension tuple; updates every partition's two
-    trees.  Returns [false] (and charges nothing) if
-    {!extension_relation} already holds it or the placement predicate
-    rejects it.  Stitches the whole relation to check: for tools and
-    tests. *)
-
-val remove_tuple : ?stats:Storage.Stats.t -> t -> Relation.Tuple.t -> bool
-(** Retract a tuple {!extension_relation} holds; [false] (charging
-    nothing) otherwise. *)
-
 val apply_delta :
   ?stats:Storage.Stats.t ->
   t ->
@@ -195,9 +188,11 @@ val supports : t -> i:int -> j:int -> bool
 (** {2 Deferred maintenance}
 
     In {e deferred} mode, {!apply_delta}'s tree writes are parked in
-    per-partition write-behind buffers holding one {e net} signed
-    reference-count delta per projected tuple; maintenance reads the
-    relation through the trees overlaid with these buffers ({!probe}).
+    write-behind buffers holding one {e net} signed reference-count
+    delta per projected tuple, one buffer per pair of trees (so the
+    relations sharing a pool segment share its buffer too); the relation
+    is read through the trees overlaid with these buffers ({!probe},
+    {!extension_relation}).
     Buffering merges deltas on the same projection and {e annihilates}
     pairs whose net reaches zero — an insert followed by a delete of the
     same projection never touches a page.  {!flush} drains the buffers through
@@ -211,14 +206,16 @@ val set_deferred : t -> bool -> unit
     manager's policy switch does). *)
 
 val pending_deltas : t -> int
-(** Net buffered deltas across all partitions (0 = trees are fresh). *)
+(** Net buffered deltas across all partitions' buffers, a pool's
+    co-sharers' included (0 = trees are fresh). *)
 
 val pending_bytes : t -> int
 (** Buffered volume in stored-tuple bytes, for byte-threshold flush
     policies. *)
 
 val flush : ?stats:Storage.Stats.t -> t -> int
-(** Drain every partition's buffer into both of its trees via
+(** Drain every partition's buffer (with any co-sharer's deltas in it)
+    into both of its trees via
     {!Storage.Bptree.apply_many}; returns the number of net deltas
     applied (0 = nothing pending).  Page accounting charges each touched
     leaf once per operation — the batched write-locality win.
@@ -276,10 +273,10 @@ val total_pages : t -> int
     representation; the physical design stores two copies). *)
 
 val refresh : t -> unit
-(** Recompute from the object base: the projections of the stitched
-    relation are retracted and those of a fresh {!Extension.compute}
-    added, leaving a pool's co-sharers untouched (used by tests to
-    compare incremental maintenance against the ground truth). *)
+(** Recompute from the object base: every partition is patched
+    ({!patch_partition}), so a pool's maintained co-sharers keep their
+    references (used by tests to compare incremental maintenance
+    against the ground truth). *)
 
 (** {2 Integrity hooks}
 
@@ -290,8 +287,7 @@ val refresh : t -> unit
 
 val partition_shared : t -> int -> bool
 (** Whether the partition lives in a sharing pool (its trees then carry
-    co-sharers' projections too, restricting what a scrub can assert and
-    a patch can retract). *)
+    co-sharers' projections too, restricting what a scrub can assert). *)
 
 val partition_refcount : t -> int -> Relation.Tuple.t -> int
 (** Reference count the partition's forward tree carries for the given
@@ -322,7 +318,9 @@ val patch_partition : ?stats:Storage.Stats.t -> t -> int -> int
 (** Reconcile the partition's two trees with a fresh
     {!Extension.compute} (restricted to the fragment): every
     projection's reference count is driven to its multiplicity there
-    (missing references re-inserted, phantom ones retracted).  For a
-    {e shared} partition only missing references are restored — surplus
-    ones may belong to a co-sharer.  Returns the number of distinct
-    projections fixed (0 = partition was clean). *)
+    (missing references re-inserted, phantom ones retracted).  A
+    {e shared} partition's target sums the multiplicities of every
+    partition of every pool member holding its trees, so the patch is
+    exact for the co-sharers too (and brings any of them that is not
+    maintained up to the base).  Flushes first.  Returns the number of
+    distinct projections fixed (0 = partition was clean). *)

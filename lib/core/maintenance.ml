@@ -216,9 +216,16 @@ let apply_position t index ~undo ~i ~whole ~others changes =
   let ci1 = Gom.Path.column_of_object_position path (i + 1) in
   let nulls k = Array.make k Gom.Value.Null in
   let full = kind = Extension.Full in
+  (* A pool-shared partition also counts its co-sharers' references, and
+     they take this event before or after this relation does: its
+     presence is not this relation's state.  Such relations walk the
+     graph for both sides. *)
+  let own_trees = Asr.shared_partition_count index = 0 in
   let prefixes h =
     match kind with
     | _ when i = 0 -> [ [| Gom.Value.Ref h |] ]
+    | (Extension.Full | Extension.Left_complete) when not own_trees ->
+      graph_prefixes t path ~pos:i ~oid:h
     | Extension.Canonical | Extension.Right_complete -> graph_prefixes t path ~pos:i ~oid:h
     | Extension.Full | Extension.Left_complete -> (
       match read_paths t index Exec.Bwd ~i:0 ~j:i (Gom.Value.Ref h) with
@@ -243,7 +250,7 @@ let apply_position t index ~undo ~i ~whole ~others changes =
       let sufs =
         match value_oid x with
         | Some o when i + 1 < n -> (
-          if not (full && owner = None) then
+          if not (full && owner = None && own_trees) then
             List.sort_uniq Relation.Tuple.compare
               (graph_suffixes t ~undo ~applied:i path ~pos:(i + 1) ~oid:o)
           else

@@ -38,7 +38,10 @@
     prefixes, a charged forward traversal for suffixes.  A horizontal
     fragment takes [I_r] from the graph (suffix tuples are owned by
     whoever owns their prefix) and confirms an empty [I_l] against the
-    store.
+    store.  A relation with a partition in a sharing pool takes both
+    sides from the graph: a shared tree also holds its co-sharers'
+    references, which take the event before or after this relation,
+    so its contents are not this relation's state.
 
     An event matching several positions of one path applies them in
     increasing order, each seeing the applied positions on its left and
@@ -100,7 +103,8 @@ val flush_all : t -> int
     ({!Asr.flush}); returns the number of net deltas applied. *)
 
 val pending : t -> int
-(** Net buffered deltas over all registered ASRs. *)
+(** Net buffered deltas over all registered ASRs (a buffer shared from a
+    pool counts once for each registered sharer). *)
 
 val asrs : t -> Asr.t list
 

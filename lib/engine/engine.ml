@@ -325,7 +325,7 @@ let set_freshness t mode =
 
 (* The freshness watermark: may [a] be stitched through right now?
    Always true for an index with no pending deltas (the common case is
-   one integer read).  Otherwise Catch_up drains the buffers — charged
+   one buffer-size read per partition).  Otherwise Catch_up drains the buffers — charged
    to the caller's stats, so the first query over a stale index pays the
    catch-up — and Degrade refuses, which sends the planner or execution
    guard to navigation / extent scan. *)

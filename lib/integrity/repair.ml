@@ -2,14 +2,14 @@
    relation.
 
    A repair job takes over the relation's maintenance: the manager is
-   told to skip it ([Maintenance.suspend]) while the job counts the
-   store events arriving mid-rebuild through its own subscription.  The
-   rebuild itself converges the stitched relation onto a freshly
-   computed target in bounded slices ([step]), then reconciles each
-   partition's trees with the object base as it is by then
-   ([Asr.patch_partition], fixing damage the stitched relation cannot
-   show, and absorbing the counted events), and re-verifies with an
-   exhaustive scrub.
+   told to skip it ([Maintenance.suspend]) for the whole rebuild.  The
+   rebuild converges the stitched relation onto a freshly computed
+   target in bounded slices ([step]), then reconciles each partition's
+   trees with the object base as it is by then ([Asr.patch_partition]:
+   every reference count is driven to the multiplicity of the relations
+   holding the trees, which fixes damage the stitched relation cannot
+   show and takes in the store events that arrived mid-rebuild), and
+   re-verifies with an exhaustive scrub.
    Only a clean verification lifts the quarantine — so a crash at any
    point of the cycle leaves the relation quarantined and queries
    degraded, never a half-rebuilt partition answering queries. *)
@@ -19,7 +19,7 @@ type op =
   | Restore of Relation.Tuple.t
 
 type outcome =
-  | Repaired of { rounds : int; slices : int; fixes : int; replayed : int }
+  | Repaired of { rounds : int; slices : int; fixes : int; caught_up : int }
   | Failed of { rounds : int; remaining : int }
 
 type job = {
@@ -30,20 +30,19 @@ type job = {
   max_rounds : int;
   fault : Durability.Fault.t option;
   stats : Storage.Stats.t option;
-  sub : Gom.Store.subscription;
-  buffered : int ref;  (* store events since the last reconciliation *)
+  mutable since : int;  (* store epoch at the last reconciliation *)
   mutable pending : op list;
   mutable rounds : int;
   mutable slices : int;
   mutable fixes : int;
-  mutable replayed : int;
+  mutable caught_up : int;
   mutable closed : bool;
 }
 
 let outcome_to_string = function
-  | Repaired { rounds; slices; fixes; replayed } ->
-    Printf.sprintf "repaired (%d round(s), %d slice(s), %d fix(es), %d replayed)"
-      rounds slices fixes replayed
+  | Repaired { rounds; slices; fixes; caught_up } ->
+    Printf.sprintf "repaired (%d round(s), %d slice(s), %d fix(es), %d event(s) caught up)"
+      rounds slices fixes caught_up
   | Failed { rounds; remaining } ->
     Printf.sprintf "failed after %d round(s): %d divergence(s) remain" rounds remaining
 
@@ -71,8 +70,6 @@ let diff index =
 let start ?(slice = 32) ?(max_rounds = 4) ?fault ?stats ~registry ~maintenance index =
   if slice < 1 then invalid_arg "Repair.start: slice must be >= 1";
   Core.Maintenance.suspend maintenance index;
-  let buffered = ref 0 in
-  let sub = Gom.Store.subscribe (Core.Asr.store index) (fun _ -> incr buffered) in
   {
     index;
     registry;
@@ -81,20 +78,18 @@ let start ?(slice = 32) ?(max_rounds = 4) ?fault ?stats ~registry ~maintenance i
     max_rounds;
     fault;
     stats;
-    sub;
-    buffered;
+    since = Gom.Store.epoch (Core.Asr.store index);
     pending = diff index;
     rounds = 1;
     slices = 0;
     fixes = 0;
-    replayed = 0;
+    caught_up = 0;
     closed = false;
   }
 
 let close job =
   if not job.closed then begin
     job.closed <- true;
-    Gom.Store.unsubscribe (Core.Asr.store job.index) job.sub;
     Core.Maintenance.resume job.maint job.index
   end
 
@@ -119,8 +114,9 @@ let finish_round job =
   for p = 0 to parts - 1 do
     job.fixes <- job.fixes + Core.Asr.patch_partition ?stats:job.stats job.index p
   done;
-  job.replayed <- job.replayed + !(job.buffered);
-  job.buffered := 0;
+  let epoch = Gom.Store.epoch (Core.Asr.store job.index) in
+  job.caught_up <- job.caught_up + (epoch - job.since);
+  job.since <- epoch;
   let report = Scrub.run ?fault:job.fault ?stats:job.stats job.index in
   if Scrub.clean report then begin
     Quarantine.lift job.registry job.index;
@@ -131,7 +127,7 @@ let finish_round job =
            rounds = job.rounds;
            slices = job.slices;
            fixes = job.fixes;
-           replayed = job.replayed;
+           caught_up = job.caught_up;
          })
   end
   else if job.rounds >= job.max_rounds then begin

@@ -12,10 +12,11 @@
     to healthy strategies), never half-repaired and serving. *)
 
 type outcome =
-  | Repaired of { rounds : int; slices : int; fixes : int; replayed : int }
+  | Repaired of { rounds : int; slices : int; fixes : int; caught_up : int }
       (** [fixes] counts the tuples restored or retracted plus the
           distinct projections reconciled in partition trees;
-          [replayed] the live events taken in by the reconciliation. *)
+          [caught_up] the store events that arrived while the relation
+          was suspended, taken in by the reconciliation. *)
   | Failed of { rounds : int; remaining : int }
       (** Verification still found divergences after [rounds] rounds;
           the quarantine is left in place. *)
@@ -36,9 +37,8 @@ val start :
   maintenance:Core.Maintenance.t ->
   Core.Asr.t ->
   job
-(** Begin a repair: suspends maintenance for the relation, subscribes a
-    listener counting the events it skips, and computes the initial
-    rebuild work list.
+(** Begin a repair: suspends maintenance for the relation and computes
+    the initial rebuild work list.
     [slice] bounds extension operations per {!step} (default 32);
     [max_rounds] bounds re-verification rounds (default 4).
     @raise Invalid_argument if [slice < 1]. *)
@@ -48,8 +48,8 @@ val step : job -> [ `More | `Done of outcome ]
     the work list also patches the partition trees against the object
     base as it is then, and verifies; each slice counts one logical read against
     the job's fault plan (so crash sweeps can target any point).
-    After [`Done] the job is closed (maintenance resumed, listener
-    unsubscribed); further calls raise.
+    After [`Done] the job is closed (maintenance resumed); further calls
+    raise.
     @raise Durability.Fault.Crash per the fault plan — the job is then
     dead and the relation remains quarantined. *)
 

@@ -81,7 +81,13 @@ let publish t =
       last_shared = Snapshot.shared snap;
     }
 
+(* After [shutdown] nothing follows the base: a write would leave the
+   indexes behind it and never be published. *)
+let check_open t name =
+  if Snapshot.source_closed t.source then invalid_arg (name ^ ": server shut down")
+
 let update ?publish:(want_publish = true) t f =
+  check_open t "Server.update";
   Mutex.protect t.writer (fun () ->
       let r = f t.base in
       if
@@ -90,7 +96,9 @@ let update ?publish:(want_publish = true) t f =
       then publish t;
       r)
 
-let refresh t = Mutex.protect t.writer (fun () -> publish t)
+let refresh t =
+  check_open t "Server.refresh";
+  Mutex.protect t.writer (fun () -> publish t)
 
 let lag t =
   Mutex.protect t.writer (fun () ->

@@ -155,4 +155,6 @@ val stats : t -> Storage.Stats.summary
 val shutdown : t -> unit
 (** Join the worker domains and close the server's snapshot source
     ({!Snapshot.close_source}): the server stops following the base,
-    and the last published epoch stays readable. *)
+    and the last published epoch stays readable.  Later {!update} and
+    {!refresh} calls raise [Invalid_argument] instead of publishing a
+    stale image. *)

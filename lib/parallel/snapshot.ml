@@ -14,6 +14,7 @@ type source = {
   src_tap : Gom.Store.subscription;
   mutable src_frozen : Gom.Frozen.t;
   src_events : Gom.Store.event list ref;  (* reversed suffix since src_frozen *)
+  mutable src_closed : bool;
 }
 
 type t = {
@@ -60,14 +61,20 @@ let source ?(sizes = fun _ -> 100) ?maintenance ~specs base =
     src_tap = tap;
     src_frozen = frozen;
     src_events = events;
+    src_closed = false;
   }
 
 let close_source src =
-  Gom.Store.unsubscribe src.src_base src.src_tap;
-  src.src_events := [];
-  Engine.close src.src_engine;
-  if src.src_owns_maintenance then Core.Maintenance.close src.src_maintenance;
-  Storage.Heap.close src.src_heap
+  if not src.src_closed then begin
+    src.src_closed <- true;
+    Gom.Store.unsubscribe src.src_base src.src_tap;
+    src.src_events := [];
+    Engine.close src.src_engine;
+    if src.src_owns_maintenance then Core.Maintenance.close src.src_maintenance;
+    Storage.Heap.close src.src_heap
+  end
+
+let source_closed src = src.src_closed
 
 let source_engine src = src.src_engine
 let source_indexes src = src.src_indexes
@@ -81,6 +88,9 @@ let source_maintenance src = src.src_maintenance
    makes the engine degrade that snapshot's probes to navigation over
    the frozen view instead of reading future trees. *)
 let advance src =
+  (* A closed source no longer hears the base: publishing would pass off
+     its last image as current. *)
+  if src.src_closed then invalid_arg "Snapshot.advance: source closed";
   ignore (Core.Maintenance.flush_all src.src_maintenance);
   List.iter (fun a -> ignore (Core.Asr.flush a)) src.src_indexes;
   let events = List.rev !(src.src_events) in

@@ -53,14 +53,17 @@ val advance : source -> t
     the shared trees reflect exactly this epoch, apply the buffered
     event suffix to the previous frozen image (cloning only touched
     instances), freeze the heap layout, and pin each ASR's tree version.
-    O(events since the previous publication). *)
+    O(events since the previous publication).
+    @raise Invalid_argument once the source is closed. *)
 
 val close_source : source -> unit
 (** Detach the source from the base: its event tap, engine, heap and
     the maintenance manager it created (not one passed in) stop
     listening, and buffered events are dropped.  Snapshots already
-    published stay readable; {!advance} must not be called again.
+    published stay readable; {!advance} raises from then on.
     Idempotent. *)
+
+val source_closed : source -> bool
 
 val source_engine : source -> Engine.t
 val source_indexes : source -> Core.Asr.t list

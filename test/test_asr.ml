@@ -69,19 +69,20 @@ let test_insert_remove_refcounts () =
   check_int "two tuples initially" 2 (A.cardinal a);
   (* Both tuples share the (sec560, ..., "Door") projection in partition
      (2,5); removing one must keep the shared partition row. *)
-  check "remove truck tuple" true (A.remove_tuple a row_truck);
+  let remove tup = A.apply_delta a ~remove:[ tup ] ~add:[] in
+  let insert tup = A.apply_delta a ~remove:[] ~add:[ tup ] in
+  check_int "remove truck tuple" 1 (remove row_truck);
   check "extension shrank" true (not (Relation.mem (A.extension_relation a) row_truck));
   let p25 = A.partition_relation a 1 in
   check "shared projection kept" true
     (Relation.mem p25 [| V.Ref b.C.sec560; V.Ref sec_parts; V.Ref b.C.door; V.Str "Door" |]);
-  check "remove auto tuple" true (A.remove_tuple a row_auto);
+  check_int "remove auto tuple" 1 (remove row_auto);
   let p25 = A.partition_relation a 1 in
   check_int "projection gone with last owner" 0 (Relation.cardinal p25);
-  (* Reinsert and check idempotence. *)
-  check "insert back" true (A.insert_tuple a row_auto);
-  check "duplicate insert refused" false (A.insert_tuple a row_auto);
+  check_int "insert back" 1 (insert row_auto);
   check_int "cardinal" 1 (A.cardinal a);
-  check "remove unknown refused" false (A.remove_tuple a row_truck)
+  check "reinserted tuple stitched" true (Relation.mem (A.extension_relation a) row_auto);
+  check "removed tuple absent" false (Relation.mem (A.extension_relation a) row_truck)
 
 (* The tuple-carrying walk reads whole partial paths from the
    partitions: forward from sec560 its suffixes, backward its prefixes,

@@ -313,14 +313,15 @@ let repair_replays_live_mutations () =
   Quarantine.quarantine ~reason:"test" registry a;
   let job = Repair.start ~slice:1 ~registry ~maintenance:mgr a in
   (* Mutate the base mid-rebuild: ordinary maintenance is suspended for
-     this relation, so the repair must buffer and replay the event. *)
+     this relation, so the repair's reconciliation must take the event
+     in. *)
   Gom.Store.set_attr store b.C.pepper "Name" (V.Str "PepperMill");
   let rec drive () =
     match Repair.step job with `More -> drive () | `Done o -> o
   in
   (match drive () with
-  | Repair.Repaired { replayed; _ } ->
-    check "buffered live event replayed" true (replayed >= 1)
+  | Repair.Repaired { caught_up; _ } ->
+    check "live event caught up" true (caught_up >= 1)
   | Repair.Failed _ -> Alcotest.fail "repair failed under live mutation");
   check "extension caught up with the mutation" true
     (Relation.equal
@@ -328,6 +329,45 @@ let repair_replays_live_mutations () =
        (Core.Extension.compute store path Core.Extension.Full));
   check "post-repair scrub is clean" true (Scrub.clean (Scrub.run a));
   check "maintenance resumed" true (not (Core.Maintenance.is_suspended mgr a))
+
+(* A relation drawing its partitions from a sharing pool, repaired while
+   the base loses edges: its co-sharer keeps being maintained through
+   the rebuild, so the shared trees must end up carrying exactly both
+   relations' references, not the repaired one's stale ones. *)
+let repair_pooled_under_deletes () =
+  let b = C.base () in
+  let store = b.C.store in
+  let path = C.name_path store in
+  let m = Gom.Path.arity path - 1 in
+  let pool = Core.Asr.make_pool store in
+  let a = Core.Asr.create ~pool store path Core.Extension.Full (D.binary ~m) in
+  let peer = Core.Asr.create ~pool store path Core.Extension.Full (D.binary ~m) in
+  let mgr = Core.Maintenance.create (env_of store) in
+  Core.Maintenance.register mgr a;
+  Core.Maintenance.register mgr peer;
+  check_int "fully pooled" (Core.Asr.partition_count a) (Core.Asr.shared_partition_count a);
+  let registry = Quarantine.create () in
+  Core.Asr.damage_partition a 1 [ Core.Asr.Phantom (List.hd (Core.Asr.scan_partition a 1)) ];
+  Quarantine.quarantine ~reason:"test" registry a;
+  let job = Repair.start ~slice:1 ~registry ~maintenance:mgr a in
+  let sec_parts = V.oid_exn (Gom.Store.get_attr store b.C.sec560 "Composition") in
+  Gom.Store.remove_elem store sec_parts (V.Ref b.C.door);
+  Gom.Store.delete store b.C.pepper;
+  let rec drive () = match Repair.step job with `More -> drive () | `Done o -> o in
+  (match drive () with
+  | Repair.Repaired _ -> ()
+  | Repair.Failed _ -> Alcotest.fail "repair failed under live deletes");
+  let truth () = Core.Extension.compute store path Core.Extension.Full in
+  check "repaired relation equals the base" true
+    (Relation.equal (truth ()) (Core.Asr.extension_relation a));
+  check "co-sharer equals the base" true
+    (Relation.equal (truth ()) (Core.Asr.extension_relation peer));
+  check "shared trees carry exactly both relations" true
+    (Test_maintenance.trees_exact_all [ a; peer ]);
+  Gom.Store.delete store b.C.sec560;
+  check "both maintained exactly afterwards" true
+    (Relation.equal (truth ()) (Core.Asr.extension_relation a)
+    && Test_maintenance.trees_exact_all [ a; peer ])
 
 let abort_keeps_quarantine () =
   let b = C.base () in
@@ -614,6 +654,8 @@ let suite =
       repair_restores_and_lifts;
     Alcotest.test_case "repair: buffers and replays live mutations" `Quick
       repair_replays_live_mutations;
+    Alcotest.test_case "repair: pooled relation under live deletes" `Quick
+      repair_pooled_under_deletes;
     Alcotest.test_case "repair: abort keeps the quarantine" `Quick abort_keeps_quarantine;
     Alcotest.test_case "fault: bounded retry with deterministic backoff" `Quick
       retry_backoff_deterministic;

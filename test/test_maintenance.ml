@@ -38,32 +38,60 @@ let agree a =
 
 let check_agree label a = check label true (agree a)
 
-(* The trees hold exactly the extension: an exhaustive scrub finds no
+(* The trees hold exactly the extensions: an exhaustive scrub finds no
    missing or phantom projection, every projection carries exactly its
    multiplicity in a from-scratch recomputation, and both redundant
    trees of every partition are well-formed and hold the same reference
-   counts. *)
-let trees_exact a =
-  Integrity.Scrub.clean (Integrity.Scrub.run a)
-  && List.for_all
-       (fun i ->
-         let lo, hi = Core.Asr.partition_bounds a i in
-         let want = Hashtbl.create 64 in
-         List.iter
-           (fun tup ->
-             let proj = Relation.Tuple.project tup (List.init (hi - lo + 1) (( + ) lo)) in
-             let k = Relation.Tuple.to_string proj in
-             let n = match Hashtbl.find_opt want k with Some (n, _) -> n | None -> 0 in
-             Hashtbl.replace want k (n + 1, proj))
-           (Relation.to_list
-              (Core.Asr.restrict a
-                 (Core.Extension.compute (Core.Asr.store a) (Core.Asr.path a)
-                    (Core.Asr.kind a))));
-         Core.Asr.check_partition a i = Ok ()
+   counts.  A partition drawn from a sharing pool carries the summed
+   multiplicities of every partition (of any of [asrs]) with its segment
+   key, and no other projection. *)
+let trees_exact_all asrs =
+  let segments = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let truth =
+        Relation.to_list
+          (Core.Asr.restrict a
+             (Core.Extension.compute (Core.Asr.store a) (Core.Asr.path a) (Core.Asr.kind a)))
+      in
+      for i = 0 to Core.Asr.partition_count a - 1 do
+        let lo, hi = Core.Asr.partition_bounds a i in
+        let key =
+          if Core.Asr.partition_shared a i then
+            Option.get (Core.Asr.segment_key (Core.Asr.path a) (Core.Asr.kind a) ~lo ~hi)
+          else Printf.sprintf "asr%d/%d" (Core.Asr.id a) i
+        in
+        let want =
+          match Hashtbl.find_opt segments key with
+          | Some (_, _, want) -> want
+          | None ->
+            let want = Hashtbl.create 64 in
+            Hashtbl.replace segments key (a, i, want);
+            want
+        in
+        List.iter
+          (fun tup ->
+            let proj = Relation.Tuple.project tup (List.init (hi - lo + 1) (( + ) lo)) in
+            let k = Relation.Tuple.to_string proj in
+            let n = match Hashtbl.find_opt want k with Some (n, _) -> n | None -> 0 in
+            Hashtbl.replace want k (n + 1, proj))
+          truth
+      done)
+    asrs;
+  List.for_all (fun a -> Integrity.Scrub.clean (Integrity.Scrub.run a)) asrs
+  && Hashtbl.fold
+       (fun _ (a, i, want) ok ->
+         ok
+         && Core.Asr.check_partition a i = Ok ()
          && Hashtbl.fold
               (fun _ (n, proj) ok -> ok && Core.Asr.partition_refcount a i proj = n)
-              want true)
-       (List.init (Core.Asr.partition_count a) Fun.id)
+              want true
+         && List.for_all
+              (fun proj -> Hashtbl.mem want (Relation.Tuple.to_string proj))
+              (Relation.to_list (Core.Asr.partition_relation a i)))
+       segments true
+
+let trees_exact a = trees_exact_all [ a ]
 
 let test_set_insert () =
   List.iter
@@ -371,18 +399,30 @@ let edge_paths schema =
     Gom.Path.make schema "Node" [ "line"; "line"; "label" ];
   ]
 
+(* How the relations of a rig are laid out: each on its own trees, as
+   the fragments of a 2-shard placement, or all drawing their partitions
+   from one sharing pool (section 5.4), so that relations of one kind
+   over one path share segments, and so do paths with common steps. *)
+type layout =
+  | Plain
+  | Fragments
+  | Pooled
+
 (* Every kind over every path, binary and split once after column 2,
-   maintained by one manager under [policy]; with [shards], as the
-   fragments of a 2-shard placement, both over the one store. *)
-let edge_rig ~policy ~shards store =
+   maintained by one manager under [policy], laid out as [layout] over
+   the one store. *)
+let edge_rig ~policy ~layout store =
   let heap = Storage.Heap.create ~size_of:(fun _ -> 100) store in
   let mgr = M.create (E.make store heap) in
   let config = Storage.Config.make ~page_size:256 () in
   let owners =
-    if shards then
+    if layout = Fragments then
       let p = Shard.Placement.make 2 in
       [ Some (Shard.Placement.owner_pred p 0); Some (Shard.Placement.owner_pred p 1) ]
     else [ None ]
+  in
+  let pool =
+    if layout = Pooled then Some (Core.Asr.make_pool ~config store) else None
   in
   let asrs =
     List.concat_map
@@ -394,7 +434,7 @@ let edge_rig ~policy ~shards store =
               (fun kind ->
                 List.map
                   (fun owner ->
-                    let a = Core.Asr.create ~config ?owner store path kind dec in
+                    let a = Core.Asr.create ~config ?pool ?owner store path kind dec in
                     M.register mgr a;
                     a)
                   owners)
@@ -407,7 +447,7 @@ let edge_rig ~policy ~shards store =
 
 (* The stitched trees equal a from-scratch recomputation (restricted to
    the fragment) and, where [exact], every partition's reference counts
-   equal the projection multiplicities (a scrub, which flushes). *)
+   equal the projection multiplicities (after a scrub, which flushes). *)
 let edge_agree ~exact asrs =
   List.for_all
     (fun a ->
@@ -415,20 +455,22 @@ let edge_agree ~exact asrs =
         Core.Asr.restrict a
           (Core.Extension.compute (Core.Asr.store a) (Core.Asr.path a) (Core.Asr.kind a))
       in
-      Relation.equal truth (Core.Asr.extension_relation a) && ((not exact) || trees_exact a))
+      Relation.equal truth (Core.Asr.extension_relation a))
     asrs
+  && ((not exact) || trees_exact_all asrs)
 
 let edge_configs =
   List.concat_map
-    (fun policy -> [ (policy, false); (policy, true) ])
+    (fun policy -> [ (policy, Plain); (policy, Fragments); (policy, Pooled) ])
     [ M.Immediate; M.On_query ]
 
-let config_name (policy, shards) =
-  M.policy_to_string policy ^ if shards then ", 2 fragments" else ""
+let config_name (policy, layout) =
+  M.policy_to_string policy
+  ^ match layout with Plain -> "" | Fragments -> ", 2 fragments" | Pooled -> ", pooled"
 
 let test_edge_cases () =
   List.iter
-    (fun ((policy, shards) as cfg) ->
+    (fun ((policy, layout) as cfg) ->
       let store = Gom.Store.create (edge_schema ()) in
       let node label =
         let n = Gom.Store.new_object store "Node" in
@@ -454,7 +496,7 @@ let test_edge_cases () =
       attr a "next" (V.Ref b);
       attr b "next" (V.Ref c);
       attr c "tags" (V.Ref tags);
-      let mgr, asrs = edge_rig ~policy ~shards store in
+      let mgr, asrs = edge_rig ~policy ~layout store in
       let steps =
         [
           ("insert into a set two holders share, at two positions", fun () ->
@@ -568,7 +610,7 @@ let prop_edge_streams =
     ~count:(Qc.iters_env "ASR_EDGE_COUNT" 20)
     QCheck.(pair (int_bound (List.length edge_configs - 1)) (int_bound 100000))
     (fun (cfg, seed) ->
-      let policy, shards = List.nth edge_configs cfg in
+      let policy, layout = List.nth edge_configs cfg in
       let rng = Random.State.make [| seed |] in
       let store = Gom.Store.create (edge_schema ()) in
       for _ = 1 to 5 do
@@ -577,7 +619,7 @@ let prop_edge_streams =
       for _ = 1 to 12 do
         apply_edge_op rng store
       done;
-      let mgr, asrs = edge_rig ~policy ~shards store in
+      let mgr, asrs = edge_rig ~policy ~layout store in
       let ok = ref true in
       for k = 1 to 16 do
         if !ok then begin

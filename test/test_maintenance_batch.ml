@@ -328,95 +328,116 @@ let test_stats_counters_in_summary () =
 let policies =
   [ M.Immediate; M.Every_k_events 1; M.Every_k_events 7; M.Bytes_threshold 128; M.On_query ]
 
-(* CI fuzz counts: the maintenance-fuzz job raises this property to 200
-   iterations via ASR_MAINT_COUNT; the run seed is printed by [Qc], so
-   any failure reproduces with ASR_QCHECK_SEED. *)
+(* One case of the oracle: two identical bases from the same seeded
+   spec, one under immediate maintenance (the reference), one deferred
+   under [policy] behind an engine in freshness [mode].  With [pooled],
+   each base holds a second relation of the same kind over another
+   decomposition, both drawing their partitions from one sharing pool,
+   so shared trees take both relations' deltas (and buffers). *)
+let deferred_case ~pooled spec kind pick ops_seed policy mode =
+  let store_i, path_i = Workload.Generator.build spec in
+  let store_d, path_d = Workload.Generator.build spec in
+  let env_i = Test_maintenance.env_of spec store_i in
+  let env_d = Test_maintenance.env_of spec store_d in
+  let m = Gom.Path.arity path_i - 1 in
+  let decs = D.all ~m in
+  let dec k = List.nth decs (k mod List.length decs) in
+  let side store path env =
+    let pool = if pooled then Some (Core.Asr.make_pool store) else None in
+    let a = Core.Asr.create ?pool store path kind (dec pick) in
+    let peers =
+      if pooled then [ Core.Asr.create ?pool store path kind (dec (pick + 1)) ] else []
+    in
+    let mgr = M.create env in
+    List.iter (M.register mgr) (a :: peers);
+    (a, peers, mgr)
+  in
+  let a_i, peers_i, _ = side store_i path_i env_i in
+  let a_d, peers_d, mgr_d = side store_d path_d env_d in
+  M.set_policy mgr_d policy;
+  let engine = Engine.create env_d in
+  Engine.register engine a_d;
+  Engine.set_freshness engine mode;
+  pin_expensive_nav engine path_d;
+  let rng_i = Random.State.make [| ops_seed |] in
+  let rng_d = Random.State.make [| ops_seed |] in
+  let n = Gom.Path.length path_i in
+  let ok = ref true in
+  for step = 1 to 10 do
+    if !ok then begin
+      Test_maintenance.apply_random_op rng_i store_i path_i;
+      Test_maintenance.apply_random_op rng_d store_d path_d;
+      (* The deferred relations, stitched through their pending deltas,
+         are the extension at every step. *)
+      if
+        not
+          (List.for_all
+             (fun a ->
+               Relation.equal (Core.Asr.extension_relation a)
+                 (Core.Extension.compute store_d path_d kind))
+             (a_d :: peers_d))
+      then ok := false;
+      if step mod 3 = 0 then begin
+        let sources = Gom.Store.extent ~deep:true store_i (Gom.Path.type_at path_i 0) in
+        List.iter
+          (fun src ->
+            if
+              vset (Engine.forward engine path_d ~i:0 ~j:n src)
+              <> vset (E.forward_scan env_i path_i ~i:0 ~j:n src)
+            then ok := false)
+          sources
+      end
+    end
+  done;
+  (* Final: drain and the physical partitions must equal the immediate
+     twin's, tuple for tuple, and both must hold the extension with
+     exact reference counts. *)
+  ignore (M.flush_all mgr_d);
+  !ok
+  && M.pending mgr_d = 0
+  && (pooled || (Test_maintenance.agree a_i && Test_maintenance.agree a_d))
+  && Test_maintenance.trees_exact_all (a_i :: peers_i)
+  && Test_maintenance.trees_exact_all (a_d :: peers_d)
+  && List.for_all2
+       (fun a_i a_d ->
+         Relation.equal (Core.Asr.extension_relation a_i) (Core.Asr.extension_relation a_d)
+         && List.for_all
+              (fun p ->
+                Relation.equal
+                  (Core.Asr.partition_relation a_i p)
+                  (Core.Asr.partition_relation a_d p))
+              (List.init (Core.Asr.partition_count a_i) Fun.id))
+       (a_i :: peers_i) (a_d :: peers_d)
+
+let deferred_gen =
+  QCheck.(
+    pair
+      (make ~print:(fun _ -> "<spec>") Test_maintenance.spec_gen)
+      (pair (int_bound 3) (pair small_int (int_bound 1000))))
+
+let deferred_prop ~pooled (spec, (kind_idx, (pick, ops_seed))) =
+  let kind = List.nth Core.Extension.all kind_idx in
+  List.for_all
+    (fun policy ->
+      List.for_all
+        (deferred_case ~pooled spec kind pick ops_seed policy)
+        [ Engine.Catch_up; Engine.Degrade ])
+    policies
+
+(* CI fuzz counts: the maintenance-fuzz job raises these properties to
+   200 iterations via ASR_MAINT_COUNT; the run seed is printed by [Qc],
+   so any failure reproduces with ASR_QCHECK_SEED. *)
 let prop_deferred_equals_immediate =
   QCheck.Test.make
     ~name:"deferred maintenance = immediate + scan oracle (all policies, both modes)"
     ~count:(Qc.iters_env "ASR_MAINT_COUNT" 25)
-    QCheck.(
-      pair
-        (make ~print:(fun _ -> "<spec>") Test_maintenance.spec_gen)
-        (pair (int_bound 3) (pair small_int (int_bound 1000))))
-    (fun (spec, (kind_idx, (pick, ops_seed))) ->
-      let kind = List.nth Core.Extension.all kind_idx in
-      List.for_all
-        (fun policy ->
-          List.for_all
-            (fun mode ->
-              (* Two identical bases from the same seeded spec: one
-                 under immediate maintenance (the reference), one
-                 deferred behind an engine. *)
-              let store_i, path_i = Workload.Generator.build spec in
-              let store_d, path_d = Workload.Generator.build spec in
-              let env_i = Test_maintenance.env_of spec store_i in
-              let env_d = Test_maintenance.env_of spec store_d in
-              let m = Gom.Path.arity path_i - 1 in
-              let decs = D.all ~m in
-              let dec = List.nth decs (pick mod List.length decs) in
-              let a_i = Core.Asr.create store_i path_i kind dec in
-              let a_d = Core.Asr.create store_d path_d kind dec in
-              let mgr_i = M.create env_i in
-              let mgr_d = M.create env_d in
-              M.register mgr_i a_i;
-              M.register mgr_d a_d;
-              M.set_policy mgr_d policy;
-              let engine = Engine.create env_d in
-              Engine.register engine a_d;
-              Engine.set_freshness engine mode;
-              pin_expensive_nav engine path_d;
-              let rng_i = Random.State.make [| ops_seed |] in
-              let rng_d = Random.State.make [| ops_seed |] in
-              let n = Gom.Path.length path_i in
-              let ok = ref true in
-              for step = 1 to 10 do
-                if !ok then begin
-                  Test_maintenance.apply_random_op rng_i store_i path_i;
-                  Test_maintenance.apply_random_op rng_d store_d path_d;
-                  (* The deferred relation, stitched through its pending
-                     deltas, is the extension at every step. *)
-                  if
-                    not
-                      (Relation.equal
-                         (Core.Asr.extension_relation a_d)
-                         (Core.Extension.compute store_d path_d kind))
-                  then ok := false;
-                  if step mod 3 = 0 then begin
-                    let sources =
-                      Gom.Store.extent ~deep:true store_i (Gom.Path.type_at path_i 0)
-                    in
-                    List.iter
-                      (fun src ->
-                        if
-                          vset (Engine.forward engine path_d ~i:0 ~j:n src)
-                          <> vset (E.forward_scan env_i path_i ~i:0 ~j:n src)
-                        then ok := false)
-                      sources
-                  end
-                end
-              done;
-              (* Final: drain and the physical partitions must equal
-                 the immediate twin's, tuple for tuple, and both must
-                 hold the extension with exact reference counts. *)
-              ignore (M.flush_all mgr_d);
-              !ok
-              && M.pending mgr_d = 0
-              && Test_maintenance.agree a_i
-              && Test_maintenance.agree a_d
-              && Test_maintenance.trees_exact a_i
-              && Test_maintenance.trees_exact a_d
-              && Relation.equal
-                   (Core.Asr.extension_relation a_i)
-                   (Core.Asr.extension_relation a_d)
-              && List.for_all
-                   (fun p ->
-                     Relation.equal
-                       (Core.Asr.partition_relation a_i p)
-                       (Core.Asr.partition_relation a_d p))
-                   (List.init (Core.Asr.partition_count a_i) Fun.id))
-            [ Engine.Catch_up; Engine.Degrade ])
-        policies)
+    deferred_gen (deferred_prop ~pooled:false)
+
+let prop_pooled_deferred_equals_immediate =
+  QCheck.Test.make
+    ~name:"pooled deferred maintenance = immediate (all kinds, all policies)"
+    ~count:(Qc.iters_env "ASR_MAINT_COUNT" 10)
+    deferred_gen (deferred_prop ~pooled:true)
 
 (* ---------------- parallel server: delta-free epochs --------------- *)
 
@@ -671,6 +692,7 @@ let suite =
     Alcotest.test_case "delta counters in stats summary" `Quick
       test_stats_counters_in_summary;
     Qc.to_alcotest prop_deferred_equals_immediate;
+    Qc.to_alcotest prop_pooled_deferred_equals_immediate;
     Alcotest.test_case "server publishes delta-free epochs" `Quick
       test_server_publishes_delta_free_epochs;
     Alcotest.test_case "scrub flushes pending deltas" `Quick

@@ -511,6 +511,26 @@ let test_stats_sheaves_sum () =
     Storage.Stats.(summary_count seq Fallbacks)
     Storage.Stats.(summary_count par Fallbacks)
 
+(* After shutdown the server no longer follows the base: writes and
+   republication through it are refused rather than published stale,
+   and closing a snapshot source twice is harmless. *)
+let test_shutdown_refuses_publication () =
+  let store, path = Workload.Generator.build (small_spec ~seed:47 ()) in
+  let server = Server.create ~jobs:1 ~specs:(specs_for path) store in
+  Server.shutdown server;
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let ran = ref false in
+  check "update refused" true
+    (raises (fun () -> Server.update server (fun _ -> ran := true)));
+  check "refused update never runs" false !ran;
+  check "refresh refused" true (raises (fun () -> Server.refresh server));
+  let src = Snapshot.source ~specs:(specs_for path) store in
+  ignore (Snapshot.advance src);
+  Snapshot.close_source src;
+  Snapshot.close_source src;
+  check "advance refused on a closed source" true
+    (raises (fun () -> ignore (Snapshot.advance src)))
+
 let suite =
   [
     Alcotest.test_case "Store.copy isolates the two stores" `Quick test_copy_isolates;
@@ -529,4 +549,6 @@ let suite =
     Alcotest.test_case "plan cache survives 4-domain churn" `Slow test_plan_cache_stress;
     Alcotest.test_case "stats merge algebra" `Quick test_stats_algebra;
     Alcotest.test_case "parallel sheaves = sequential sum" `Quick test_stats_sheaves_sum;
+    Alcotest.test_case "shutdown refuses later publication" `Quick
+      test_shutdown_refuses_publication;
   ]

@@ -344,7 +344,7 @@ let test_digest_cadence_catches_asr_divergence () =
       | a :: _ ->
         ignore (Core.Asr.flush a);
         (match Relation.to_list (Core.Asr.extension_relation a) with
-        | tu :: _ -> ignore (Core.Asr.remove_tuple a tu)
+        | tu :: _ -> ignore (Core.Asr.apply_delta a ~remove:[ tu ] ~add:[] : int)
         | [] -> Alcotest.fail "replica ASR is empty")
       | [] -> Alcotest.fail "replica has no ASRs");
       churn_round rig.g_db rig.g_base 2;
