@@ -1065,10 +1065,9 @@ let db_doctor_cmd dir sample json =
       if List.for_all Integrity.Scrub.clean reports then 0
       else exit_data "SCRUB FOUND DIVERGENCE - try `asr_cli db repair'")
 
-let db_repair_cmd dir slice rounds json =
+let db_repair_cmd dir json =
   with_db dir (fun db ->
-      let maintenance = Durability.Db.maintenance db in
-      let stats = Core.Maintenance.stats maintenance in
+      let stats = Core.Maintenance.stats (Durability.Db.maintenance db) in
       let registry = Integrity.Quarantine.create () in
       let failed = ref [] in
       List.iter
@@ -1081,10 +1080,7 @@ let db_repair_cmd dir slice rounds json =
             let parts = Integrity.Quarantine.apply_report registry a report in
             Format.printf "%-40s quarantined partition(s) %s@." name
               (String.concat "," (List.map string_of_int parts));
-            let outcome =
-              Integrity.Repair.run ~slice ~max_rounds:rounds ~registry ~maintenance
-                ~stats a
-            in
+            let outcome = Integrity.Repair.run ~registry ~stats a in
             Format.printf "%-40s %s@." name
               (Integrity.Repair.outcome_to_string outcome);
             match outcome with
@@ -1496,19 +1492,11 @@ let db_doctor_t =
   Term.(const db_doctor_cmd $ db_dir $ sample $ json)
 
 let db_repair_t =
-  let slice =
-    Arg.(value & opt int 32 & info [ "slice" ] ~docv:"N"
-           ~doc:"Tuples fixed per incremental repair step.")
-  in
-  let rounds =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Maximum rebuild-and-verify rounds before giving up.")
-  in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Write a machine-readable post-repair scrub report.")
   in
-  Term.(const db_repair_cmd $ db_dir $ slice $ rounds $ json)
+  Term.(const db_repair_cmd $ db_dir $ json)
 
 let db_replica_t =
   let dir =
@@ -1606,8 +1594,8 @@ let db_cmd =
         db_doctor_t;
       Cmd.v
         (Cmd.info "repair"
-           ~doc:"Scrub, quarantine diverged partitions, rebuild them incrementally, \
-                 re-verify and lift the quarantine.")
+           ~doc:"Scrub, quarantine diverged partitions, patch every partition to \
+                 the object graph, re-verify and lift the quarantine.")
         db_repair_t;
       Cmd.v
         (Cmd.info "replica"

@@ -542,54 +542,66 @@ let damage_partition t i ds =
           adjust p.trees proj (match d with Drop _ -> -1 | Phantom _ -> 1))
         ds)
 
-let patch_partition_unlocked ?stats t i =
-  (* Reconcile against trees that reflect every buffered delta, or the
-     pending work would read as divergence and later double-apply. *)
-  ignore (flush_unlocked ?stats t);
-  let p = t.parts.(i) in
-  (* Target multiset: the projections of a fresh computation of every
-     relation holding these trees (a pool segment counts each sharer's
-     references, possibly from several of its partitions), with
-     multiplicities; every projection present now is a candidate too. *)
-  let want = Ttbl.create 64 in
-  let sharers =
-    match t.pool with Some pool when p.trees.skey <> None -> pool.members | _ -> [ t ]
+(* The ground truth of a relation's partitions (paper, Defs. 3.4-3.7):
+   every relation that may hold one of its trees — a pool's members, or
+   the relation alone — with its extension, computed on first need and
+   then reused for every partition. *)
+type target = { tg_asr : t; truths : (t * Relation.Tuple.t list Lazy.t) list }
+
+let target t =
+  let members = match t.pool with Some pool -> pool.members | None -> [ t ] in
+  let truth m =
+    lazy (Relation.to_list (restrict m (Extension.compute m.store m.path m.kind)))
   in
+  { tg_asr = t; truths = List.map (fun m -> (m, truth m)) members }
+
+let target_tuples tg = Lazy.force (List.assq tg.tg_asr tg.truths)
+
+(* The partition's expected multiset sums the projections of every
+   partition, of any member, that holds the same trees (a pool segment
+   counts each sharer's references, possibly from several of its
+   partitions); every projection the trees hold is a candidate too. *)
+let partition_diff ?stats ?(keep = fun _ -> true) tg i =
+  let t = tg.tg_asr in
+  let trees = t.parts.(i).trees in
+  let want = Ttbl.create 64 in
   List.iter
-    (fun m ->
-      let truth =
-        lazy (Relation.to_list (restrict m (Extension.compute m.store m.path m.kind)))
-      in
+    (fun (m, truth) ->
       Array.iter
         (fun q ->
-          if q.trees == p.trees then
+          if q.trees == trees then
             List.iter
               (fun tup ->
-                let proj = project_tuple tup (q.lo, q.hi) in
-                let n = Option.value ~default:0 (Ttbl.find_opt want proj) in
-                Ttbl.replace want proj (n + 1))
+                if keep tup then begin
+                  let proj = project_tuple tup (q.lo, q.hi) in
+                  let n = Option.value ~default:0 (Ttbl.find_opt want proj) in
+                  Ttbl.replace want proj (n + 1)
+                end)
               (Lazy.force truth))
         m.parts)
-    sharers;
+    tg.truths;
   List.iter
     (fun proj -> if not (Ttbl.mem want proj) then Ttbl.replace want proj 0)
-    (Storage.Bptree.scan p.trees.fwd);
+    (scan_partition ?stats t i);
   Ttbl.fold
-    (fun proj n fixes ->
-      let delta = n - Storage.Bptree.refcount p.trees.fwd proj in
-      if delta = 0 then fixes
-      else begin
-        in_seg ?stats t (fun () -> adjust ?stats p.trees proj delta);
-        fixes + 1
-      end)
-    want 0
+    (fun proj n acc ->
+      let have = Storage.Bptree.refcount trees.fwd proj in
+      if have = n then acc else (proj, n, have) :: acc)
+    want []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Relation.Tuple.compare a b)
 
-let patch_partition ?stats t i =
-  with_sealed t (fun () -> patch_partition_unlocked ?stats t i)
-
-let refresh t =
+let patch_partition ?stats tg i =
+  let t = tg.tg_asr in
   with_sealed t (fun () ->
-      Array.iteri (fun i _ -> ignore (patch_partition_unlocked t i : int)) t.parts)
+      (* Reconcile against trees that reflect every buffered delta, or the
+         pending work would read as divergence and later double-apply. *)
+      ignore (flush_unlocked ?stats t);
+      let diff = partition_diff ?stats tg i in
+      in_seg ?stats t (fun () ->
+          List.iter
+            (fun (proj, want, have) -> adjust ?stats t.parts.(i).trees proj (want - have))
+            diff);
+      List.length diff)
 
 type part_geometry = {
   lo : int;

@@ -33,7 +33,6 @@ type t = {
   store : Gom.Store.t; (* = Exec.live_store_exn env: maintenance writes *)
   stats : Storage.Stats.t;
   mutable asrs : Asr.t list;
-  suspended : (int, unit) Hashtbl.t;  (* keyed by Asr.id — identity set *)
   mutable policy : flush_policy;
   mutable events_since_flush : int;
   mutable subscription : Gom.Store.subscription option;
@@ -392,7 +391,6 @@ let create env =
       store;
       stats = env.Exec.stats;
       asrs = [];
-      suspended = Hashtbl.create 16;
       policy = Immediate;
       events_since_flush = 0;
       subscription = None;
@@ -402,11 +400,7 @@ let create env =
     Some
       (Gom.Store.subscribe store (fun ev ->
            Storage.Stats.begin_op t.stats;
-           List.iter
-             (fun index ->
-               if not (Hashtbl.mem t.suspended (Asr.id index)) then
-                 handle_event t index ev)
-             (List.rev t.asrs);
+           List.iter (fun index -> handle_event t index ev) (List.rev t.asrs);
            maybe_flush t));
   t
 
@@ -419,9 +413,3 @@ let register t index =
     invalid_arg "Maintenance.register: ASR built over a different store";
   t.asrs <- index :: t.asrs;
   Asr.set_deferred index (match t.policy with Immediate -> false | _ -> true)
-
-let suspend t index = Hashtbl.replace t.suspended (Asr.id index) ()
-
-let resume t index = Hashtbl.remove t.suspended (Asr.id index)
-
-let is_suspended t index = Hashtbl.mem t.suspended (Asr.id index)

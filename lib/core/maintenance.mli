@@ -115,20 +115,3 @@ val stats : t -> Storage.Stats.t
 
 val last_event_cost : t -> int
 (** Pages read plus written while processing the most recent event. *)
-
-(** {2 Repair interleaving}
-
-    During a background rebuild the repairer takes over one ASR's
-    maintenance: live store events must not race the slice-wise
-    reconstruction, so the manager is told to {e skip} that ASR while
-    the repairer rebuilds it; its final reconciliation against the
-    object base takes in the events skipped meanwhile. *)
-
-val suspend : t -> Asr.t -> unit
-(** Stop processing store events against this ASR (idempotent).  Other
-    registered ASRs are unaffected. *)
-
-val resume : t -> Asr.t -> unit
-(** Resume normal event processing for the ASR. *)
-
-val is_suspended : t -> Asr.t -> bool

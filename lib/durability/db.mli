@@ -136,10 +136,8 @@ val asr_specs : t -> spec list
     {!asrs}). *)
 
 val maintenance : t -> Core.Maintenance.t
-(** The handle's maintenance manager — the integrity subsystem's repair
-    jobs suspend/resume individual relations on it, and its
-    {!Core.Maintenance.stats} accumulates page traffic and the
-    scrub/fallback/retry counters. *)
+(** The handle's maintenance manager: its {!Core.Maintenance.stats}
+    accumulates page traffic and the scrub/fallback/retry counters. *)
 
 val register_asr :
   t ->

@@ -265,17 +265,8 @@ type t = {
          every registered index is trusted; the integrity registry
          installs a callback so quarantined indexes/partitions are
          priced out and stale plans refuse to run. *)
-  mutable freshness : freshness_mode;
-      (* What planning and execution do with an index whose deferred
-         maintenance buffers hold pending deltas (the freshness
-         watermark).  Catch_up keeps deferred maintenance invisible to
-         answers by flushing on first use; Degrade prices the stale
-         index out and falls back to always-live plans — also exact,
-         since navigation and extent scans never consult the trees. *)
   mutable subscription : Gom.Store.subscription option;  (* [None] once closed *)
 }
-
-and freshness_mode = Catch_up | Degrade
 
 let with_lock t f = Mutex.protect t.lock f
 
@@ -316,31 +307,17 @@ let clear_health t =
       t.health <- None;
       t.generation <- t.generation + 1)
 
-let freshness t = with_lock t (fun () -> t.freshness)
-
-let set_freshness t mode =
-  with_lock t (fun () ->
-      t.freshness <- mode;
-      t.generation <- t.generation + 1)
-
-(* The freshness watermark: may [a] be stitched through right now?
-   Always true for an index with no pending deltas (the common case is
-   one buffer-size read per partition).  Otherwise Catch_up drains the buffers — charged
-   to the caller's stats, so the first query over a stale index pays the
-   catch-up — and Degrade refuses, which sends the planner or execution
-   guard to navigation / extent scan. *)
-let index_fresh ~env t a =
-  Core.Asr.pending_deltas a = 0
-  ||
-  let stats = env.Core.Exec.stats in
-  match with_lock t (fun () -> t.freshness) with
-  | Catch_up ->
+(* The freshness watermark: an index with pending deltas has its
+   buffers drained before it is stitched through — charged to the
+   caller's stats, so the first query over a stale index pays the
+   catch-up.  Deferred maintenance thus never shows in answers.  With
+   nothing pending the check is one buffer-size read per partition. *)
+let catch_up ~env a =
+  if Core.Asr.pending_deltas a > 0 then begin
+    let stats = env.Core.Exec.stats in
     ignore (Core.Asr.flush ~stats a);
-    Storage.Stats.(incr stats Catchup_flushes);
-    true
-  | Degrade ->
-    Storage.Stats.(incr stats Freshness_degradations);
-    false
+    Storage.Stats.(incr stats Catchup_flushes)
+  end
 
 (* May this environment walk the index's B+ trees right now?
 
@@ -349,20 +326,21 @@ let index_fresh ~env t a =
    means they reflect exactly the environment's epoch (publication
    flushes every buffer first, so pending deltas are strictly {e future}
    work relative to the snapshot).  A frozen environment without a mark
-   never touches the trees.  A live environment falls back to the
-   freshness watermark — including Catch_up's flush-on-first-use, which
-   must never run on behalf of a frozen reader (it would pull future
-   writes into a published epoch). *)
-let tree_guard ~env t a =
+   never touches the trees.  A live environment catches up with the
+   freshness watermark, which must never run on behalf of a frozen
+   reader (it would pull future writes into a published epoch). *)
+let tree_guard ~env a =
   match Core.Exec.mark_for env (Core.Asr.id a) with
   | Some v -> if Core.Asr.acquire_trees a ~version:v then `Acquired else `Refuse
   | None ->
     if Gom.Store_view.is_frozen env.Core.Exec.view then `Refuse
-    else if index_fresh ~env t a then `Plain
-    else `Refuse
+    else begin
+      catch_up ~env a;
+      `Plain
+    end
 
-let with_index_trees ~env t a f =
-  match tree_guard ~env t a with
+let with_index_trees ~env a f =
+  match tree_guard ~env a with
   | `Plain -> f ()
   | `Refuse -> raise Stale_plan
   | `Acquired -> Fun.protect ~finally:(fun () -> Core.Asr.release_trees a) f
@@ -370,11 +348,13 @@ let with_index_trees ~env t a f =
 (* Planning-time mirror of [tree_guard] that never takes the reader
    slot: pricing only needs to know whether execution would succeed
    (execution re-guards with the real bracket). *)
-let index_usable ~env t a =
+let index_usable ~env a =
   match Core.Exec.mark_for env (Core.Asr.id a) with
   | Some v -> Core.Asr.tree_version a = v
   | None ->
-    (not (Gom.Store_view.is_frozen env.Core.Exec.view)) && index_fresh ~env t a
+    let live = not (Gom.Store_view.is_frozen env.Core.Exec.view) in
+    if live then catch_up ~env a;
+    live
 
 let create ?(sizes = fun _ -> 100) env =
   let t =
@@ -393,7 +373,6 @@ let create ?(sizes = fun _ -> 100) env =
       invalidations = 0;
       sizes;
       health = None;
-      freshness = Catch_up;
       subscription = None;
     }
   in
@@ -642,11 +621,11 @@ let candidates ?env t path ~i ~j ~dir =
             degraded := true;
             None
           end
-          else if not (index_usable ~env t a) then
+          else if not (index_usable ~env a) then
             (* The trees are out of reach for this environment: version
-               moved past a snapshot's pin, a frozen env without a mark,
-               or pending deltas under Degrade.  Price the index out;
-               the always-live plans below stay exact. *)
+               moved past a snapshot's pin, or a frozen env without a
+               mark.  Price the index out; the always-live plans below
+               stay exact. *)
             None
           else begin
             let prof_i = if whole ipath off then prof_q else profile_in ~env t ipath in
@@ -724,7 +703,7 @@ let choose ?env t path ~i ~j ~dir = fst (choose_aux ?env t path ~i ~j ~dir)
    construction, the partitions read. *)
 let run_stitch ~env t index steps ~lookup probes =
   if not (stitch_usable t index steps) then raise Stale_plan;
-  with_index_trees ~env t index (fun () ->
+  with_index_trees ~env index (fun () ->
       Core.Exec.stitch env index ~lookup steps
         (Array.of_list (List.map (fun p -> [ p ]) probes)))
 

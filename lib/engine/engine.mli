@@ -146,26 +146,14 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
 val clear_health : t -> unit
 (** Trust every registered index again.  Bumps the generation. *)
 
-(* {2 Freshness watermark} *)
+(* {2 Freshness watermark}
 
-(** What the planner and the execution guards do with an index whose
-    deferred-maintenance buffers hold pending deltas
-    ({!Core.Asr.pending_deltas} > 0).  Either way answers stay exactly
-    equal to immediate maintenance:
-
-    - [Catch_up] (the default): drain the index's buffers on first use
-      ({!Core.Asr.flush}, charged to the querying operation's stats and
-      counted as {!Storage.Stats.Catchup_flushes});
-    - [Degrade]: refuse the stale index — the planner prices it out and
-      a cached plan degrades to navigation / extent scan (recorded via
-      {!Storage.Stats.Freshness_degradations}), leaving the flush
-      to the maintenance manager's own policy. *)
-type freshness_mode = Catch_up | Degrade
-
-val freshness : t -> freshness_mode
-
-val set_freshness : t -> freshness_mode -> unit
-(** Bumps the generation. *)
+   An index whose deferred-maintenance buffers hold pending deltas
+   ({!Core.Asr.pending_deltas} > 0) has them drained on first use by a
+   live environment — by the planner or an execution guard
+   ({!Core.Asr.flush}, charged to the querying operation's stats and
+   counted as {!Storage.Stats.Catchup_flushes}) — so answers stay
+   exactly equal to immediate maintenance. *)
 
 val invalidate_plans : t -> unit
 (** Force re-planning of every cached plan (a generation bump) without

@@ -1,11 +1,11 @@
 (* Audit the physical partitions of an access support relation against
    the object graph.
 
-   Ground truth is a fresh [Extension.compute] over the live store —
-   the relation every partition ought to be a projection of (paper,
-   Defs. 3.4-3.7).  Each partition's B+ tree contents are compared
-   against the expected projection multiset; reference counts make the
-   comparison exact for exclusively owned trees.  Divergences are
+   Ground truth is a fresh [Extension.compute] over the live store of
+   every relation holding the partition's trees (paper, Defs. 3.4-3.7;
+   a pool's co-sharers too, section 5.4): [Asr.partition_diff] compares
+   each partition's reference counts against the summed projection
+   multiset, the same target a repair patches to.  Divergences are
    classified as missing references, phantom references, or — when a
    missing and a phantom projection differ only where exactly one of
    them is NULL — a wrong NULL marker (the shape of a maintenance
@@ -99,51 +99,20 @@ let classify ~part missing phantom =
   @ List.map (fun (proj, count) -> Phantom { part; proj; count }) !phantom
   @ List.rev !paired
 
-let audit_partition ?stats index truth ~part ~sample =
+let audit_partition ?stats target ~part ~sample =
   (match stats with Some st -> Storage.Stats.(incr st Scrubs) | None -> ());
-  let lo, hi = Core.Asr.partition_bounds index part in
-  let cols = List.init (hi - lo + 1) (fun k -> lo + k) in
-  let shared = Core.Asr.partition_shared index part in
-  (* Expected multiset of projections, keyed by printed form. *)
-  let want : (string, int * Relation.Tuple.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun tup ->
-      if sample = None || Option.fold ~none:true ~some:(fun k -> in_sample k tup) sample
-      then begin
-        let proj = Relation.Tuple.project tup cols in
-        let key = Relation.Tuple.to_string proj in
-        let n = match Hashtbl.find_opt want key with Some (n, _) -> n | None -> 0 in
-        Hashtbl.replace want key (n + 1, proj)
-      end)
-    truth;
-  let present = Hashtbl.create 64 in
-  List.iter
-    (fun proj -> Hashtbl.replace present (Relation.Tuple.to_string proj) proj)
-    (Core.Asr.scan_partition ?stats index part);
-  let missing = ref [] in
-  let phantom = ref [] in
-  Hashtbl.iter
-    (fun key (n, proj) ->
-      Hashtbl.remove present key;
-      let have = Core.Asr.partition_refcount index part proj in
-      match sample with
-      | Some _ ->
-        (* Sampled audits check presence only: multiplicities cannot be
-           compared against a partial expected multiset. *)
-        if have = 0 then missing := (proj, n) :: !missing
-      | None -> if have < n then missing := (proj, n - have) :: !missing)
-    want;
-  (* Surviving [present] entries are wanted by nobody — but only an
-     exhaustive audit of an exclusively owned tree can call them
-     phantoms (a sample misses expecteds; a co-sharer owns extras). *)
-  if sample = None && not shared then
-    Hashtbl.iter
-      (fun _ proj ->
-        let have = Core.Asr.partition_refcount index part proj in
-        if have > 0 then phantom := (proj, have) :: !phantom)
-      present;
-  let order = List.sort (fun (a, _) (b, _) -> Relation.Tuple.compare a b) in
-  classify ~part (order !missing) (order !phantom)
+  let keep = Option.map in_sample sample in
+  let diff = Core.Asr.partition_diff ?stats ?keep target part in
+  (* A sampled audit checks presence only: against a partial expected
+     multiset, neither a short count nor an unwanted projection shows
+     damage. *)
+  let exhaustive = sample = None in
+  let pick f = List.filter_map f diff in
+  classify ~part
+    (pick (fun (proj, want, have) ->
+         if want > have && (exhaustive || have = 0) then Some (proj, want - have) else None))
+    (pick (fun (proj, want, have) ->
+         if exhaustive && have > want then Some (proj, have - want) else None))
 
 let run ?deadline ?fault ?sample ?stats index =
   (match sample with
@@ -164,30 +133,25 @@ let run ?deadline ?fault ?sample ?stats index =
     | Some st -> Storage.Stats.(incr st Catchup_flushes)
     | None -> ()
   end;
-  let truth =
-    Relation.to_list
-      (Core.Asr.restrict index
-         (Core.Extension.compute (Core.Asr.store index) (Core.Asr.path index)
-            (Core.Asr.kind index)))
-  in
+  let target = Core.Asr.target index in
   let parts = Core.Asr.partition_count index in
   let audit part =
     checkpoint ();
     match fault with
-    | None -> audit_partition ?stats index truth ~part ~sample
+    | None -> audit_partition ?stats target ~part ~sample
     | Some f ->
       (* Each partition audit counts as one logical read against the
          fault plan; transient failures are retried with deterministic
          backoff. *)
       Durability.Fault.with_retry ?stats f (fun () ->
           Durability.Fault.observe_read f;
-          audit_partition ?stats index truth ~part ~sample)
+          audit_partition ?stats target ~part ~sample)
   in
   let divergences = List.concat_map audit (List.init parts Fun.id) in
   {
     r_path = Gom.Path.to_string (Core.Asr.path index);
     r_kind = Core.Extension.name (Core.Asr.kind index);
-    r_cardinality = List.length truth;
+    r_cardinality = List.length (Core.Asr.target_tuples target);
     r_partitions = parts;
     r_shared_partitions = Core.Asr.shared_partition_count index;
     r_sample = sample;

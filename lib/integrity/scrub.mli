@@ -2,10 +2,12 @@
     partitions against the object graph.
 
     A scrub recomputes the relation's extension from the live store
-    (Defs. 3.4-3.7's ground truth) and compares every partition's B+
-    tree contents — reference counts included — against the expected
-    projections, either exhaustively or over a deterministic OID
-    sample.  The result is a typed divergence report the quarantine
+    (Defs. 3.4-3.7's ground truth), with its pool co-sharers' where
+    trees are shared, and compares every partition's B+ tree contents —
+    reference counts included — against the expected projections
+    ({!Core.Asr.partition_diff}, the target a repair patches to), either
+    exhaustively or over a deterministic OID sample.  Each relation's
+    extension is computed once per scrub.  The result is a typed divergence report the quarantine
     registry and the repairer consume, and that [asr_cli doctor] prints
     and serialises. *)
 
@@ -14,10 +16,11 @@ type divergence =
       (** [count] references to the projection are absent from the
           partition's trees. *)
   | Phantom of { part : int; proj : Relation.Tuple.t; count : int }
-      (** [count] spurious references are present that no extension
-          tuple projects onto.  Only reported by exhaustive audits of
-          exclusively owned partitions (a sample misses expected tuples;
-          a shared tree's extras may belong to a co-sharer). *)
+      (** [count] references are present beyond the extension tuples
+          projecting onto the projection (summed over every relation
+          holding the trees, so shared partitions are audited exactly).
+          Only reported by exhaustive audits: a sample misses expected
+          tuples. *)
   | Null_marker of {
       part : int;
       expected : Relation.Tuple.t;

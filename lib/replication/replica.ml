@@ -14,8 +14,6 @@ let read_all path =
 
 type state = {
   rs_store : Gom.Store.t;
-  rs_heap : Storage.Heap.t;
-  rs_mgr : Core.Maintenance.t;
   rs_source : Parallel.Snapshot.source;
   rs_specs : Durability.Db.spec list;
   mutable rs_snap : Parallel.Snapshot.t;
@@ -71,9 +69,6 @@ let write_marker t =
     (Printf.sprintf "%s\ngen %d\n" marker_header t.gen)
 
 let build_state t store specs =
-  let heap = Storage.Heap.create ~size_of:(fun _ -> 100) store in
-  let mgr = Core.Maintenance.create (Core.Exec.make store heap) in
-  Core.Maintenance.set_policy mgr t.policy;
   let snap_specs =
     List.map
       (fun spec ->
@@ -85,23 +80,20 @@ let build_state t store specs =
         })
       specs
   in
-  let source =
-    Parallel.Snapshot.source ~maintenance:mgr ~specs:snap_specs store
-  in
+  (* The source lays out the one heap and maintenance manager the
+     replica's store feeds. *)
+  let source = Parallel.Snapshot.source ~specs:snap_specs store in
+  Core.Maintenance.set_policy (Parallel.Snapshot.source_maintenance source) t.policy;
   let snap = Parallel.Snapshot.advance source in
   t.epochs <- t.epochs + 1;
-  { rs_store = store; rs_heap = heap; rs_mgr = mgr; rs_source = source;
-    rs_specs = specs; rs_snap = snap }
+  { rs_store = store; rs_source = source; rs_specs = specs; rs_snap = snap }
+
+let maintenance st = Parallel.Snapshot.source_maintenance st.rs_source
 
 (* Detach a state's listeners from its store: on reseeding, and on
    close, where the state stays readable. *)
 let close_state t =
-  Option.iter
-    (fun st ->
-      Parallel.Snapshot.close_source st.rs_source;
-      Core.Maintenance.close st.rs_mgr;
-      Storage.Heap.close st.rs_heap)
-    t.state
+  Option.iter (fun st -> Parallel.Snapshot.close_source st.rs_source) t.state
 
 let open_wal t =
   (match t.wal_out with
@@ -282,7 +274,7 @@ let apply_slice t st ~gen ~off ~bytes =
         List.exists
           (function Durability.Wal.Flush _ -> true | _ -> false)
           g.Durability.Wal.Scanner.g_records
-      then ignore (Core.Maintenance.flush_all st.rs_mgr))
+      then ignore (Core.Maintenance.flush_all (maintenance st)))
     groups;
   t.applied_off <- Durability.Wal.Scanner.committed_bytes t.scanner;
   t.applied_records <- t.applied_records + !records;
@@ -399,7 +391,7 @@ let snapshot t = Option.map (fun st -> st.rs_snap) t.state
 
 let flush_maintenance t =
   match t.state with
-  | Some st -> Core.Maintenance.flush_all st.rs_mgr
+  | Some st -> Core.Maintenance.flush_all (maintenance st)
   | None -> 0
 
 let env ?deadline ?max_lag_bytes t =

@@ -32,7 +32,6 @@ type counter =
   | Deltas_annihilated
   | Deltas_flushed
   | Catchup_flushes
-  | Freshness_degradations
   | Shed
   | Timed_out
   | Breaker_open
@@ -53,7 +52,6 @@ let table =
     (Deltas_annihilated, "deltas_annihilated");
     (Deltas_flushed, "deltas_flushed");
     (Catchup_flushes, "catchup_flushes");
-    (Freshness_degradations, "freshness_degradations");
     (Shed, "shed");
     (Timed_out, "timed_out");
     (Breaker_open, "breaker_open");
@@ -67,7 +65,7 @@ let table =
 let counters = Array.to_list (Array.map fst table)
 
 (* Counters fire on cold paths (audits, degradations, frames), so a
-   scan of the 17-entry table is cheap enough. *)
+   scan of the 16-entry table is cheap enough. *)
 let slot c =
   let rec go i = if fst table.(i) = c then i else go (i + 1) in
   go 0

@@ -163,9 +163,6 @@ type counter =
   | Catchup_flushes
       (** One catch-up flush forced by the planner's freshness watermark
           (or an integrity audit) before using a stale index. *)
-  | Freshness_degradations
-      (** One planning decision that refused a stale index and degraded
-          to navigation / extent scan instead of flushing. *)
   | Shed
       (** One query rejected by admission control (bounded-queue
           overflow under any shed policy, or a per-client rate limit).

@@ -128,10 +128,14 @@ let test_geometry () =
 
 let test_refresh () =
   let b, a = mk ~kind:Core.Extension.Canonical () in
-  (* Mutate the base behind the ASR's back, then refresh. *)
+  (* Mutate the base behind the ASR's back, then refresh by patching
+     every partition to the base. *)
   Gom.Store.set_attr b.C.store b.C.mb_trak "Composition"
     (V.Ref (V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition")));
-  A.refresh a;
+  let target = A.target a in
+  for i = 0 to A.partition_count a - 1 do
+    ignore (A.patch_partition target i)
+  done;
   check_int "new complete paths appear" 3 (A.cardinal a);
   let expected = Core.Extension.compute b.C.store (A.path a) Core.Extension.Canonical in
   check "matches scratch recompute" true (Relation.equal expected (A.extension_relation a))

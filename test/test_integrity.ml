@@ -1,8 +1,8 @@
 (* Tests for the integrity subsystem: the scrubber's typed divergence
-   reports, quarantine-driven degraded planning, incremental background
-   repair under live mutations, read-side fault injection with bounded
-   retry, and a crash-point sweep across the scrub -> quarantine ->
-   rebuild cycle.
+   reports (shared pool partitions included), quarantine-driven degraded
+   planning, repair as one reconciliation, read-side fault injection
+   with bounded retry, and a crash-point sweep across the scrub ->
+   quarantine -> repair cycle.
 
    The acceptance property mirrors the engine suite's oracle check: for
    random schemas, decompositions, extensions and injected corruptions,
@@ -286,7 +286,7 @@ let repair_restores_and_lifts () =
   Core.Asr.damage_partition a part [ Core.Asr.Drop victim; Core.Asr.Phantom ghost ];
   ignore (Quarantine.apply_report registry a (Scrub.run a));
   check "quarantined before repair" true (Quarantine.asr_quarantined registry a);
-  let outcome = Repair.run ~slice:2 ~registry ~maintenance:mgr a in
+  let outcome = Repair.run ~registry a in
   (match outcome with
   | Repair.Repaired { fixes; _ } -> check "some projections reconciled" true (fixes > 0)
   | Repair.Failed _ -> Alcotest.fail "repair failed on a repairable corruption");
@@ -297,44 +297,9 @@ let repair_restores_and_lifts () =
     (uses_stitch (Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Fwd).Engine.chosen);
   check "repaired queries equal the oracle" true (agrees_oracle engine env path)
 
-let repair_replays_live_mutations () =
-  let b = C.base () in
-  let store = b.C.store in
-  let path = C.name_path store in
-  let m = Gom.Path.arity path - 1 in
-  let a = Core.Asr.create store path Core.Extension.Full (D.binary ~m) in
-  let env = env_of store in
-  let mgr = Core.Maintenance.create env in
-  Core.Maintenance.register mgr a;
-  let registry = Quarantine.create () in
-  let part = 0 in
-  let victim = List.hd (Core.Asr.scan_partition a part) in
-  Core.Asr.damage_partition a part [ Core.Asr.Drop victim ];
-  Quarantine.quarantine ~reason:"test" registry a;
-  let job = Repair.start ~slice:1 ~registry ~maintenance:mgr a in
-  (* Mutate the base mid-rebuild: ordinary maintenance is suspended for
-     this relation, so the repair's reconciliation must take the event
-     in. *)
-  Gom.Store.set_attr store b.C.pepper "Name" (V.Str "PepperMill");
-  let rec drive () =
-    match Repair.step job with `More -> drive () | `Done o -> o
-  in
-  (match drive () with
-  | Repair.Repaired { caught_up; _ } ->
-    check "live event caught up" true (caught_up >= 1)
-  | Repair.Failed _ -> Alcotest.fail "repair failed under live mutation");
-  check "extension caught up with the mutation" true
-    (Relation.equal
-       (Core.Asr.extension_relation a)
-       (Core.Extension.compute store path Core.Extension.Full));
-  check "post-repair scrub is clean" true (Scrub.clean (Scrub.run a));
-  check "maintenance resumed" true (not (Core.Maintenance.is_suspended mgr a))
-
-(* A relation drawing its partitions from a sharing pool, repaired while
-   the base loses edges: its co-sharer keeps being maintained through
-   the rebuild, so the shared trees must end up carrying exactly both
-   relations' references, not the repaired one's stale ones. *)
-let repair_pooled_under_deletes () =
+(* Two relations from one pool over one path: every partition's trees
+   are shared, and each projection carries both relations' references. *)
+let pooled_pair () =
   let b = C.base () in
   let store = b.C.store in
   let path = C.name_path store in
@@ -346,17 +311,65 @@ let repair_pooled_under_deletes () =
   Core.Maintenance.register mgr a;
   Core.Maintenance.register mgr peer;
   check_int "fully pooled" (Core.Asr.partition_count a) (Core.Asr.shared_partition_count a);
+  (b, store, path, a, peer)
+
+(* Damage to a shared partition that leaves every projection present: a
+   dropped reference to a projection both relations hold, and a phantom.
+   The scrub compares against both relations' summed counts, so it sees
+   both; the repair patches them away. *)
+let scrub_and_repair_shared_partition () =
+  let _, _, _, a, peer = pooled_pair () in
+  let part = 1 in
+  let victim = List.hd (Core.Asr.scan_partition a part) in
+  let held = Core.Asr.partition_refcount a part victim in
+  check "both relations hold the projection" true (held >= 2);
+  let ghost = Array.map (fun _ -> V.Ref (Gom.Oid.of_int 999999)) victim in
+  Core.Asr.damage_partition a part [ Core.Asr.Drop victim; Core.Asr.Phantom ghost ];
+  check_int "the dropped projection is still present" (held - 1)
+    (Core.Asr.partition_refcount a part victim);
+  List.iter
+    (fun (name, index) ->
+      let r = Scrub.run index in
+      check (name ^ ": drop reported missing") true
+        (List.exists
+           (function
+             | Scrub.Missing { part = p; proj; count } ->
+               p = part && Relation.Tuple.equal proj victim && count = 1
+             | _ -> false)
+           r.Scrub.r_divergences);
+      check (name ^ ": phantom reported") true
+        (List.exists
+           (function
+             | Scrub.Phantom { part = p; proj; count } ->
+               p = part && Relation.Tuple.equal proj ghost && count = 1
+             | _ -> false)
+           r.Scrub.r_divergences))
+    [ ("damaged relation", a); ("co-sharer", peer) ];
+  let registry = Quarantine.create () in
+  ignore (Quarantine.apply_report registry a (Scrub.run a));
+  check "quarantined before repair" true (Quarantine.asr_quarantined registry a);
+  (match Repair.run ~registry a with
+  | Repair.Repaired { fixes } -> check_int "two projections reconciled" 2 fixes
+  | Repair.Failed _ -> Alcotest.fail "repair failed on a shared partition");
+  check "quarantine lifted" true (not (Quarantine.asr_quarantined registry a));
+  check "shared trees carry exactly both relations" true
+    (Test_maintenance.trees_exact_all [ a; peer ])
+
+(* A pooled relation damaged, then maintained through deletes while it
+   waits in quarantine: its co-sharer keeps being maintained too, so the
+   repair must leave the shared trees carrying exactly both relations'
+   references, and maintenance must stay exact afterwards. *)
+let repair_pooled_under_deletes () =
+  let b, store, path, a, peer = pooled_pair () in
   let registry = Quarantine.create () in
   Core.Asr.damage_partition a 1 [ Core.Asr.Phantom (List.hd (Core.Asr.scan_partition a 1)) ];
   Quarantine.quarantine ~reason:"test" registry a;
-  let job = Repair.start ~slice:1 ~registry ~maintenance:mgr a in
   let sec_parts = V.oid_exn (Gom.Store.get_attr store b.C.sec560 "Composition") in
   Gom.Store.remove_elem store sec_parts (V.Ref b.C.door);
   Gom.Store.delete store b.C.pepper;
-  let rec drive () = match Repair.step job with `More -> drive () | `Done o -> o in
-  (match drive () with
+  (match Repair.run ~registry a with
   | Repair.Repaired _ -> ()
-  | Repair.Failed _ -> Alcotest.fail "repair failed under live deletes");
+  | Repair.Failed _ -> Alcotest.fail "repair failed after live deletes");
   let truth () = Core.Extension.compute store path Core.Extension.Full in
   check "repaired relation equals the base" true
     (Relation.equal (truth ()) (Core.Asr.extension_relation a));
@@ -368,29 +381,6 @@ let repair_pooled_under_deletes () =
   check "both maintained exactly afterwards" true
     (Relation.equal (truth ()) (Core.Asr.extension_relation a)
     && Test_maintenance.trees_exact_all [ a; peer ])
-
-let abort_keeps_quarantine () =
-  let b = C.base () in
-  let store = b.C.store in
-  let path = C.name_path store in
-  let m = Gom.Path.arity path - 1 in
-  let a = Core.Asr.create store path Core.Extension.Full (D.binary ~m) in
-  (* Mutations applied before any maintenance is attached leave the
-     logical extension stale, so the rebuild work list spans several
-     slices — the job is genuinely mid-flight when aborted. *)
-  Gom.Store.set_attr store b.C.pepper "Name" (V.Str "Zanzibar");
-  Gom.Store.set_attr store b.C.door "Name" (V.Str "Gate");
-  Gom.Store.set_attr store b.C.sausage "Name" (V.Str "Wurst");
-  let env = env_of store in
-  let mgr = Core.Maintenance.create env in
-  Core.Maintenance.register mgr a;
-  let registry = Quarantine.create () in
-  Quarantine.quarantine ~reason:"test" registry a;
-  let job = Repair.start ~slice:1 ~registry ~maintenance:mgr a in
-  check "job still mid-flight after one slice" true (Repair.step job = `More);
-  Repair.abort job;
-  check "abort leaves the quarantine in place" true (Quarantine.asr_quarantined registry a);
-  check "abort resumes maintenance" true (not (Core.Maintenance.is_suspended mgr a))
 
 (* ---------------- fault injection ---------------- *)
 
@@ -499,21 +489,20 @@ let crash_sweep_repair () =
   (* Size the sweep from a crash-free reference run through a counting
      fault environment that never fires. *)
   let total_reads =
-    let env, _, a, mgr, _, registry = sweep_setup () in
-    ignore env;
+    let _, _, a, _, _, registry = sweep_setup () in
     let f =
       Fault.faulty_reads { Fault.fail_at_read = max_int; fault = Fault.Crash_read }
     in
-    (match Repair.run ~slice:3 ~fault:f ~registry ~maintenance:mgr a with
+    (match Repair.run ~fault:f ~registry a with
     | Repair.Repaired _ -> ()
     | Repair.Failed _ -> Alcotest.fail "reference repair failed");
     Fault.reads f
   in
   check "reference run exercises several crash points" true (total_reads >= 3);
   for k = 1 to total_reads do
-    let env, path, a, mgr, engine, registry = sweep_setup () in
+    let env, path, a, _, engine, registry = sweep_setup () in
     let f = Fault.faulty_reads { Fault.fail_at_read = k; fault = Fault.Crash_read } in
-    (match Repair.run ~slice:3 ~fault:f ~registry ~maintenance:mgr a with
+    (match Repair.run ~fault:f ~registry a with
     | _ -> Alcotest.failf "crash point %d never fired" k
     | exception Fault.Crash -> ());
     (* The invariant: a crash anywhere in the cycle leaves the relation
@@ -524,14 +513,10 @@ let crash_sweep_repair () =
       true
       (Quarantine.asr_quarantined registry a);
     check
-      (Printf.sprintf "crash at read %d: maintenance resumed" k)
-      true
-      (not (Core.Maintenance.is_suspended mgr a));
-    check
       (Printf.sprintf "crash at read %d: degraded queries equal the oracle" k)
       true (agrees_oracle engine env path);
     (* Recovery: a clean second repair always lands fully repaired. *)
-    (match Repair.run ~slice:3 ~registry ~maintenance:mgr a with
+    (match Repair.run ~registry a with
     | Repair.Repaired _ -> ()
     | Repair.Failed _ -> Alcotest.failf "post-crash repair failed at read %d" k);
     check
@@ -578,27 +563,32 @@ let spec_gen =
     let* seed = int_range 0 10000 in
     return (Workload.Generator.spec ~seed ~set_valued:sv ~counts ~defined ~fan ()))
 
-(* Corrupt one partition (a dropped real projection when one exists,
-   plus a phantom when the trees are exclusively owned), scrub,
+(* Corrupt one partition (a dropped real projection, when one exists,
+   and a phantom — in a shared partition as in an owned one), scrub,
    quarantine, check oracle equality under degradation, repair, and
-   check the index is clean, trusted and routed-through again. *)
+   check the index is clean, trusted and routed-through again.  A pooled
+   draw gives the relation a co-sharer from one pool over the same path,
+   kind and decomposition, maintained alongside it: the shared trees
+   must then come out of the repair exact for both. *)
 let prop_corrupt_quarantine_repair =
   QCheck.Test.make
     ~name:"corrupt -> quarantine = oracle; repair -> clean scrub + ASR routing"
-    ~count:50
+    ~count:(Qc.iters_env "ASR_INTEGRITY_COUNT" 50)
     QCheck.(
       pair (make ~print:(fun _ -> "<spec>") spec_gen)
-        (pair (int_bound 3) (pair small_int small_int)))
-    (fun (spec, (kind_idx, (pick, dmg_pick))) ->
+        (pair (pair (int_bound 3) bool) (pair small_int small_int)))
+    (fun (spec, ((kind_idx, pooled), (pick, dmg_pick))) ->
       let store, path = Workload.Generator.build spec in
       let env = env_of store in
       let kind = List.nth Core.Extension.all kind_idx in
       let m = Gom.Path.arity path - 1 in
       let decs = D.all ~m in
       let dec = List.nth decs (pick mod List.length decs) in
-      let a = Core.Asr.create store path kind dec in
+      let pool = if pooled then Some (Core.Asr.make_pool store) else None in
+      let a = Core.Asr.create ?pool store path kind dec in
+      let peers = if pooled then [ Core.Asr.create ?pool store path kind dec ] else [] in
       let mgr = Core.Maintenance.create env in
-      Core.Maintenance.register mgr a;
+      List.iter (Core.Maintenance.register mgr) (a :: peers);
       let engine = Engine.create env in
       Engine.register engine a;
       pin_expensive_nav engine path;
@@ -610,11 +600,7 @@ let prop_corrupt_quarantine_repair =
         match Core.Asr.scan_partition a part with
         | victim :: _ ->
           let ghost = Array.map (fun _ -> V.Ref (Gom.Oid.of_int 999999)) victim in
-          let ds =
-            if Core.Asr.partition_shared a part then [ Core.Asr.Drop victim ]
-            else [ Core.Asr.Drop victim; Core.Asr.Phantom ghost ]
-          in
-          Core.Asr.damage_partition a part ds;
+          Core.Asr.damage_partition a part [ Core.Asr.Drop victim; Core.Asr.Phantom ghost ];
           true
         | [] -> false
       in
@@ -623,15 +609,16 @@ let prop_corrupt_quarantine_repair =
       let detected = (not damaged) || quarantined <> [] in
       let degraded_ok = agrees_oracle engine env path in
       let repaired =
-        match Repair.run ~slice:3 ~registry ~maintenance:mgr a with
+        match Repair.run ~registry a with
         | Repair.Repaired _ -> true
         | Repair.Failed _ -> false
       in
       let clean_after = Scrub.clean (Scrub.run a) in
       let trusted_after = not (Quarantine.asr_quarantined registry a) in
       let restored_ok = agrees_oracle engine env path in
+      let exact_after = Test_maintenance.trees_exact_all (a :: peers) in
       detected && degraded_ok && repaired && clean_after && trusted_after
-      && restored_ok)
+      && restored_ok && exact_after)
 
 let suite =
   [
@@ -652,11 +639,10 @@ let suite =
       stale_cached_plan_never_executes;
     Alcotest.test_case "repair: restores, verifies, lifts quarantine" `Quick
       repair_restores_and_lifts;
-    Alcotest.test_case "repair: buffers and replays live mutations" `Quick
-      repair_replays_live_mutations;
+    Alcotest.test_case "scrub: shared partition drop and phantom, repaired" `Quick
+      scrub_and_repair_shared_partition;
     Alcotest.test_case "repair: pooled relation under live deletes" `Quick
       repair_pooled_under_deletes;
-    Alcotest.test_case "repair: abort keeps the quarantine" `Quick abort_keeps_quarantine;
     Alcotest.test_case "fault: bounded retry with deterministic backoff" `Quick
       retry_backoff_deterministic;
     Alcotest.test_case "fault: scrub absorbs transient read faults" `Quick

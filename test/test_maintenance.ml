@@ -543,7 +543,13 @@ let test_edge_cases () =
         (fun k (name, mutate) ->
           mutate ();
           let exact = policy = M.Immediate || k mod 4 = 3 in
-          check (Printf.sprintf "%s: %s" (config_name cfg) name) true (edge_agree ~exact asrs))
+          let label = Printf.sprintf "%s: %s" (config_name cfg) name in
+          check label true (edge_agree ~exact asrs);
+          (* A shared tree is audited against every sharer's summed
+             counts: maintenance must leave no divergence to report. *)
+          if layout = Pooled then
+            check (label ^ ", exhaustive scrub") true
+              (List.for_all (fun a -> Integrity.Scrub.clean (Integrity.Scrub.run a)) asrs))
         steps;
       ignore (M.flush_all mgr);
       check (config_name cfg ^ ": flushed trees exact") true (edge_agree ~exact:true asrs))

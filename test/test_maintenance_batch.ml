@@ -5,7 +5,7 @@
    The two centrepieces are oracle properties: [Bptree.apply_many] must
    equal net sequential insert/remove on a twin tree, and a random
    event stream with interleaved engine queries — run under every flush
-   policy and both freshness modes — must answer exactly like an
+   policy — must answer exactly like an
    always-immediate manager and the navigational scan oracle, with the
    physical partition trees converging after the final flush.  A crash
    at every log write through a mid-flush WAL group must recover to a
@@ -218,43 +218,9 @@ let test_annihilation_writes_nothing () =
     (Storage.Stats.snapshot stats).Storage.Stats.s_total_writes;
   check "trees never diverged" true (agree a)
 
-(* ---------------- suspended set (satellite 1) ---------------- *)
-
-let test_suspend_resume_idempotent_at_scale () =
-  let b = C.base () in
-  let heap = Storage.Heap.create ~size_of:(fun _ -> 100) b.C.store in
-  let mgr = M.create (E.make b.C.store heap) in
-  let path = C.name_path b.C.store in
-  let pool = Core.Asr.make_pool b.C.store in
-  let asrs =
-    List.map
-      (fun kind ->
-        let a = Core.Asr.create ~pool b.C.store path kind (D.binary ~m:5) in
-        M.register mgr a;
-        a)
-      Core.Extension.all
-  in
-  (* Hammer one relation with redundant suspends: the identity-keyed
-     set keeps every call O(1) and a single resume lifts them all. *)
-  let victim = List.hd asrs in
-  for _ = 1 to 10_000 do
-    M.suspend mgr victim
-  done;
-  check "suspended" true (M.is_suspended mgr victim);
-  List.iter
-    (fun a ->
-      if a != victim then check "others unaffected" false (M.is_suspended mgr a))
-    asrs;
-  M.resume mgr victim;
-  check "one resume lifts 10k suspends" false (M.is_suspended mgr victim);
-  M.resume mgr victim;
-  check "redundant resume harmless" false (M.is_suspended mgr victim);
-  Gom.Store.insert_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
-  List.iter (fun a -> check "maintained after resume" true (agree a)) asrs
-
 (* ---------------- freshness watermark ---------------- *)
 
-let test_watermark_catchup_and_degrade () =
+let test_watermark_catchup () =
   let b, env, _mgr, a = company_setup Core.Extension.Full M.On_query in
   let stats = env.E.stats in
   let engine = Engine.create env in
@@ -265,23 +231,13 @@ let test_watermark_catchup_and_degrade () =
   let src = List.hd (Gom.Store.extent ~deep:true b.C.store (Gom.Path.type_at path 0)) in
   Gom.Store.insert_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
   check "pending before query" true (Core.Asr.pending_deltas a > 0);
-  (* Catch_up (default): the first planned use drains the buffers and
-     counts a catch-up flush; the answer equals the scan oracle. *)
+  (* The first planned use drains the buffers and counts a catch-up
+     flush; the answer equals the scan oracle. *)
   let r1 = Engine.forward engine path ~i:0 ~j:n src in
   check_int "catch-up drained" 0 (Core.Asr.pending_deltas a);
   check "catch-up counted" true (Storage.Stats.(count stats Catchup_flushes) > 0);
   check "catch-up answer = oracle" true
-    (vset r1 = vset (E.forward_scan env path ~i:0 ~j:n src));
-  (* Degrade: new pending deltas make the planner refuse the index; the
-     query degrades to navigation, still exact, buffers untouched. *)
-  Engine.set_freshness engine Engine.Degrade;
-  Gom.Store.remove_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
-  check "pending again" true (Core.Asr.pending_deltas a > 0);
-  let r2 = Engine.forward engine path ~i:0 ~j:n src in
-  check "degradation counted" true (Storage.Stats.(count stats Freshness_degradations) > 0);
-  check "degrade leaves buffers pending" true (Core.Asr.pending_deltas a > 0);
-  check "degraded answer = oracle" true
-    (vset r2 = vset (E.forward_scan env path ~i:0 ~j:n src))
+    (vset r1 = vset (E.forward_scan env path ~i:0 ~j:n src))
 
 (* ---------------- stats counters (satellite 6) ---------------- *)
 
@@ -311,7 +267,6 @@ let test_stats_counters_in_summary () =
       "deltas_annihilated";
       "deltas_flushed";
       "catchup_flushes";
-      "freshness_degradations";
     ];
   let s = Storage.Stats.snapshot stats in
   check_int "summary mirrors buffered" Storage.Stats.(count stats Deltas_buffered)
@@ -330,11 +285,11 @@ let policies =
 
 (* One case of the oracle: two identical bases from the same seeded
    spec, one under immediate maintenance (the reference), one deferred
-   under [policy] behind an engine in freshness [mode].  With [pooled],
-   each base holds a second relation of the same kind over another
-   decomposition, both drawing their partitions from one sharing pool,
-   so shared trees take both relations' deltas (and buffers). *)
-let deferred_case ~pooled spec kind pick ops_seed policy mode =
+   under [policy] behind an engine that catches up on first use.  With
+   [pooled], each base holds a second relation of the same kind over
+   another decomposition, both drawing their partitions from one sharing
+   pool, so shared trees take both relations' deltas (and buffers). *)
+let deferred_case ~pooled spec kind pick ops_seed policy =
   let store_i, path_i = Workload.Generator.build spec in
   let store_d, path_d = Workload.Generator.build spec in
   let env_i = Test_maintenance.env_of spec store_i in
@@ -357,7 +312,6 @@ let deferred_case ~pooled spec kind pick ops_seed policy mode =
   M.set_policy mgr_d policy;
   let engine = Engine.create env_d in
   Engine.register engine a_d;
-  Engine.set_freshness engine mode;
   pin_expensive_nav engine path_d;
   let rng_i = Random.State.make [| ops_seed |] in
   let rng_d = Random.State.make [| ops_seed |] in
@@ -417,19 +371,14 @@ let deferred_gen =
 
 let deferred_prop ~pooled (spec, (kind_idx, (pick, ops_seed))) =
   let kind = List.nth Core.Extension.all kind_idx in
-  List.for_all
-    (fun policy ->
-      List.for_all
-        (deferred_case ~pooled spec kind pick ops_seed policy)
-        [ Engine.Catch_up; Engine.Degrade ])
-    policies
+  List.for_all (deferred_case ~pooled spec kind pick ops_seed) policies
 
 (* CI fuzz counts: the maintenance-fuzz job raises these properties to
    200 iterations via ASR_MAINT_COUNT; the run seed is printed by [Qc],
    so any failure reproduces with ASR_QCHECK_SEED. *)
 let prop_deferred_equals_immediate =
   QCheck.Test.make
-    ~name:"deferred maintenance = immediate + scan oracle (all policies, both modes)"
+    ~name:"deferred maintenance = immediate + scan oracle (all policies)"
     ~count:(Qc.iters_env "ASR_MAINT_COUNT" 25)
     deferred_gen (deferred_prop ~pooled:false)
 
@@ -685,10 +634,8 @@ let suite =
       test_switch_to_immediate_drains;
     Alcotest.test_case "insert+delete annihilate before any page" `Quick
       test_annihilation_writes_nothing;
-    Alcotest.test_case "suspend/resume idempotent at scale" `Quick
-      test_suspend_resume_idempotent_at_scale;
-    Alcotest.test_case "freshness watermark: catch-up and degrade" `Quick
-      test_watermark_catchup_and_degrade;
+    Alcotest.test_case "freshness watermark: catch-up on first use" `Quick
+      test_watermark_catchup;
     Alcotest.test_case "delta counters in stats summary" `Quick
       test_stats_counters_in_summary;
     Qc.to_alcotest prop_deferred_equals_immediate;

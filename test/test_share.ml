@@ -210,7 +210,10 @@ let test_refresh_preserves_sharers () =
   let dec = D.make ~m:5 [ 0; 2; 5 ] in
   let a1 = A.create ~pool store div_path X.Full dec in
   let a2 = A.create ~pool store fac_path X.Full dec in
-  A.refresh a1;
+  let target = A.target a1 in
+  for i = 0 to A.partition_count a1 - 1 do
+    ignore (A.patch_partition target i)
+  done;
   check "a1 correct after refresh" true (agree a1);
   check "a2 untouched by a1 refresh" true (agree a2);
   check "a2's partitions still serve" true

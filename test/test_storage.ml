@@ -364,7 +364,7 @@ let stats_json_keys =
     "buffer_evictions"; "prefetched"; "prefetch_hits"; "buffer_hit_ratio";
     "buffer_capacity"; "scrubs"; "fallbacks"; "retries"; "deltas_buffered";
     "deltas_merged"; "deltas_annihilated"; "deltas_flushed"; "catchup_flushes";
-    "freshness_degradations"; "shed"; "timed_out"; "breaker_open";
+    "shed"; "timed_out"; "breaker_open";
     "stale_epoch_served"; "frames_shipped"; "frames_applied"; "frames_dropped";
     "frames_retried"; "shard_grouped"; "shard_scatter";
   ]
@@ -398,10 +398,10 @@ let test_stats_json_golden () =
    ^ {|"prefetched": 0, "prefetch_hits": 0, "buffer_hit_ratio": 0.3333, |}
    ^ {|"buffer_capacity": 4, "scrubs": 1, "fallbacks": 2, "retries": 3, |}
    ^ {|"deltas_buffered": 4, "deltas_merged": 5, "deltas_annihilated": 6, |}
-   ^ {|"deltas_flushed": 7, "catchup_flushes": 8, "freshness_degradations": 9, |}
-   ^ {|"shed": 10, "timed_out": 11, "breaker_open": 12, "stale_epoch_served": 13, |}
-   ^ {|"frames_shipped": 14, "frames_applied": 15, "frames_dropped": 16, |}
-   ^ {|"frames_retried": 17, "shard_grouped": 1, "shard_scatter": 1, "mode": "x"}|})
+   ^ {|"deltas_flushed": 7, "catchup_flushes": 8, |}
+   ^ {|"shed": 9, "timed_out": 10, "breaker_open": 11, "stale_epoch_served": 12, |}
+   ^ {|"frames_shipped": 13, "frames_applied": 14, "frames_dropped": 15, |}
+   ^ {|"frames_retried": 16, "shard_grouped": 1, "shard_scatter": 1, "mode": "x"}|})
     (S.summary_to_json ~extra:[ ("mode", {|"x"|}) ] (S.snapshot st))
 
 let suite =
