@@ -1644,7 +1644,13 @@ let () =
      anything truly unexpected exits 125 so scripts can tell a crash
      from a diagnosis. *)
   let code =
-    try Cmd.eval' (Cmd.group (Cmd.info "asr_cli" ~doc) cmds) with
+    (* A command line cmdliner cannot parse is a usage error: exit 2, not
+       cmdliner's own 124. *)
+    try
+      match Cmd.eval' (Cmd.group (Cmd.info "asr_cli" ~doc) cmds) with
+      | c when c = Cmd.Exit.cli_error -> 2
+      | c -> c
+    with
     | Durability.Db.Db_error m -> prerr_endline m; 1
     | Durability.Db.Recovery_error m ->
       prerr_endline ("recovery failed: " ^ m); 1

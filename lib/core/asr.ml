@@ -48,6 +48,7 @@ type gate = {
 
 type t = {
   id : int;  (* process-unique identity, usable as a hash key *)
+  seg : string;  (* segment name of the trees' page traffic *)
   store : Gom.Store.t;
   path : Gom.Path.t;
   kind : Extension.kind;
@@ -74,13 +75,13 @@ and pool = {
 let next_id = ref 0
 
 let id t = t.id
-let seg t = "asr" ^ string_of_int t.id
+let seg t = t.seg
 
 (* Tag page traffic from this relation's trees with its segment name so
    the buffer pool can report per-segment hit ratios (planner warmth). *)
 let in_seg ?stats t f =
   match stats with
-  | Some st -> Storage.Stats.in_segment st (seg t) f
+  | Some st -> Storage.Stats.in_segment st t.seg f
   | None -> f ()
 
 let store t = t.store
@@ -107,9 +108,8 @@ let partition_index_of_column t col =
   if !found < 0 then invalid_arg "Asr.partition_index_of_column: out of range";
   !found
 
-let cols (lo, hi) = List.init (hi - lo + 1) (fun k -> lo + k)
-
-let project_tuple tup (lo, hi) = Relation.Tuple.project tup (cols (lo, hi))
+(* A partition's columns are contiguous, so its projection is a slice. *)
+let project_tuple tup ~lo ~hi = Array.sub tup lo (hi - lo + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Section 5.4: sharing of access support relation partitions          *)
@@ -170,13 +170,11 @@ let segment_key path kind ~lo ~hi =
 
 (* ------------------------------------------------------------------ *)
 
-(* Move a projection's reference count by [d] in both redundant trees. *)
+(* Move a projection's reference count by [d] in both redundant trees,
+   one descent each. *)
 let adjust ?stats trees proj d =
-  let op = if d > 0 then Storage.Bptree.insert else Storage.Bptree.remove in
-  for _ = 1 to abs d do
-    op ?stats trees.fwd proj;
-    op ?stats trees.bwd proj
-  done
+  Storage.Bptree.adjust ?stats trees.fwd proj d;
+  Storage.Bptree.adjust ?stats trees.bwd proj d
 
 let fresh_trees ~config ~pager ~width ~skey =
   let tuple_bytes = width * config.Storage.Config.oid_size in
@@ -221,11 +219,11 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
     | Some trees ->
       (* Contribute this extension's projections on top of the sharing
          relation's: reference counts keep co-maintenance exact. *)
-      List.iter (fun tup -> adjust trees (project_tuple tup (lo, hi)) 1) tuples;
+      List.iter (fun tup -> adjust trees (project_tuple tup ~lo ~hi) 1) tuples;
       { lo; hi; trees }
     | None ->
       let trees = fresh_trees ~config ~pager ~width ~skey in
-      let projs = List.map (fun tup -> project_tuple tup (lo, hi)) tuples in
+      let projs = List.map (fun tup -> project_tuple tup ~lo ~hi) tuples in
       Storage.Bptree.bulk_load trees.fwd projs;
       Storage.Bptree.bulk_load trees.bwd projs;
       (match (pool, skey) with
@@ -239,6 +237,7 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
   let t =
     {
       id;
+      seg = "asr" ^ string_of_int id;
       store;
       path;
       kind;
@@ -448,7 +447,7 @@ let cardinal t = Relation.cardinal (extension_relation t)
 let write_partition ?stats p ~remove ~add =
   let net = Ttbl.create 16 in
   let count d tup =
-    let proj = project_tuple tup (p.lo, p.hi) in
+    let proj = project_tuple tup ~lo:p.lo ~hi:p.hi in
     Ttbl.replace net proj (d + Option.value ~default:0 (Ttbl.find_opt net proj));
     proj
   in
@@ -481,7 +480,7 @@ let apply_delta ?stats t ~remove ~add =
       Array.iter
         (fun p ->
           let buffer d tup =
-            buffer_delta ?stats p.trees.pending (project_tuple tup (p.lo, p.hi)) d
+            buffer_delta ?stats p.trees.pending (project_tuple tup ~lo:p.lo ~hi:p.hi) d
           in
           List.iter (buffer (-1)) remove;
           List.iter (buffer 1) add)
@@ -573,7 +572,7 @@ let partition_diff ?stats ?(keep = fun _ -> true) tg i =
             List.iter
               (fun tup ->
                 if keep tup then begin
-                  let proj = project_tuple tup (q.lo, q.hi) in
+                  let proj = project_tuple tup ~lo:q.lo ~hi:q.hi in
                   let n = Option.value ~default:0 (Ttbl.find_opt want proj) in
                   Ttbl.replace want proj (n + 1)
                 end)

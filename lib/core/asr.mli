@@ -86,8 +86,9 @@ val id : t -> int
 
 val seg : t -> string
 (** The {!Storage.Stats} segment name this relation tags its page
-    traffic with (["asr<id>"]) — the key under which
-    {!Storage.Stats.segment_hit_ratio} reports its buffer warmth. *)
+    traffic with (["asr<id>"], computed once at creation) — the key
+    under which {!Storage.Stats.segment_hit_ratio} reports its buffer
+    warmth. *)
 
 val store : t -> Gom.Store.t
 val path : t -> Gom.Path.t

@@ -148,13 +148,15 @@ type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
 let lookup_each env index dir part _keys =
   (match dir with Fwd -> Asr.lookup_fwd | Bwd -> Asr.lookup_bwd) ~stats:env.stats index part
 
+module Vtbl = Hashtbl.Make (Gom.Value)
+
 let lookup_many env index dir part keys =
   let lookup = match dir with Fwd -> Asr.lookup_fwd_many | Bwd -> Asr.lookup_bwd_many in
-  let fetched = lookup ~stats:env.stats index part keys in
-  fun key ->
-    match List.find_opt (fun (k, _) -> Gom.Value.equal k key) fetched with
-    | Some (_, rows) -> rows
-    | None -> []
+  let fetched = Vtbl.create 16 in
+  List.iter
+    (fun (k, rows) -> Vtbl.replace fetched k rows)
+    (lookup ~stats:env.stats index part keys);
+  fun key -> Option.value ~default:[] (Vtbl.find_opt fetched key)
 
 let distinct_at rows col_in_part =
   rows

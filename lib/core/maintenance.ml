@@ -32,13 +32,13 @@ type t = {
   env : Exec.env;
   store : Gom.Store.t; (* = Exec.live_store_exn env: maintenance writes *)
   stats : Storage.Stats.t;
-  mutable asrs : Asr.t list;
+  mutable asrs : Asr.t list;  (* in registration order *)
   mutable policy : flush_policy;
   mutable events_since_flush : int;
   mutable subscription : Gom.Store.subscription option;
 }
 
-let asrs t = List.rev t.asrs
+let asrs t = t.asrs
 let stats t = t.stats
 let last_event_cost t = Storage.Stats.op_accesses t.stats
 
@@ -357,9 +357,10 @@ let handle_event t index ev =
 
 let policy t = t.policy
 
+(* Newest relation first. *)
 let flush_all t =
   t.events_since_flush <- 0;
-  List.fold_left (fun acc a -> acc + Asr.flush ~stats:t.stats a) 0 t.asrs
+  List.fold_right (fun a acc -> acc + Asr.flush ~stats:t.stats a) t.asrs 0
 
 let pending t = List.fold_left (fun acc a -> acc + Asr.pending_deltas a) 0 t.asrs
 
@@ -400,7 +401,7 @@ let create env =
     Some
       (Gom.Store.subscribe store (fun ev ->
            Storage.Stats.begin_op t.stats;
-           List.iter (fun index -> handle_event t index ev) (List.rev t.asrs);
+           List.iter (fun index -> handle_event t index ev) t.asrs;
            maybe_flush t));
   t
 
@@ -411,5 +412,5 @@ let close t =
 let register t index =
   if not (Asr.store index == t.store) then
     invalid_arg "Maintenance.register: ASR built over a different store";
-  t.asrs <- index :: t.asrs;
+  t.asrs <- t.asrs @ [ index ];
   Asr.set_deferred index (match t.policy with Immediate -> false | _ -> true)

@@ -118,8 +118,7 @@ let is_prefix ~affix t =
        affix.steps
        (List.filteri (fun i _ -> i < List.length affix.steps) t.steps)
 
-let pp ppf t =
-  Format.fprintf ppf "%s.%s" t.t0
-    (String.concat "." (List.map (fun s -> s.attr) t.steps))
+(* Built without a formatter: the engine keys its plan cache by it. *)
+let to_string t = t.t0 ^ "." ^ String.concat "." (List.map (fun s -> s.attr) t.steps)
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -35,7 +35,15 @@ let compare a b =
     Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+(* By constructor, without the generic structural walk. *)
+let hash = function
+  | Null -> 0
+  | Ref o -> Oid.to_int o
+  | Int i -> i
+  | Str s -> Hashtbl.hash s
+  | Dec f -> Hashtbl.hash f
+  | Bool b -> Bool.to_int b
+  | Char c -> Char.code c
 
 let oid = function Ref o -> Some o | Null | Int _ | Str _ | Dec _ | Bool _ | Char _ -> None
 

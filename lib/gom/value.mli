@@ -27,6 +27,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** Agrees with {!equal}.  Computed by constructor: a reference hashes
+    to its object id. *)
 
 val oid : t -> Oid.t option
 (** [oid v] is [Some o] iff [v = Ref o]. *)

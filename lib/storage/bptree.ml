@@ -248,7 +248,7 @@ let route ~before children =
     List.fold_left (fun acc (sep, child) -> if before sep then child else acc) first rest
 
 (* ------------------------------------------------------------------ *)
-(* Insert                                                              *)
+(* Adjust: the one write primitive                                     *)
 (* ------------------------------------------------------------------ *)
 
 let split_list l =
@@ -261,23 +261,48 @@ let split_list l =
   in
   go k [] l
 
-let insert ?stats t tup =
-  (* Returns [Some (separator, new_right_sibling)] when the visited node
-     split. *)
-  let rec go node =
+let unlink_leaf t l =
+  (match l.prev with
+  | Some p -> ( match p.body with Leaf lp -> lp.next <- l.next | Inner _ -> ())
+  | None -> ( match l.next with Some nx -> t.first_leaf <- nx | None -> ()));
+  match l.next with
+  | Some nx -> ( match nx.body with Leaf ln -> ln.prev <- l.prev | Inner _ -> ())
+  | None -> ()
+
+(* What a visited child tells its parent. *)
+type outcome =
+  | Kept
+  | Split of tuple * node  (* separator and new right sibling *)
+  | Gone  (* emptied and unlinked *)
+
+let adjust ?stats t tup d =
+  let rec go ~is_root node =
     read stats node.page;
     match node.body with
     | Leaf l ->
       let es = l.entries in
       let i = search t es tup in
-      if found es i tup then es.(i).count <- es.(i).count + 1
-      else begin
-        l.entries <- array_insert es i { tup; count = 1 };
-        t.cardinal <- t.cardinal + 1
+      if found es i tup then begin
+        let e = es.(i) in
+        e.count <- e.count + d;
+        if e.count <= 0 then begin
+          t.cardinal <- t.cardinal - 1;
+          l.entries <- array_remove es i
+        end;
+        write stats node.page
+      end
+      else if d > 0 then begin
+        l.entries <- array_insert es i { tup; count = d };
+        t.cardinal <- t.cardinal + 1;
+        write stats node.page
       end;
-      write stats node.page;
       let n = Array.length l.entries in
-      if n <= t.leaf_cap then None
+      if n = 0 && not is_root then begin
+        (* Lazy deletion: an emptied leaf leaves the chain at once. *)
+        unlink_leaf t l;
+        Gone
+      end
+      else if n <= t.leaf_cap then Kept
       else begin
         let k = (n + 1) / 2 in
         let left = Array.sub l.entries 0 k and right = Array.sub l.entries k (n - k) in
@@ -290,13 +315,17 @@ let insert ?stats t tup =
         l.entries <- left;
         l.next <- Some rnode;
         write stats rnode.page;
-        Some (right.(0).tup, rnode)
+        Split (right.(0).tup, rnode)
       end
-    | Inner i ->
+    | Inner i -> (
       let child = route ~before:(fun sep -> cmp_entry t sep tup <= 0) i.children in
-      (match go child with
-      | None -> None
-      | Some (sep, rnode) ->
+      match go ~is_root:false child with
+      | Kept -> Kept
+      | Gone ->
+        i.children <- List.filter (fun (_, c) -> not (c == child)) i.children;
+        write stats node.page;
+        if i.children = [] && not is_root then Gone else Kept
+      | Split (sep, rnode) ->
         (* Insert the new sibling right after [child]. *)
         let rec add = function
           | [] -> assert false
@@ -305,93 +334,45 @@ let insert ?stats t tup =
         in
         i.children <- add i.children;
         write stats node.page;
-        if List.length i.children <= t.inner_cap then None
+        if List.length i.children <= t.inner_cap then Kept
         else begin
           let left, right = split_list i.children in
           let rnode' = { page = Pager.alloc t.pager; body = Inner { children = right } } in
           i.children <- left;
           write stats rnode'.page;
-          Some (fst (List.hd right), rnode')
+          Split (fst (List.hd right), rnode')
         end)
   in
-  match go t.root with
-  | None -> ()
-  | Some (sep, rnode) ->
-    let old_min =
-      match t.root.body with
-      | Leaf l -> if Array.length l.entries > 0 then l.entries.(0).tup else sep
-      | Inner i -> fst (List.hd i.children)
-    in
-    let new_root =
-      { page = Pager.alloc t.pager; body = Inner { children = [ (old_min, t.root); (sep, rnode) ] } }
-    in
-    write stats new_root.page;
-    t.root <- new_root
-
-(* ------------------------------------------------------------------ *)
-(* Remove                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let unlink_leaf t node l =
-  (match l.prev with
-  | Some p -> ( match p.body with Leaf lp -> lp.next <- l.next | Inner _ -> ())
-  | None -> ( match l.next with Some nx -> t.first_leaf <- nx | None -> ()));
-  match l.next with
-  | Some nx -> ( match nx.body with Leaf ln -> ln.prev <- l.prev | Inner _ -> ())
-  | None ->
-    ();
-    ignore node
-
-let remove ?stats t tup =
-  (* Returns true when the visited child became empty and was disposed. *)
-  let rec go ~is_root node =
-    read stats node.page;
-    match node.body with
-    | Leaf l ->
-      let es = l.entries in
-      let i = search t es tup in
-      if found es i tup then begin
-        let e = es.(i) in
-        e.count <- e.count - 1;
-        if e.count <= 0 then begin
-          t.cardinal <- t.cardinal - 1;
-          l.entries <- array_remove es i
-        end;
-        write stats node.page
-      end;
-      if Array.length l.entries = 0 && not is_root then begin
-        unlink_leaf t node l;
-        true
-      end
-      else false
-    | Inner i ->
-      let child = route ~before:(fun sep -> cmp_entry t sep tup <= 0) i.children in
-      let gone = go ~is_root:false child in
-      if gone then begin
-        i.children <- List.filter (fun (_, c) -> not (c == child)) i.children;
-        write stats node.page
-      end;
-      if i.children = [] && not is_root then true
-      else begin
-        (* Collapse a root with a single child. *)
-        if is_root then begin
-          let rec collapse () =
-            match t.root.body with
-            | Inner { children = [ (_, only) ] } ->
-              t.root <- only;
-              collapse ()
-            | Inner { children = [] } ->
-              let leaf = new_leaf t in
-              t.root <- leaf;
-              t.first_leaf <- leaf
-            | Inner _ | Leaf _ -> ()
-          in
+  if d <> 0 then
+    match go ~is_root:true t.root with
+    | Split (sep, rnode) ->
+      let old_min =
+        match t.root.body with
+        | Leaf l -> if Array.length l.entries > 0 then l.entries.(0).tup else sep
+        | Inner i -> fst (List.hd i.children)
+      in
+      let new_root =
+        { page = Pager.alloc t.pager; body = Inner { children = [ (old_min, t.root); (sep, rnode) ] } }
+      in
+      write stats new_root.page;
+      t.root <- new_root
+    | Kept | Gone ->
+      (* Collapse a root left with a single child, or with none. *)
+      let rec collapse () =
+        match t.root.body with
+        | Inner { children = [ (_, only) ] } ->
+          t.root <- only;
           collapse ()
-        end;
-        false
-      end
-  in
-  ignore (go ~is_root:true t.root)
+        | Inner { children = [] } ->
+          let leaf = new_leaf t in
+          t.root <- leaf;
+          t.first_leaf <- leaf
+        | Inner _ | Leaf _ -> ()
+      in
+      collapse ()
+
+let insert ?stats t tup = adjust ?stats t tup 1
+let remove ?stats t tup = adjust ?stats t tup (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / scans                                                      *)

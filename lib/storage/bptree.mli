@@ -21,7 +21,10 @@
 
     Duplicate tuples are reference-counted: a decomposition partition is
     the {e projection} of the extension, so the same projected tuple can
-    be contributed by several extension tuples (Definition 3.8). *)
+    be contributed by several extension tuples (Definition 3.8).  One
+    write primitive, {!adjust}, moves a count by any signed amount in a
+    single descent; {!insert} and {!remove} are its [±1] cases, and
+    {!apply_many} is the batched form. *)
 
 type t
 
@@ -43,15 +46,26 @@ val bulk_load : t -> tuple list -> unit
     count 1 per occurrence in the list; duplicates accumulate counts).
     Leaves are packed full, as after an index build. *)
 
+val adjust : ?stats:Stats.t -> t -> tuple -> int -> unit
+(** [adjust t tuple d] moves [tuple]'s reference count by the signed
+    [d] in one root-to-leaf descent.  A positive [d] on an absent tuple
+    creates the entry with count [d]; an entry whose count reaches zero
+    or below disappears; a negative [d] on an absent tuple changes
+    nothing; [d = 0] touches no page.  Page accounting: inner pages on
+    the descent are read; the leaf is read, and written when its entry
+    changed.  A new entry that over-fills its leaf splits it at
+    [k = (n+1)/2], writing the new page and the affected parents (and a
+    new root when the root splits).  Leaves may become under-full (lazy
+    deletion); an emptied leaf is unlinked and its parent written, and
+    a root left with a single child collapses.  So [adjust] charges no
+    page that [|d|] unit calls would not. *)
+
 val insert : ?stats:Stats.t -> t -> tuple -> unit
-(** Add one reference to [tuple], descending from the root.  Page
-    accounting: inner pages on the descent are read, the leaf is read
-    and written, splits write the new pages and the affected parents. *)
+(** [adjust t tuple 1]: add one reference to [tuple]. *)
 
 val remove : ?stats:Stats.t -> t -> tuple -> unit
-(** Drop one reference to [tuple]; the entry disappears when its count
-    reaches zero.  Unknown tuples are ignored.  Leaves may become
-    under-full (lazy deletion); empty leaves are unlinked. *)
+(** [adjust t tuple (-1)]: drop one reference to [tuple]; unknown tuples
+    are ignored. *)
 
 val lookup : ?stats:Stats.t -> t -> Gom.Value.t -> tuple list
 (** All tuples whose key equals the argument (each listed once,

@@ -2,6 +2,15 @@ type policy = Lru | Clock
 
 type key = string * int
 
+(* Frames are looked up on every first touch of a page in an operation:
+   hash and compare the pair directly, without the generic walk. *)
+module Frames = Hashtbl.Make (struct
+  type t = key
+
+  let equal (s, p) (s', p') = Int.equal p p' && String.equal s s'
+  let hash (s, p) = (Hashtbl.hash s * 65599) + p
+end)
+
 type frame = {
   mutable stamp : int;  (* LRU recency *)
   mutable refbit : bool;  (* Clock second chance *)
@@ -12,7 +21,7 @@ type frame = {
 type t = {
   capacity : int;
   pol : policy;
-  frames : (key, frame) Hashtbl.t;
+  frames : frame Frames.t;
   ring : key Queue.t;  (* Clock hand order; may hold stale keys *)
   mutable clock : int;
 }
@@ -22,15 +31,15 @@ let create ?(policy = Lru) ~capacity () =
   {
     capacity;
     pol = policy;
-    frames = Hashtbl.create (2 * capacity);
+    frames = Frames.create (2 * capacity);
     ring = Queue.create ();
     clock = 0;
   }
 
 let capacity t = t.capacity
 let policy t = t.pol
-let resident t = Hashtbl.length t.frames
-let mem t k = Hashtbl.mem t.frames k
+let resident t = Frames.length t.frames
+let mem t k = Frames.mem t.frames k
 
 let touch t f =
   t.clock <- t.clock + 1;
@@ -39,7 +48,7 @@ let touch t f =
 
 let evict_lru t =
   let victim = ref None in
-  Hashtbl.iter
+  Frames.iter
     (fun k f ->
       if f.pins = 0 then
         match !victim with
@@ -48,7 +57,7 @@ let evict_lru t =
     t.frames;
   match !victim with
   | Some (k, _) ->
-    Hashtbl.remove t.frames k;
+    Frames.remove t.frames k;
     true
   | None -> false (* everything pinned: overflow transiently *)
 
@@ -62,7 +71,7 @@ let evict_clock t =
   while !victim = None && !budget > 0 && not (Queue.is_empty t.ring) do
     decr budget;
     let k = Queue.pop t.ring in
-    match Hashtbl.find_opt t.frames k with
+    match Frames.find_opt t.frames k with
     | None -> () (* stale: frame already gone *)
     | Some f ->
       if f.pins > 0 then Queue.push k t.ring
@@ -71,7 +80,7 @@ let evict_clock t =
         Queue.push k t.ring
       end
       else begin
-        Hashtbl.remove t.frames k;
+        Frames.remove t.frames k;
         victim := Some k
       end
   done;
@@ -80,17 +89,17 @@ let evict_clock t =
 let evict t = match t.pol with Lru -> evict_lru t | Clock -> evict_clock t
 
 let admit t k ~prefetched =
-  let evicted = Hashtbl.length t.frames >= t.capacity && evict t in
+  let evicted = Frames.length t.frames >= t.capacity && evict t in
   let f = { stamp = 0; refbit = false; pins = 0; prefetched } in
   touch t f;
-  Hashtbl.replace t.frames k f;
+  Frames.replace t.frames k f;
   if t.pol = Clock then Queue.push k t.ring;
   evicted
 
 type outcome = Hit | Prefetch_hit | Miss of { evicted : bool }
 
 let reference t k =
-  match Hashtbl.find_opt t.frames k with
+  match Frames.find_opt t.frames k with
   | Some f ->
     touch t f;
     if f.prefetched then begin
@@ -101,7 +110,7 @@ let reference t k =
   | None -> Miss { evicted = admit t k ~prefetched:false }
 
 let prefetch t k =
-  match Hashtbl.find_opt t.frames k with
+  match Frames.find_opt t.frames k with
   | Some f ->
     touch t f;
     `Resident
@@ -109,25 +118,25 @@ let prefetch t k =
 
 let pin t k =
   let f =
-    match Hashtbl.find_opt t.frames k with
+    match Frames.find_opt t.frames k with
     | Some f -> f
     | None ->
       (* Admit without eviction: a pin wants the frame present NOW and
          must not victimise the page a caller is standing on. *)
       let f = { stamp = 0; refbit = false; pins = 0; prefetched = false } in
       touch t f;
-      Hashtbl.replace t.frames k f;
+      Frames.replace t.frames k f;
       if t.pol = Clock then Queue.push k t.ring;
       f
   in
   f.pins <- f.pins + 1
 
 let unpin t k =
-  match Hashtbl.find_opt t.frames k with
+  match Frames.find_opt t.frames k with
   | Some f when f.pins > 0 -> f.pins <- f.pins - 1
   | Some _ | None -> ()
 
 let reset t =
-  Hashtbl.reset t.frames;
+  Frames.reset t.frames;
   Queue.clear t.ring;
   t.clock <- 0

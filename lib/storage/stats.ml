@@ -76,6 +76,14 @@ type counts = int array
 
 type seg_counts = { mutable sh : int; mutable sm : int }
 
+(* The per-operation distinct-page sets, keyed by raw page id. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
 type t = {
   mutable op_reads : int;
   mutable op_writes : int;
@@ -93,14 +101,20 @@ type t = {
   counts : counts;
   mutable shard_grouped : int;
   mutable shard_scatter : int;
-  touched_r : (int, unit) Hashtbl.t;
-  touched_w : (int, unit) Hashtbl.t;
+  touched_r : unit Pages.t;
+  touched_w : unit Pages.t;
   pool : Buffer.t option;
   mutable seg : string;  (* active segment; "" outside any [in_segment] *)
+  mutable cur : seg_counts;  (* [seg]'s tallies, resolved on entry *)
   segs : (string, seg_counts) Hashtbl.t;
+      (* never shrinks: [reset] zeroes the tallies in place, so a [cur]
+         resolved before it stays the live record *)
 }
 
 let create ?(buffer_capacity = 0) ?buffer_policy () =
+  let outer = { sh = 0; sm = 0 } in
+  let segs = Hashtbl.create 8 in
+  Hashtbl.add segs "" outer;
   {
     op_reads = 0;
     op_writes = 0;
@@ -118,14 +132,15 @@ let create ?(buffer_capacity = 0) ?buffer_policy () =
     counts = Array.make (Array.length table) 0;
     shard_grouped = 0;
     shard_scatter = 0;
-    touched_r = Hashtbl.create 256;
-    touched_w = Hashtbl.create 64;
+    touched_r = Pages.create 256;
+    touched_w = Pages.create 64;
     pool =
       (if buffer_capacity > 0 then
          Some (Buffer.create ?policy:buffer_policy ~capacity:buffer_capacity ())
        else None);
     seg = "";
-    segs = Hashtbl.create 8;
+    cur = outer;
+    segs;
   }
 
 let begin_op t =
@@ -133,13 +148,8 @@ let begin_op t =
   t.op_writes <- 0;
   t.op_logical_reads <- 0;
   t.op_logical_writes <- 0;
-  Hashtbl.reset t.touched_r;
-  Hashtbl.reset t.touched_w
-
-let in_segment t seg f =
-  let prev = t.seg in
-  t.seg <- seg;
-  Fun.protect ~finally:(fun () -> t.seg <- prev) f
+  Pages.reset t.touched_r;
+  Pages.reset t.touched_w
 
 let seg_counts t seg =
   match Hashtbl.find_opt t.segs seg with
@@ -149,9 +159,26 @@ let seg_counts t seg =
     Hashtbl.add t.segs seg c;
     c
 
+(* The tallies are resolved once here, not on every read; without a pool
+   nothing reads them. *)
+let in_segment t seg f =
+  let prev = t.seg and prev_cur = t.cur in
+  t.seg <- seg;
+  (match t.pool with Some _ -> t.cur <- seg_counts t seg | None -> ());
+  match f () with
+  | r ->
+    t.seg <- prev;
+    t.cur <- prev_cur;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.seg <- prev;
+    t.cur <- prev_cur;
+    Printexc.raise_with_backtrace e bt
+
 let read t page =
-  if not (Hashtbl.mem t.touched_r page) then begin
-    Hashtbl.add t.touched_r page ();
+  if not (Pages.mem t.touched_r page) then begin
+    Pages.add t.touched_r page ();
     t.op_logical_reads <- t.op_logical_reads + 1;
     t.logical_reads <- t.logical_reads + 1;
     match t.pool with
@@ -159,7 +186,7 @@ let read t page =
       t.op_reads <- t.op_reads + 1;
       t.total_reads <- t.total_reads + 1
     | Some b -> (
-      let c = seg_counts t t.seg in
+      let c = t.cur in
       match Buffer.reference b (t.seg, page) with
       | Buffer.Hit ->
         t.hits <- t.hits + 1;
@@ -178,8 +205,8 @@ let read t page =
   end
 
 let write t page =
-  if not (Hashtbl.mem t.touched_w page) then begin
-    Hashtbl.add t.touched_w page ();
+  if not (Pages.mem t.touched_w page) then begin
+    Pages.add t.touched_w page ();
     t.op_logical_writes <- t.op_logical_writes + 1;
     t.logical_writes <- t.logical_writes + 1;
     (* Write-through: every distinct write reaches storage, pool or not;
@@ -208,7 +235,7 @@ let prefetch t pages =
        - bound the staging by the pool size: more pages than frames
          exist would evict prefetched-but-unread frames (a 1-frame pool
          would thrash). *)
-    let pages = List.filter (fun p -> not (Hashtbl.mem t.touched_r p)) pages in
+    let pages = List.filter (fun p -> not (Pages.mem t.touched_r p)) pages in
     let rec take n = function
       | p :: tl when n > 0 -> p :: take (n - 1) tl
       | _ -> []
@@ -421,5 +448,9 @@ let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.shard_grouped <- 0;
   t.shard_scatter <- 0;
-  Hashtbl.reset t.segs;
+  Hashtbl.iter
+    (fun _ c ->
+      c.sh <- 0;
+      c.sm <- 0)
+    t.segs;
   match t.pool with Some b -> Buffer.reset b | None -> ()

@@ -78,7 +78,10 @@ val in_segment : t -> string -> (unit -> 'a) -> 'a
     from independent pagers whose identifiers collide — and accumulates
     the per-segment hit/miss tallies behind {!segment_hit_ratio}.
     {!Heap} tags its accesses ["heap"]; {!Core.Asr} tags each
-    relation's tree traffic with {!Core.Asr.seg}. *)
+    relation's tree traffic with {!Core.Asr.seg}.  The segment's
+    tallies are resolved once on entry, and stay the live record across
+    a {!reset} inside [f]; when [f] raises, the outer segment is
+    restored and the exception re-raised with its backtrace. *)
 
 val op_reads : t -> int
 (** Distinct pages {e physically} read from storage since the last

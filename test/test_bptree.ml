@@ -201,6 +201,7 @@ type op =
   | Bulk of (int * int) list
   | Ins of int * int
   | Rem of int * int
+  | Adj of (int * int) * int
   | Apply of ((int * int) * int) list
 
 let pp_pair (a, b) = Printf.sprintf "(%d,%d)" a b
@@ -209,6 +210,7 @@ let pp_op = function
   | Bulk l -> "bulk_load [" ^ String.concat ";" (List.map pp_pair l) ^ "]"
   | Ins (a, b) -> "insert " ^ pp_pair (a, b)
   | Rem (a, b) -> "remove " ^ pp_pair (a, b)
+  | Adj (p, d) -> Printf.sprintf "adjust %s %+d" (pp_pair p) d
   | Apply ds ->
     "apply_many ["
     ^ String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%s,%+d" (pp_pair p) d) ds)
@@ -221,6 +223,9 @@ let max_b = 6
 
 let gen_pair = QCheck.Gen.(pair (int_bound (max_a - 1)) (int_bound (max_b - 1)))
 
+(* A signed delta with |d| from 1 to 4. *)
+let gen_delta = QCheck.Gen.(map2 (fun neg d -> if neg then -d else d) bool (int_range 1 4))
+
 let gen_op =
   QCheck.Gen.(
     frequency
@@ -228,6 +233,7 @@ let gen_op =
         (1, map (fun l -> Bulk l) (list_size (int_bound 24) gen_pair));
         (4, map (fun (a, b) -> Ins (a, b)) gen_pair);
         (4, map (fun (a, b) -> Rem (a, b)) gen_pair);
+        (3, map2 (fun p d -> Adj (p, d)) gen_pair gen_delta);
         (2, map (fun l -> Apply l) (list_size (int_bound 10) (pair gen_pair (int_range (-3) 3))));
         (* Drain every pair whose first (or last) column is in [lo, lo + w]:
            this empties whole leaves, the first one included. *)
@@ -272,6 +278,7 @@ let run_model model = function
     List.iter (fun p -> model_apply model (p, 1)) l
   | Ins (a, b) -> model_apply model ((a, b), 1)
   | Rem (a, b) -> model_apply model ((a, b), -1)
+  | Adj (p, d) -> model_apply model (p, d)
   | Apply ds ->
     let net = Hashtbl.create 8 in
     List.iter
@@ -283,6 +290,7 @@ let run_tree t = function
   | Bulk l -> B.bulk_load t (List.map (fun (a, b) -> tup a b) l)
   | Ins (a, b) -> B.insert t (tup a b)
   | Rem (a, b) -> B.remove t (tup a b)
+  | Adj ((a, b), d) -> B.adjust t (tup a b) d
   | Apply ds -> B.apply_many t (List.map (fun ((a, b), d) -> (tup a b, d)) ds)
 
 (* The maintenance-fuzz CI job raises the count via ASR_BPTREE_COUNT. *)
@@ -327,6 +335,58 @@ let prop_model =
             fail "refcount %s is %d, model %d" (pp_pair (a, b)) (B.refcount t (tup a b)) n
         done
       done;
+      true)
+
+(* [adjust t tup d] against [|d|] single inserts or removes on a twin
+   tree built by the same history: the same tree afterwards, no more
+   logical pages read or written, and the same pages allocated.  The
+   split case is where they differ: a unit insert after the first
+   re-descends and reads the sibling the split wrote. *)
+let prop_adjust_pages =
+  QCheck.Test.make ~name:"adjust charges no page that |d| single calls would not"
+    ~count:(Qc.iters_env "ASR_BPTREE_COUNT" 300)
+    QCheck.(
+      make
+        ~print:(fun (last, ops, (p, d)) ->
+          Printf.sprintf "keyed on the %s column, then adjust %s %+d:\n  %s"
+            (if last then "last" else "first")
+            (pp_pair p) d
+            (String.concat "\n  " (List.map pp_op ops)))
+        Gen.(triple bool (list_size (int_bound 30) gen_op) (pair gen_pair gen_delta)))
+    (fun (last, ops, ((a, b), d)) ->
+      let make () =
+        let pager = Storage.Pager.create () in
+        let t =
+          B.create ~config:small_config ~pager ~tuple_bytes:16 ~key_of:(fun tu ->
+              tu.(if last then 1 else 0))
+        in
+        List.iter (run_tree t) ops;
+        (t, pager)
+      in
+      let one, one_pager = make () and units, units_pager = make () in
+      let charged f =
+        let stats = Storage.Stats.create () in
+        Storage.Stats.begin_op stats;
+        f stats;
+        (Storage.Stats.op_logical_reads stats, Storage.Stats.op_logical_writes stats)
+      in
+      let r1, w1 = charged (fun stats -> B.adjust ~stats one (tup a b) d) in
+      let rn, wn =
+        charged (fun stats ->
+            for _ = 1 to abs d do
+              (if d > 0 then B.insert else B.remove) ~stats units (tup a b)
+            done)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (match B.check_invariants one with Ok () -> () | Error m -> fail "invariant: %s" m);
+      if B.scan one <> B.scan units then fail "contents differ";
+      if B.refcount one (tup a b) <> B.refcount units (tup a b) then fail "refcounts differ";
+      if (B.height one, B.leaf_pages one, B.inner_pages one)
+         <> (B.height units, B.leaf_pages units, B.inner_pages units)
+      then fail "shapes differ";
+      if Storage.Pager.allocated one_pager <> Storage.Pager.allocated units_pager then
+        fail "allocations differ";
+      if r1 > rn || w1 > wn then fail "adjust charged %d/%d pages, unit calls %d/%d" r1 w1 rn wn;
       true)
 
 (* ---------------- page-accounting golden ---------------- *)
@@ -427,5 +487,6 @@ let suite =
     Alcotest.test_case "apply_many routes by separator" `Quick
       test_apply_many_routes_by_separator;
     Qc.to_alcotest prop_model;
+    Qc.to_alcotest prop_adjust_pages;
     Alcotest.test_case "page accounting golden" `Quick test_page_golden;
   ]

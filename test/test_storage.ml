@@ -268,6 +268,25 @@ let test_stats_segment_hit_ratio () =
   check "untouched segment has no ratio" true
     (S.segment_hit_ratio st "asr99" = None)
 
+let test_stats_in_segment_raise () =
+  let st = S.create ~buffer_capacity:8 () in
+  S.begin_op st;
+  S.in_segment st "outer" (fun () ->
+      (match S.in_segment st "inner" (fun () -> S.read st 1; raise Exit) with
+      | () -> Alcotest.fail "the body's exception must propagate"
+      | exception Exit -> ());
+      S.read st 2);
+  S.read st 3;
+  check_int "the raising body's read" 1 (S.segment_accesses st "inner");
+  check_int "outer segment restored after the raise" 1 (S.segment_accesses st "outer");
+  check_int "top level restored" 1 (S.segment_accesses st "");
+  (* A reset inside a segment keeps tallying into that segment. *)
+  S.in_segment st "outer" (fun () ->
+      S.reset st;
+      S.read st 4);
+  check_int "tallies cleared, then one read" 1 (S.segment_accesses st "outer");
+  check_int "other segments cleared" 0 (S.segment_accesses st "inner")
+
 (* --- Reclustering --- *)
 
 let test_recluster_moves_and_occupancy () =
@@ -426,6 +445,7 @@ let suite =
     Alcotest.test_case "buffer segment namespacing" `Quick test_buffer_segment_namespacing;
     Alcotest.test_case "stats prefetch accounting" `Quick test_stats_prefetch_accounting;
     Alcotest.test_case "stats segment hit ratio" `Quick test_stats_segment_hit_ratio;
+    Alcotest.test_case "stats in_segment restores on raise" `Quick test_stats_in_segment_raise;
     Alcotest.test_case "stats JSON keys golden" `Quick test_stats_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
