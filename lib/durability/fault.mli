@@ -148,11 +148,20 @@ val open_append : t -> string -> file
     contents count as durable. *)
 
 val write : file -> string -> unit
-(** Append bytes (reaching the OS, not necessarily the disk).
+(** Append bytes to the file's buffer; they reach the OS at the next
+    {!flush}, {!sync} or {!close}.  Each call counts as one write in
+    {!writes}.  The simulated file of a {!faulty} environment treats
+    every write as already handed to the OS, so a crash can keep any
+    prefix of the unsynced tail, a superset of the outcomes a real
+    buffered file has.
     @raise Crash at the planned instant. *)
 
+val flush : file -> unit
+(** Hand every buffered byte to the OS (one [write(2)] on a real file),
+    without waiting for the disk.  A no-op on the simulated file. *)
+
 val sync : file -> unit
-(** Barrier: everything written so far is durable afterwards. *)
+(** Barrier: {!flush}, then everything written so far is durable. *)
 
 val close : file -> unit
 (** Flush and close (an orderly shutdown, not a crash). *)

@@ -21,20 +21,35 @@ let record_of_event store : Gom.Store.event -> record = function
 
 (* ---------------- payload syntax ---------------- *)
 
-let payload_of_record = function
+(* Built by concatenation; the bytes are those of the [Printf] forms
+   [%d] and [%S] ([%S] is [String.escaped] in quotes). *)
+let payload_of_record record =
+  let words l = String.concat " " l in
+  let oid o = string_of_int (Gom.Oid.to_int o) in
+  let value = Gom.Serial.value_to_string in
+  match record with
   | Begin -> "begin"
   | Commit -> "commit"
   | Abort -> "abort"
-  | Create (o, ty) -> Printf.sprintf "new %d %s" (Gom.Oid.to_int o) ty
-  | Set (o, a, v) ->
-    Printf.sprintf "set %d %s %s" (Gom.Oid.to_int o) a (Gom.Serial.value_to_string v)
-  | Insert (o, v) ->
-    Printf.sprintf "ins %d %s" (Gom.Oid.to_int o) (Gom.Serial.value_to_string v)
-  | Remove (o, v) ->
-    Printf.sprintf "rem %d %s" (Gom.Oid.to_int o) (Gom.Serial.value_to_string v)
-  | Delete (o, ty) -> Printf.sprintf "del %d %s" (Gom.Oid.to_int o) ty
-  | Bind (name, o) -> Printf.sprintf "name %S %d" name (Gom.Oid.to_int o)
-  | Flush n -> Printf.sprintf "flush %d" n
+  | Create (o, ty) -> words [ "new"; oid o; ty ]
+  | Set (o, a, v) -> words [ "set"; oid o; a; value v ]
+  | Insert (o, v) -> words [ "ins"; oid o; value v ]
+  | Remove (o, v) -> words [ "rem"; oid o; value v ]
+  | Delete (o, ty) -> words [ "del"; oid o; ty ]
+  | Bind (name, o) -> words [ "name"; "\"" ^ String.escaped name ^ "\""; oid o ]
+  | Flush n -> "flush " ^ string_of_int n
+
+let frame record =
+  let payload = payload_of_record record in
+  String.concat ""
+    [
+      Gom.Crc32.to_hex (Gom.Crc32.string payload);
+      " ";
+      string_of_int (String.length payload);
+      " ";
+      payload;
+      "\n";
+    ]
 
 (* Tokenise the first [count] space-separated fields, keeping the
    remainder verbatim (string payloads may contain spaces). *)
@@ -98,27 +113,34 @@ type t = {
   file : Fault.file;
   policy : sync_policy;
   mutable appended : int;
+  mutable in_txn : bool;  (* inside an open begin..commit/abort span *)
 }
 
 let open_append ?fault ~policy path =
   let fault = match fault with Some f -> f | None -> Fault.real () in
-  { file = Fault.open_append fault path; policy; appended = 0 }
+  { file = Fault.open_append fault path; policy; appended = 0; in_txn = false }
 
 let sync t = Fault.sync t.file
 
+(* The bytes leave the process where [scan] closes a commit group: at a
+   commit/abort marker, or after a record outside any open span.  The
+   records of one transaction thus reach the OS in one write. *)
 let append t record =
-  let payload = payload_of_record record in
-  let line =
-    Printf.sprintf "%s %d %s\n"
-      (Gom.Crc32.to_hex (Gom.Crc32.string payload))
-      (String.length payload) payload
-  in
-  Fault.write t.file line;
+  Fault.write t.file (frame record);
   t.appended <- t.appended + 1;
+  let closes_group =
+    match record with
+    | Begin ->
+      t.in_txn <- true;
+      false
+    | Commit | Abort ->
+      t.in_txn <- false;
+      true
+    | _ -> not t.in_txn
+  in
   match (t.policy, record) with
-  | Sync_always, _ -> sync t
-  | Sync_on_commit, (Commit | Abort) -> sync t
-  | (Sync_on_commit | Sync_never), _ -> ()
+  | Sync_always, _ | Sync_on_commit, (Commit | Abort) -> sync t
+  | (Sync_on_commit | Sync_never), _ -> if closes_group then Fault.flush t.file
 
 let close t = Fault.close t.file
 let appended t = t.appended

@@ -70,8 +70,18 @@ type t
 val open_append : ?fault:Fault.t -> policy:sync_policy -> string -> t
 (** Open (creating if missing) for appending. *)
 
+val frame : record -> string
+(** The bytes {!append} writes for one record: the whole
+    [<crc32-hex> <payload-length> <payload>\n] line. *)
+
 val append : t -> record -> unit
-(** Frame and append one record, honouring the sync policy.
+(** Frame and append one record, honouring the sync policy.  The bytes
+    are handed to the OS ({!Fault.flush}) where {!scan} closes a commit
+    group: after a [commit]/[abort] marker, or after a record outside
+    any open [begin] span.  The records of an open transaction stay in
+    the process until its closing marker, so one transaction reaches
+    the OS in one write.  [Sync_always] syncs every record and
+    [Sync_on_commit] every closing marker, as before.
     @raise Fault.Crash under an armed fault plan. *)
 
 val sync : t -> unit

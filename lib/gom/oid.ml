@@ -2,7 +2,7 @@ type t = int
 
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
+let hash t = t
 let to_int t = t
 let of_int i = i
 let pp ppf t = Format.fprintf ppf "i%d" t

@@ -136,10 +136,25 @@ let attrs t name =
   go [] name;
   List.rev !acc
 
+(* Own attributes first, then each supertype depth-first, with the
+   cycle check of [attrs].  On a well-formed schema a name has one range
+   type wherever it is declared, so the first hit is [attrs]' answer. *)
 let attr_type t name a =
-  match find t name with
-  | Some (Tuple _) -> List.assoc_opt a (attrs t name)
-  | _ -> None
+  let visited = ref [] in
+  let rec go path ty =
+    if List.mem ty path then error "cyclic inheritance through %s" ty;
+    if List.mem ty !visited then None
+    else begin
+      visited := ty :: !visited;
+      match find_exn t ty with
+      | Tuple { supertypes; own_attrs } -> (
+        match List.assoc_opt a own_attrs with
+        | Some _ as hit -> hit
+        | None -> List.find_map (go (ty :: path)) supertypes)
+      | Atomic _ | Set _ | List _ -> error "type %s is not tuple-structured" ty
+    end
+  in
+  match find t name with Some (Tuple _) -> go [] name | _ -> None
 
 let is_subtype t ~sub ~sup =
   let rec go ty =

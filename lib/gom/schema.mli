@@ -78,7 +78,13 @@ val attrs : t -> type_name -> (attr_name * type_name) list
     type is not tuple-structured or inheritance is ill-formed. *)
 
 val attr_type : t -> type_name -> attr_name -> type_name option
-(** Range type of an attribute, searching inherited attributes too. *)
+(** Range type of an attribute, searching inherited attributes too:
+    the type's own attributes, then its supertypes depth-first, without
+    building {!attrs}.  On a well-formed schema the answer is
+    [List.assoc_opt a (attrs s ty)]; [None] for a type that is not
+    tuple-structured.  @raise Schema_error if the walk meets an
+    inheritance cycle or a supertype that is unknown or not
+    tuple-structured. *)
 
 val is_subtype : t -> sub:type_name -> sup:type_name -> bool
 (** Reflexive-transitive closure of the declared supertype relation.

@@ -6,12 +6,14 @@ let header = "asr-object-base v1"
 
 (* ---------------- values ---------------- *)
 
+(* The hot constructors are built by concatenation; the bytes are those
+   of [Printf]'s [%d] and [%S] ([%S] is [String.escaped] in quotes). *)
 let value_to_string = function
   | Value.Null -> "null"
-  | Value.Ref o -> Printf.sprintf "ref:%d" (Oid.to_int o)
-  | Value.Int i -> Printf.sprintf "int:%d" i
+  | Value.Ref o -> "ref:" ^ string_of_int (Oid.to_int o)
+  | Value.Int i -> "int:" ^ string_of_int i
   | Value.Dec f -> Printf.sprintf "dec:%h" f
-  | Value.Str s -> Printf.sprintf "str:%S" s
+  | Value.Str s -> String.concat "" [ "str:\""; String.escaped s; "\"" ]
   | Value.Bool b -> Printf.sprintf "bool:%b" b
   | Value.Char c -> Printf.sprintf "char:%d" (Char.code c)
 

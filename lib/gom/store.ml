@@ -24,10 +24,14 @@ type refindex = {
   elem_refs : (Oid.t, Oid.t list) Hashtbl.t;
 }
 
+(* The object table hashes an oid as its integer, with no generic
+   structural walk on lookup. *)
+module Otbl = Hashtbl.Make (Oid)
+
 type t = {
   schema : Schema.t;
   gen : Oid.gen;
-  objects : (Oid.t, Instance.t) Hashtbl.t;
+  objects : Instance.t Otbl.t;
   extents : (Schema.type_name, Oid.t list ref) Hashtbl.t; (* reverse creation order *)
   names : (string, Oid.t) Hashtbl.t;
   mutable listeners : (int * (event -> unit)) list; (* subscription = notification order *)
@@ -44,7 +48,7 @@ let create schema =
   {
     schema;
     gen = Oid.make_gen ();
-    objects = Hashtbl.create 1024;
+    objects = Otbl.create 1024;
     extents = Hashtbl.create 64;
     names = Hashtbl.create 16;
     listeners = [];
@@ -68,9 +72,9 @@ let emit t ev =
    simply never mutates them, making concurrent multi-domain reads
    safe (hashtable reads do not resize). *)
 let copy t =
-  let objects = Hashtbl.create (max 16 (Hashtbl.length t.objects)) in
-  Hashtbl.iter
-    (fun oid inst -> Hashtbl.replace objects oid (Instance.copy inst))
+  let objects = Otbl.create (max 16 (Otbl.length t.objects)) in
+  Otbl.iter
+    (fun oid inst -> Otbl.replace objects oid (Instance.copy inst))
     t.objects;
   let extents = Hashtbl.create (max 16 (Hashtbl.length t.extents)) in
   Hashtbl.iter (fun ty r -> Hashtbl.replace extents ty (ref !r)) t.extents;
@@ -102,14 +106,14 @@ let unsubscribe t id = t.listeners <- List.filter (fun (i, _) -> i <> id) t.list
 
 let listener_count t = List.length t.listeners
 
-let get t oid = Hashtbl.find_opt t.objects oid
+let get t oid = Otbl.find_opt t.objects oid
 
 let get_exn t oid =
   match get t oid with
   | Some inst -> inst
   | None -> error "unknown object %s" (Format.asprintf "%a" Oid.pp oid)
 
-let mem t oid = Hashtbl.mem t.objects oid
+let mem t oid = Otbl.mem t.objects oid
 
 let type_of t oid = Instance.ty (get_exn t oid)
 
@@ -137,7 +141,7 @@ let new_object t ty =
     | Schema.List _ -> Instance.List_body (ref [])
     | Schema.Atomic _ -> assert false
   in
-  Hashtbl.replace t.objects oid (Instance.make oid ty body);
+  Otbl.replace t.objects oid (Instance.make oid ty body);
   let r = extent_ref t ty in
   r := oid :: !r;
   emit t (Created oid);
@@ -213,7 +217,7 @@ let refindex t =
   | Some idx -> idx
   | None ->
     let idx = { attr_refs = Hashtbl.create 64; elem_refs = Hashtbl.create 64 } in
-    Hashtbl.iter
+    Otbl.iter
       (fun oid (inst : Instance.t) ->
         match inst.body with
         | Instance.Tuple_body tbl -> Hashtbl.iter (index_attr idx oid) tbl
@@ -312,7 +316,7 @@ let extent_types t =
   |> List.sort String.compare
 
 let fold_objects t ~init ~f =
-  let all = Hashtbl.fold (fun _ inst acc -> inst :: acc) t.objects [] in
+  let all = Otbl.fold (fun _ inst acc -> inst :: acc) t.objects [] in
   let all = List.sort (fun a b -> Oid.compare (Instance.oid a) (Instance.oid b)) all in
   List.fold_left f init all
 
@@ -342,7 +346,7 @@ let restore_object t oid ty =
     | Some (Schema.Set _) -> Instance.Set_body (Hashtbl.create 8)
     | Some (Schema.List _) -> Instance.List_body (ref [])
   in
-  Hashtbl.replace t.objects oid (Instance.make oid ty body);
+  Otbl.replace t.objects oid (Instance.make oid ty body);
   Oid.ensure_above t.gen oid;
   let r = extent_ref t ty in
   r := oid :: !r;
@@ -410,7 +414,7 @@ let delete t oid =
       (List.sort (fun (a, _) (b, _) -> String.compare a b) attrs)
   | Instance.Set_body _ | Instance.List_body _ ->
     List.iter (fun v -> remove_elem t oid v) (elements t oid));
-  Hashtbl.remove t.objects oid;
+  Otbl.remove t.objects oid;
   let r = extent_ref t (Instance.ty inst) in
   r := List.filter (fun o -> not (Oid.equal o oid)) !r;
   Hashtbl.iter

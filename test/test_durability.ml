@@ -412,6 +412,148 @@ let test_scan_missing_and_damaged () =
       check_int "bit-flipped record rejected" 0 (List.length s.Wal.records);
       check_int "nothing trusted" 0 s.Wal.valid_bytes)
 
+(* ---------------- framing: byte identity with the Printf form ---------------- *)
+
+(* The frame as the log has always written it, with [Printf]. *)
+let printf_value = function
+  | V.Null -> "null"
+  | V.Ref o -> Printf.sprintf "ref:%d" (Gom.Oid.to_int o)
+  | V.Int i -> Printf.sprintf "int:%d" i
+  | V.Dec f -> Printf.sprintf "dec:%h" f
+  | V.Str s -> Printf.sprintf "str:%S" s
+  | V.Bool b -> Printf.sprintf "bool:%b" b
+  | V.Char c -> Printf.sprintf "char:%d" (Char.code c)
+
+let printf_frame record =
+  let o = Gom.Oid.to_int in
+  let payload =
+    match record with
+    | Wal.Begin -> "begin"
+    | Wal.Commit -> "commit"
+    | Wal.Abort -> "abort"
+    | Wal.Create (x, ty) -> Printf.sprintf "new %d %s" (o x) ty
+    | Wal.Set (x, a, v) -> Printf.sprintf "set %d %s %s" (o x) a (printf_value v)
+    | Wal.Insert (x, v) -> Printf.sprintf "ins %d %s" (o x) (printf_value v)
+    | Wal.Remove (x, v) -> Printf.sprintf "rem %d %s" (o x) (printf_value v)
+    | Wal.Delete (x, ty) -> Printf.sprintf "del %d %s" (o x) ty
+    | Wal.Bind (name, x) -> Printf.sprintf "name %S %d" name (o x)
+    | Wal.Flush n -> Printf.sprintf "flush %d" n
+  in
+  Printf.sprintf "%s %d %s\n"
+    (Printf.sprintf "%08lx" (Gom.Crc32.string payload))
+    (String.length payload) payload
+
+let record_gen =
+  let open QCheck.Gen in
+  let tricky_char =
+    frequency
+      [
+        (3, printable);
+        (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; ' '; '\000'; '\127'; '\128'; '\255' ]);
+        (1, char);
+      ]
+  in
+  let text = string_size ~gen:tricky_char (0 -- 12) in
+  let ident = string_size ~gen:(oneofl [ 'A'; 'b'; '_'; '7'; 'z' ]) (1 -- 6) in
+  let oid = map Gom.Oid.of_int (oneof [ small_nat; int; return (-1) ]) in
+  let value =
+    oneof
+      [
+        return V.Null;
+        map (fun o -> V.Ref o) oid;
+        map (fun i -> V.Int i) (oneof [ int; small_signed_int; return min_int; return max_int ]);
+        map (fun s -> V.Str s) text;
+        map (fun f -> V.Dec f)
+          (oneof [ float; oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0. ] ]);
+        map (fun b -> V.Bool b) bool;
+        map (fun c -> V.Char c) char;
+      ]
+  in
+  oneof
+    [
+      oneofl [ Wal.Begin; Wal.Commit; Wal.Abort ];
+      map2 (fun o ty -> Wal.Create (o, ty)) oid ident;
+      map3 (fun o a v -> Wal.Set (o, a, v)) oid ident value;
+      map2 (fun o v -> Wal.Insert (o, v)) oid value;
+      map2 (fun o v -> Wal.Remove (o, v)) oid value;
+      map2 (fun o ty -> Wal.Delete (o, ty)) oid ident;
+      map2 (fun n o -> Wal.Bind (n, o)) text oid;
+      map (fun n -> Wal.Flush n) small_nat;
+    ]
+
+let prop_frame_matches_printf =
+  QCheck.Test.make ~name:"wal frame = Printf frame, and scan round-trips it" ~count:200
+    (QCheck.make
+       ~print:(fun rs -> String.concat "" (List.map printf_frame rs))
+       QCheck.Gen.(list_size (1 -- 20) record_gen))
+    (fun records ->
+      List.for_all (fun r -> Wal.frame r = printf_frame r) records
+      && with_dir (fun dir ->
+             let path = Filename.concat dir "frames.log" in
+             let w = Wal.open_append ~policy:Wal.Sync_never path in
+             List.iter (Wal.append w) records;
+             Wal.close w;
+             let s = Wal.scan path in
+             (* Frames, not records, are compared: [Dec nan] is not
+                structurally equal to itself. *)
+             read_file path = String.concat "" (List.map printf_frame records)
+             && List.map Wal.frame s.Wal.records = List.map Wal.frame records
+             && s.Wal.valid_bytes = s.Wal.total_bytes))
+
+(* ---------------- when bytes reach the OS ---------------- *)
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+let set_record i = Wal.Set (Gom.Oid.of_int i, "Name", V.Str (Printf.sprintf "v%d" i))
+
+let test_open_txn_reaches_os_at_commit () =
+  with_dir (fun dir ->
+      List.iter
+        (fun (policy, closing) ->
+          let path = Filename.concat dir "txn.log" in
+          let fault = Fault.real () in
+          let w = Wal.open_append ~fault ~policy path in
+          let span = [ Wal.Begin; set_record 1; set_record 2; set_record 3 ] in
+          List.iter
+            (fun r ->
+              Wal.append w r;
+              check_int "open span stays in the process" 0 (file_size path))
+            span;
+          Wal.append w closing;
+          let all = span @ [ closing ] in
+          check_string "closing marker hands over the whole span"
+            (String.concat "" (List.map Wal.frame all))
+            (read_file path);
+          check_int "one write counted per record" (List.length all) (Fault.writes fault);
+          Wal.close w;
+          Sys.remove path)
+        [
+          (Wal.Sync_never, Wal.Commit);
+          (Wal.Sync_never, Wal.Abort);
+          (Wal.Sync_on_commit, Wal.Commit);
+        ])
+
+let test_autocommit_and_sync_always_reach_os () =
+  with_dir (fun dir ->
+      let expect_on_disk path w records =
+        let written = ref "" in
+        List.iter
+          (fun r ->
+            Wal.append w r;
+            written := !written ^ Wal.frame r;
+            check_string "on disk when append returns" !written (read_file path))
+          records
+      in
+      let path = Filename.concat dir "auto.log" in
+      let w = Wal.open_append ~policy:Wal.Sync_never path in
+      (* Records outside any span commit by themselves. *)
+      expect_on_disk path w [ set_record 1; Wal.Bind ("root", Gom.Oid.of_int 1); set_record 2 ];
+      Wal.close w;
+      let path = Filename.concat dir "always.log" in
+      let w = Wal.open_append ~policy:Wal.Sync_always path in
+      expect_on_disk path w [ Wal.Begin; set_record 1; set_record 2; Wal.Commit; set_record 3 ];
+      Wal.close w)
+
 let suite =
   [
     Alcotest.test_case "crash at every write x 3 tail fates" `Quick test_crash_sweep;
@@ -428,4 +570,9 @@ let suite =
     Alcotest.test_case "wal record round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "scan: missing file, damaged record" `Quick
       test_scan_missing_and_damaged;
+    Qc.to_alcotest prop_frame_matches_printf;
+    Alcotest.test_case "open transaction reaches the OS at its marker" `Quick
+      test_open_txn_reaches_os_at_commit;
+    Alcotest.test_case "autocommit and Sync_always reach the OS per record" `Quick
+      test_autocommit_and_sync_always_reach_os;
   ]

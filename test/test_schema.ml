@@ -103,6 +103,64 @@ let test_paper_schemas_well_formed () =
   check "company schema" true
     (Result.is_ok (S.well_formed (Workload.Schemas.Company.schema ())))
 
+(* A random well-formed schema: tuple type [Ti]'s supertypes are drawn
+   from [T0 .. Ti-1] (acyclic, with multiple and diamond inheritance),
+   and its own attributes from a small name pool.  Every name has one
+   range type per schema, so redeclaring an inherited name is legal. *)
+let random_schema (ranges, decls) =
+  let names = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let range k = [| "INT"; "STRING"; "DECIMAL"; "T0" |].(List.nth ranges k mod 4) in
+  let s = S.define_forward S.empty "T0" in
+  let _, s =
+    List.fold_left
+      (fun (i, s) (sups, own) ->
+        let ty = Printf.sprintf "T%d" i in
+        let supertypes =
+          if i = 0 then []
+          else
+            List.sort_uniq compare (List.map (fun k -> Printf.sprintf "T%d" (k mod i)) sups)
+        in
+        let own = List.sort_uniq compare (List.map (fun k -> k mod Array.length names) own) in
+        (i + 1, S.define_tuple s ty ~supertypes (List.map (fun k -> (names.(k), range k)) own)))
+      (0, s) decls
+  in
+  (S.define_set s "TSET" "T0", Array.to_list names)
+
+let schema_arb =
+  QCheck.(
+    pair
+      (list_of_size (Gen.return 6) small_nat)
+      (list_of_size Gen.(1 -- 8) (pair (list_of_size Gen.(0 -- 3) small_nat)
+                                    (list_of_size Gen.(0 -- 3) small_nat))))
+
+let prop_attr_type_equals_attrs =
+  QCheck.Test.make ~name:"attr_type = assoc in attrs on random inheritance lattices"
+    ~count:300 schema_arb (fun spec ->
+      let s, names = random_schema spec in
+      Result.is_ok (S.well_formed s)
+      && List.for_all
+           (fun ty ->
+             List.for_all
+               (fun a ->
+                 let expected =
+                   if S.is_tuple s ty then List.assoc_opt a (S.attrs s ty) else None
+                 in
+                 S.attr_type s ty a = expected)
+               ("nope" :: names))
+           (S.type_names s))
+
+let test_attr_type_cycle () =
+  let s = S.define_forward S.empty "A" in
+  let s = S.define_tuple s "B" ~supertypes:[ "A" ] [ ("b", "INT") ] in
+  let s = S.define_tuple s "A" ~supertypes:[ "B" ] [ ("a", "INT") ] in
+  let s = S.define_tuple s "C" ~supertypes:[ "A" ] [] in
+  check "cyclic schema ill-formed" true (Result.is_error (S.well_formed s));
+  check "absent attribute through the cycle" true
+    (throws_schema (fun () -> ignore (S.attr_type s "A" "nope")));
+  check "from a subtype of the cycle" true
+    (throws_schema (fun () -> ignore (S.attr_type s "C" "nope")));
+  check "attrs agrees" true (throws_schema (fun () -> ignore (S.attrs s "C")))
+
 let suite =
   [
     Alcotest.test_case "builtins" `Quick test_builtins;
@@ -118,4 +176,6 @@ let suite =
     Alcotest.test_case "subtypes closure" `Quick test_subtypes_closure;
     Alcotest.test_case "well-formedness" `Quick test_well_formed_simple;
     Alcotest.test_case "paper schemas" `Quick test_paper_schemas_well_formed;
+    Qc.to_alcotest prop_attr_type_equals_attrs;
+    Alcotest.test_case "attr_type on a cyclic schema" `Quick test_attr_type_cycle;
   ]

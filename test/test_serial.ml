@@ -218,6 +218,56 @@ let test_save_load_file () =
       check "file round-trip" true
         (same_extensions b.C.store store' (C.name_path b.C.store) Core.Extension.Full))
 
+(* ---------------- CRC-32 ---------------- *)
+
+(* Bit-at-a-time reference CRC over Int32, independent of the table. *)
+let crc_bitwise s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let low = Int32.logand !c 1l in
+        c := Int32.shift_right_logical !c 1;
+        if low <> 0l then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let test_crc_vectors () =
+  let crc = Gom.Crc32.string in
+  check "check value" true (Int32.equal (crc "123456789") 0xCBF43926l);
+  check "empty string" true (Int32.equal (crc "") 0l);
+  Alcotest.(check string) "hex image" "cbf43926" (Gom.Crc32.to_hex (crc "123456789"));
+  Alcotest.(check string) "hex zero-padded" "00000000" (Gom.Crc32.to_hex 0l);
+  check "of_hex inverts to_hex" true
+    (Gom.Crc32.of_hex "cbf43926" = Some 0xCBF43926l)
+
+let bytes_gen = QCheck.(string_gen_of_size Gen.(0 -- 300) Gen.char)
+
+let prop_crc_bitwise =
+  QCheck.Test.make ~name:"crc32 = bitwise reference, hex = %08lx" ~count:300 bytes_gen
+    (fun s ->
+      let c = Gom.Crc32.string s in
+      Int32.equal c (crc_bitwise s)
+      && Gom.Crc32.to_hex c = Printf.sprintf "%08lx" c
+      && Gom.Crc32.of_hex (Gom.Crc32.to_hex c) = Some c)
+
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc32 ~init chaining over random splits = one shot" ~count:300
+    QCheck.(pair bytes_gen (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun k -> if n = 0 then 0 else k mod (n + 1)) cuts) in
+      let chained, last =
+        List.fold_left
+          (fun (c, pos) cut ->
+            (Gom.Crc32.sub ~init:c s ~pos ~len:(cut - pos), cut))
+          (0l, 0) cuts
+      in
+      let chained = Gom.Crc32.sub ~init:chained s ~pos:last ~len:(n - last) in
+      Int32.equal chained (Gom.Crc32.string s))
+
 let suite =
   [
     Alcotest.test_case "schema roundtrip" `Quick test_schema_roundtrip;
@@ -234,4 +284,7 @@ let suite =
     Alcotest.test_case "generated base roundtrip" `Quick test_generated_roundtrip;
     Qc.to_alcotest prop_roundtrip;
     Alcotest.test_case "save/load file" `Quick test_save_load_file;
+    Alcotest.test_case "crc32 vectors" `Quick test_crc_vectors;
+    Qc.to_alcotest prop_crc_bitwise;
+    Qc.to_alcotest prop_crc_chaining;
   ]
