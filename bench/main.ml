@@ -218,12 +218,13 @@ let bench_parallel ~quick () =
 
 (* The write-path headline: pages written per store event under
    immediate maintenance vs deferred delta buffers drained by batched
-   one-pass flushes.  The workload is update-heavy membership churn —
-   mostly transient insert/remove rotations (which annihilate in the
-   buffers before ever touching a page) plus a fraction of lasting
-   toggles (net deltas that the flush applies in one shared descent per
-   tree).  Both runs replay the identical deterministic event sequence;
-   the batched run pays for its final flush before the clock stops. *)
+   flushes.  The workload is update-heavy membership churn — mostly
+   transient insert/remove rotations (which annihilate in the buffers
+   before ever touching a page) plus a fraction of lasting toggles (net
+   deltas that the flush applies as [adjust]s in one operation, each
+   touched page charged once).  Both runs replay the identical
+   deterministic event sequence; the batched run pays for its final
+   flush before the clock stops. *)
 let bench_maintenance_batch ~quick () =
   let spec =
     if quick then

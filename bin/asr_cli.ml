@@ -1223,7 +1223,7 @@ let advise_t =
 let flush_policy_arg =
   Arg.(value & opt (some string) None & info [ "flush-policy" ] ~docv:"POLICY"
          ~doc:"Deferred index maintenance: buffer tree writes as deltas and \
-               apply them in batched one-pass flushes.  $(docv) is \
+               apply them in batched flushes.  $(docv) is \
                $(b,immediate), $(b,every:K) (flush each K store events), \
                $(b,bytes:N) (flush at N buffered bytes) or $(b,onquery) \
                (only the engine's freshness watermark catches up).  Answers \

@@ -359,8 +359,8 @@ let flush_unlocked ?stats t =
         Vtbl.reset buf.by_last;
         flushed := !flushed + List.length deltas;
         in_seg ?stats t (fun () ->
-            Storage.Bptree.apply_many ?stats tr.fwd deltas;
-            Storage.Bptree.apply_many ?stats tr.bwd deltas)
+            List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.fwd proj d) deltas;
+            List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.bwd proj d) deltas)
       end)
     () t;
   (match stats with

@@ -302,11 +302,6 @@ let set_health t f =
       t.health <- Some f;
       t.generation <- t.generation + 1)
 
-let clear_health t =
-  with_lock t (fun () ->
-      t.health <- None;
-      t.generation <- t.generation + 1)
-
 (* The freshness watermark: an index with pending deltas has its
    buffers drained before it is stitched through — charged to the
    caller's stats, so the first query over a stale index pays the

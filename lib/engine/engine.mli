@@ -143,9 +143,6 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
     the degradation is counted as {!Storage.Stats.Fallbacks} in the
     environment's stats.  Bumps the generation. *)
 
-val clear_health : t -> unit
-(** Trust every registered index again.  Bumps the generation. *)
-
 (* {2 Freshness watermark}
 
    An index whose deferred-maintenance buffers hold pending deltas

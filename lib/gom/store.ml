@@ -163,8 +163,11 @@ let conforms t ~decl (v : Value.t) =
   | Value.Bool _ -> Schema.atomic_of t.schema decl = Some Schema.A_bool
   | Value.Char _ -> Schema.atomic_of t.schema decl = Some Schema.A_char
 
-let check_conforms t ~what ~decl v =
+(* The error names the operation [what], then [attr] when given; the
+   text is built only on the raising path. *)
+let check_conforms t ?attr ~what ~decl v =
   if not (conforms t ~decl v) then
+    let what = match attr with Some a -> what ^ " " ^ a | None -> what in
     error "%s: value %s does not conform to type %s" what (Value.to_string v) decl
 
 let get_attr t oid attr =
@@ -235,7 +238,7 @@ let set_attr t oid attr v =
     | None ->
       error "type %s has no attribute %s" (Instance.ty inst) attr
   in
-  check_conforms t ~what:(Printf.sprintf "set_attr %s" attr) ~decl v;
+  check_conforms t ~what:"set_attr" ~attr ~decl v;
   let tbl = tuple_table inst in
   let old_value = Option.value ~default:Value.Null (Hashtbl.find_opt tbl attr) in
   if not (Value.equal old_value v) then begin

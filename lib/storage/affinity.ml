@@ -62,7 +62,6 @@ let touch t oid =
 
 let break_run t = t.recent <- []
 let touches t = t.touches
-let edge_count t = Ptbl.length t.edges
 
 (* Union-find over oids with byte-size tracking, merged hottest-edge
    first under the page-capacity constraint. *)

@@ -28,8 +28,6 @@ val break_run : t -> unit
 val touches : t -> int
 (** Total accesses recorded. *)
 
-val edge_count : t -> int
-
 val decay : t -> unit
 (** Halve every edge weight, dropping edges that reach zero — the aging
     step that keeps the graph tracking the {e current} workload. *)

@@ -500,181 +500,6 @@ let scan ?stats t =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Bulk apply                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The separator right after [child] among [children], if any. *)
-let rec next_separator child = function
-  | (_, c) :: ((sep, _) :: _) when c == child -> Some sep
-  | _ :: rest -> next_separator child rest
-  | [] -> None
-
-(* The leaf [insert] and [remove] route [tup] to, with the separator
-   that bounds that leaf on the right (exclusive; [None] at the right
-   edge of the tree). *)
-let leaf_for ?stats t tup =
-  let rec go node hi =
-    read stats node.page;
-    match node.body with
-    | Leaf _ -> (node, hi)
-    | Inner i ->
-      let child = route ~before:(fun sep -> cmp_entry t sep tup <= 0) i.children in
-      go child (match next_separator child i.children with Some _ as sep -> sep | None -> hi)
-  in
-  go t.root None
-
-(* The write-side sibling of [lookup_many]: apply many signed refcount
-   deltas in one pass.  Deltas are sorted by (clustering key, tuple) and
-   coalesced, then a single descent finds the first target leaf and the
-   pass moves rightwards — consecutive deltas landing on the same leaf
-   charge its page once per operation, exactly like sorted probes
-   sharing leaves in [lookup_many].  Structural damage (emptied or
-   over-full leaves) is repaired once at the end: over-full leaves split
-   in bulk into fresh pages, emptied leaves are dropped from the chain,
-   and the inner levels are rebuilt bulk-load style. *)
-let apply_many ?stats t deltas =
-  let deltas = List.filter (fun (_, d) -> d <> 0) deltas in
-  let deltas = List.sort (fun (a, _) (b, _) -> cmp_entry t a b) deltas in
-  (* Coalesce deltas on the same tuple; zero nets vanish here. *)
-  let deltas =
-    List.fold_left
-      (fun acc (tup, d) ->
-        match acc with
-        | (pt, pd) :: rest when cmp_entry t pt tup = 0 -> (tup, pd + d) :: rest
-        | _ -> (tup, d) :: acc)
-      [] deltas
-    |> List.rev
-    |> List.filter (fun (_, d) -> d <> 0)
-  in
-  match deltas with
-  | [] -> ()
-  | (first, _) :: _ ->
-    let structural = ref false in
-    (* One charged root descent for the batch.  Each delta then goes to
-       the leaf [insert] and [remove] would route it to: the cursor
-       stays while the delta is below the leaf's upper separator and is
-       re-routed once it reaches it.  Separators are the parent's
-       knowledge, so re-routing costs no page access; only leaves
-       actually applied to are charged. *)
-    let cursor = ref (leaf_for ?stats t first) in
-    let apply_one (tup, d) =
-      (match !cursor with
-      | _, Some hi when cmp_entry t hi tup <= 0 -> cursor := leaf_for t tup
-      | _ -> ());
-      let node = fst !cursor in
-      match node.body with
-      | Inner _ -> assert false
-      | Leaf l ->
-        read stats node.page;
-        let es = l.entries in
-        let i = search t es tup in
-        let changed =
-          if found es i tup then begin
-            let e = es.(i) in
-            e.count <- e.count + d;
-            if e.count <= 0 then begin
-              t.cardinal <- t.cardinal - 1;
-              l.entries <- array_remove es i
-            end;
-            true
-          end
-          else if d > 0 then begin
-            t.cardinal <- t.cardinal + 1;
-            l.entries <- array_insert es i { tup; count = d };
-            true
-          end
-          else false
-        in
-        if changed then begin
-          write stats node.page;
-          let n = Array.length l.entries in
-          if n = 0 || n > t.leaf_cap then structural := true
-        end
-    in
-    List.iter apply_one deltas;
-    if !structural then begin
-      (* Walk the (old) chain once: drop emptied leaves, split over-full
-         ones in bulk — the first chunk keeps its page, the remainder go
-         to fresh pages. *)
-      let rec collect node acc =
-        match node.body with
-        | Inner _ -> List.rev acc
-        | Leaf l ->
-          let nxt = l.next in
-          let n = Array.length l.entries in
-          let acc =
-            if n = 0 then acc
-            else if n <= t.leaf_cap then node :: acc
-            else begin
-              match chunk t.leaf_cap (Array.to_list l.entries) with
-              | [] -> acc
-              | first_chunk :: rest ->
-                l.entries <- Array.of_list first_chunk;
-                write stats node.page;
-                List.fold_left
-                  (fun acc es ->
-                    let n =
-                      {
-                        page = Pager.alloc t.pager;
-                        body = Leaf { entries = Array.of_list es; next = None; prev = None };
-                      }
-                    in
-                    write stats n.page;
-                    n :: acc)
-                  (node :: acc) rest
-            end
-          in
-          (match nxt with Some nx -> collect nx acc | None -> List.rev acc)
-      in
-      let leaves = collect t.first_leaf [] in
-      match leaves with
-      | [] ->
-        let leaf = new_leaf t in
-        write stats leaf.page;
-        t.root <- leaf;
-        t.first_leaf <- leaf
-      | head :: _ ->
-        (match head.body with
-        | Leaf l -> l.prev <- None
-        | Inner _ -> assert false);
-        t.first_leaf <- head;
-        let rec link = function
-          | a :: (b :: _ as rest) ->
-            (match (a.body, b.body) with
-            | Leaf la, Leaf lb ->
-              la.next <- Some b;
-              lb.prev <- Some a
-            | _ -> assert false);
-            link rest
-          | [ last ] -> ( match last.body with Leaf l -> l.next <- None | Inner _ -> ())
-          | [] -> ()
-        in
-        link leaves;
-        let min_of node =
-          match node.body with
-          | Leaf l -> l.entries.(0).tup
-          | Inner i -> fst (List.hd i.children)
-        in
-        let rec build level =
-          match level with
-          | [ single ] -> single
-          | _ ->
-            chunk t.inner_cap level
-            |> List.map (fun cs ->
-                   let n =
-                     {
-                       page = Pager.alloc t.pager;
-                       body = Inner { children = List.map (fun c -> (min_of c, c)) cs };
-                     }
-                   in
-                   write stats n.page;
-                   n)
-            |> build
-        in
-        t.root <- build leaves
-    end
-
-(* ------------------------------------------------------------------ *)
 (* Geometry                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -23,8 +23,9 @@
     the {e projection} of the extension, so the same projected tuple can
     be contributed by several extension tuples (Definition 3.8).  One
     write primitive, {!adjust}, moves a count by any signed amount in a
-    single descent; {!insert} and {!remove} are its [±1] cases, and
-    {!apply_many} is the batched form. *)
+    single descent; {!insert} and {!remove} are its [±1] cases, and a
+    batch of deltas is a sequence of [adjust]s under one {!Stats}
+    operation, which charges each touched page once. *)
 
 type t
 
@@ -80,19 +81,6 @@ val lookup_many :
     the next key falls inside its key range, so adjacent keys share
     descents and leaf pages.  Returns one [(key, tuples)] pair per
     distinct key, in key order ([tuples] may be empty). *)
-
-val apply_many : ?stats:Stats.t -> t -> (tuple * int) list -> unit
-(** Batched {!insert}/{!remove}: apply many signed reference-count
-    deltas in one shared-descent pass — the write-side sibling of
-    {!lookup_many}.  Deltas are sorted by (clustering key, tuple) and
-    coalesced (zero nets are discarded), then applied left to right
-    riding the leaf chain, so consecutive deltas landing on the same
-    leaf charge its page once per operation.  A positive delta on an
-    absent tuple creates the entry with that count; a negative delta on
-    an absent tuple is ignored (matching {!remove} of an unknown tuple);
-    an entry whose count reaches zero disappears.  Emptied leaves are
-    unlinked and over-full leaves are split in bulk at the end of the
-    pass, rebuilding the inner levels bulk-load style. *)
 
 val mem : t -> tuple -> bool
 

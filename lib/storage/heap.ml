@@ -167,8 +167,6 @@ let write_object t stats oid =
         Stats.write stats (p.first + i)
       done)
 
-let type_pages t ty = List.map fst (Imap.bindings (occ_of t ty))
-
 let extent_pages ?(deep = false) t ty =
   let tys = if deep then Gom.Schema.subtypes_closure t.schema ty else [ ty ] in
   (* Union, not concatenation: after reclustering a page can host

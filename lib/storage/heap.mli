@@ -79,10 +79,6 @@ val pages_of_type : ?deep:bool -> t -> Gom.Schema.type_name -> int
 val objects_per_page : t -> Gom.Schema.type_name -> int
 (** The paper's [opp_i]. *)
 
-val type_pages : t -> Gom.Schema.type_name -> int list
-(** The distinct pages currently holding live objects of exactly this
-    type, ascending. *)
-
 val scan_extent : ?deep:bool -> t -> Stats.t -> Gom.Schema.type_name -> unit
 (** Charge reads for every page of the extent (exhaustive search).  The
     extent's pages are staged via {!Stats.prefetch} first, so with a

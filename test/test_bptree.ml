@@ -178,19 +178,20 @@ let prop_random_ops =
         (fun (a, b) n acc -> acc && B.refcount t (tup a b) = n)
         model true)
 
-(* ---------------- apply_many routing ---------------- *)
+(* ---------------- routing by separator ---------------- *)
 
 let key n = V.Ref (Gom.Oid.of_int n)
 
 (* After [remove (6,0)] the middle leaf's first entry (8,2) sits above
-   its separator (6,0).  [apply_many] must still put (7,2) where
-   [insert] would — right of that separator — or lookups never find it. *)
-let test_apply_many_routes_by_separator () =
+   its separator (6,0).  [adjust] must put (7,2) right of that
+   separator, as [insert] does, or lookups never find it. *)
+let test_adjust_routes_by_separator () =
   let t = make_tree () in
   B.bulk_load t [ tup 1 7; tup 6 0; tup 9 8; tup 9 8; tup 8 2; tup 3 8 ];
   B.insert t (tup 3 3);
   B.remove t (tup 6 0);
-  B.apply_many t [ (tup 7 2, 1); (tup 3 5, -2) ];
+  B.adjust t (tup 7 2) 1;
+  B.adjust t (tup 3 5) (-2);
   check "invariants" true (ok_invariants t);
   check_int "refcount" 1 (B.refcount t (tup 7 2));
   check "lookup finds the delta" true (B.lookup t (key 7) = [ tup 7 2 ])
@@ -202,7 +203,6 @@ type op =
   | Ins of int * int
   | Rem of int * int
   | Adj of (int * int) * int
-  | Apply of ((int * int) * int) list
 
 let pp_pair (a, b) = Printf.sprintf "(%d,%d)" a b
 
@@ -211,10 +211,6 @@ let pp_op = function
   | Ins (a, b) -> "insert " ^ pp_pair (a, b)
   | Rem (a, b) -> "remove " ^ pp_pair (a, b)
   | Adj (p, d) -> Printf.sprintf "adjust %s %+d" (pp_pair p) d
-  | Apply ds ->
-    "apply_many ["
-    ^ String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%s,%+d" (pp_pair p) d) ds)
-    ^ "]"
 
 (* Small domains so duplicate keys, leaf boundaries and emptied leaves
    are common on 4-entry leaves. *)
@@ -226,35 +222,36 @@ let gen_pair = QCheck.Gen.(pair (int_bound (max_a - 1)) (int_bound (max_b - 1)))
 (* A signed delta with |d| from 1 to 4. *)
 let gen_delta = QCheck.Gen.(map2 (fun neg d -> if neg then -d else d) bool (int_range 1 4))
 
-let gen_op =
+(* A history: single operations, and drains of every pair whose first
+   (or last) column is in [lo, lo + w] by [adjust _ (-3)]s, which empty
+   whole leaves, the first one included. *)
+let gen_ops =
   QCheck.Gen.(
-    frequency
-      [
-        (1, map (fun l -> Bulk l) (list_size (int_bound 24) gen_pair));
-        (4, map (fun (a, b) -> Ins (a, b)) gen_pair);
-        (4, map (fun (a, b) -> Rem (a, b)) gen_pair);
-        (3, map2 (fun p d -> Adj (p, d)) gen_pair gen_delta);
-        (2, map (fun l -> Apply l) (list_size (int_bound 10) (pair gen_pair (int_range (-3) 3))));
-        (* Drain every pair whose first (or last) column is in [lo, lo + w]:
-           this empties whole leaves, the first one included. *)
-        ( 1,
-          map
-            (fun (first, lo, w) ->
-              Apply
-                (List.concat
+    list_size (int_bound 30)
+      (frequency
+         [
+           (1, map (fun l -> [ Bulk l ]) (list_size (int_bound 24) gen_pair));
+           (4, map (fun (a, b) -> [ Ins (a, b) ]) gen_pair);
+           (4, map (fun (a, b) -> [ Rem (a, b) ]) gen_pair);
+           (5, map2 (fun p d -> [ Adj (p, d) ]) gen_pair gen_delta);
+           ( 1,
+             map
+               (fun (first, lo, w) ->
+                 List.concat
                    (List.init max_a (fun a ->
                         List.filter_map
                           (fun b ->
                             let c = if first then a else b in
-                            if lo <= c && c <= lo + w then Some ((a, b), -3) else None)
-                          (List.init max_b Fun.id)))))
-            (triple bool (int_bound (max_a - 1)) (int_bound 3)) );
-      ])
+                            if lo <= c && c <= lo + w then Some (Adj ((a, b), -3)) else None)
+                          (List.init max_b Fun.id))))
+               (triple bool (int_bound (max_a - 1)) (int_bound 3)) );
+         ])
+    |> map List.concat)
 
 let arb_history =
   let gen =
     QCheck.Gen.(
-      triple bool (list_size (int_bound 30) gen_op)
+      triple bool gen_ops
         (list_size (int_bound 4) (list_size (int_bound 6) (int_bound (max max_a max_b)))))
   in
   QCheck.make gen
@@ -264,9 +261,9 @@ let arb_history =
     ~shrink:(fun (last, ops, sets) yield ->
       QCheck.Shrink.list ops (fun ops' -> yield (last, ops', sets)))
 
-(* The reference: a multiset of pairs, with [apply_many]'s documented
-   semantics (net delta per tuple; a negative net on an absent tuple is
-   ignored; counts at or below zero disappear). *)
+(* The reference: a multiset of pairs, with [adjust]'s documented
+   semantics (a negative delta on an absent tuple is ignored; counts at
+   or below zero disappear). *)
 let model_apply model (p, d) =
   let n = Option.value ~default:0 (Hashtbl.find_opt model p) in
   if n + d > 0 then Hashtbl.replace model p (n + d)
@@ -279,23 +276,16 @@ let run_model model = function
   | Ins (a, b) -> model_apply model ((a, b), 1)
   | Rem (a, b) -> model_apply model ((a, b), -1)
   | Adj (p, d) -> model_apply model (p, d)
-  | Apply ds ->
-    let net = Hashtbl.create 8 in
-    List.iter
-      (fun (p, d) -> Hashtbl.replace net p (d + Option.value ~default:0 (Hashtbl.find_opt net p)))
-      ds;
-    Hashtbl.iter (fun p d -> if d <> 0 then model_apply model (p, d)) net
 
 let run_tree t = function
   | Bulk l -> B.bulk_load t (List.map (fun (a, b) -> tup a b) l)
   | Ins (a, b) -> B.insert t (tup a b)
   | Rem (a, b) -> B.remove t (tup a b)
   | Adj ((a, b), d) -> B.adjust t (tup a b) d
-  | Apply ds -> B.apply_many t (List.map (fun ((a, b), d) -> (tup a b, d)) ds)
 
 (* The maintenance-fuzz CI job raises the count via ASR_BPTREE_COUNT. *)
 let prop_model =
-  QCheck.Test.make ~name:"bulk_load/insert/remove/apply_many agree with a multiset"
+  QCheck.Test.make ~name:"bulk_load/insert/remove/adjust agree with a multiset"
     ~count:(Qc.iters_env "ASR_BPTREE_COUNT" 300) arb_history (fun (last, ops, sets) ->
       let col = if last then 1 else 0 in
       let t =
@@ -352,7 +342,7 @@ let prop_adjust_pages =
             (if last then "last" else "first")
             (pp_pair p) d
             (String.concat "\n  " (List.map pp_op ops)))
-        Gen.(triple bool (list_size (int_bound 30) gen_op) (pair gen_pair gen_delta)))
+        Gen.(triple bool gen_ops (pair gen_pair gen_delta)))
     (fun (last, ops, ((a, b), d)) ->
       let make () =
         let pager = Storage.Pager.create () in
@@ -396,8 +386,7 @@ let prop_adjust_pages =
    resumes and chain prefetch all happen.  Every operation runs in its
    own [Stats.begin_op]; the trace pins its logical and physical pages,
    the pool's hits, evictions and prefetches, and the pager's
-   allocations.  [apply_many] stays out of the trace, so a change to
-   how it routes deltas does not move this golden. *)
+   allocations. *)
 let golden_trace () =
   let module S = Storage.Stats in
   let buf = Buffer.create 65536 in
@@ -484,8 +473,7 @@ let suite =
     Alcotest.test_case "insert page accounting" `Quick test_insert_page_accounting;
     Alcotest.test_case "backward clustering" `Quick test_backward_clustering;
     Qc.to_alcotest prop_random_ops;
-    Alcotest.test_case "apply_many routes by separator" `Quick
-      test_apply_many_routes_by_separator;
+    Alcotest.test_case "adjust routes by separator" `Quick test_adjust_routes_by_separator;
     Qc.to_alcotest prop_model;
     Qc.to_alcotest prop_adjust_pages;
     Alcotest.test_case "page accounting golden" `Quick test_page_golden;

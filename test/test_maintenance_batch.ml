@@ -1,18 +1,17 @@
 (* Tests for the deferred batched maintenance pipeline: delta buffers
-   with annihilating merge, the one-pass bulk tree apply, flush
-   policies, the engine's freshness watermark, and WAL flush groups.
+   with annihilating merge, flushes as [Bptree.adjust]s under one
+   accounting operation, flush policies, the engine's freshness
+   watermark, and WAL flush groups.
 
-   The two centrepieces are oracle properties: [Bptree.apply_many] must
-   equal net sequential insert/remove on a twin tree, and a random
-   event stream with interleaved engine queries — run under every flush
-   policy — must answer exactly like an
+   The centrepiece is an oracle property: a random event stream with
+   interleaved engine queries — run under every flush policy, on 64-byte
+   pages so flushes split and empty leaves — must answer exactly like an
    always-immediate manager and the navigational scan oracle, with the
    physical partition trees converging after the final flush.  A crash
    at every log write through a mid-flush WAL group must recover to a
    verified prefix-consistent state with the group replayed or dropped
    atomically. *)
 
-module B = Storage.Bptree
 module M = Core.Maintenance
 module D = Core.Decomposition
 module E = Core.Exec
@@ -26,97 +25,6 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let vset vs = List.sort_uniq V.compare vs
-
-(* ---------------- apply_many against the sequential oracle --------- *)
-
-(* page_size 64, tuple 16 bytes -> 4 tuples per leaf; fan-out 5. *)
-let small_config = Storage.Config.make ~page_size:64 ~oid_size:8 ~pp_size:4 ()
-
-let make_tree () =
-  B.create ~config:small_config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
-    ~key_of:(fun tup -> tup.(0))
-
-let tup a b = [| V.Ref (Gom.Oid.of_int a); V.Ref (Gom.Oid.of_int b) |]
-
-let ok_invariants t =
-  match B.check_invariants t with
-  | Ok () -> true
-  | Error msg -> Alcotest.failf "invariant violated: %s" msg
-
-let tree_contents t = List.map (fun tu -> (tu, B.refcount t tu)) (B.scan t)
-
-(* The buffer coalesces to a net count per tuple before flushing, so
-   apply_many's contract is net application: the reference applies the
-   net delta of each distinct tuple as repeated insert/remove. *)
-let prop_apply_many_equals_sequential =
-  QCheck.Test.make ~name:"apply_many = net sequential insert/remove" ~count:200
-    QCheck.(
-      pair (int_bound 80)
-        (list_of_size
-           Gen.(int_range 0 60)
-           (triple (int_bound 20) (int_bound 6) (int_range (-3) 3))))
-    (fun (preload, raw) ->
-      let reference = make_tree () and batched = make_tree () in
-      let base = List.init preload (fun i -> tup (i mod 25) (i mod 7)) in
-      List.iter
-        (fun tu ->
-          B.insert reference tu;
-          B.insert batched tu)
-        base;
-      let deltas = List.map (fun (a, b, d) -> (tup a b, d)) raw in
-      let net = Hashtbl.create 16 in
-      List.iter
-        (fun (tu, d) ->
-          let key = Relation.Tuple.to_string tu in
-          let n =
-            match Hashtbl.find_opt net key with Some (n, _) -> n | None -> 0
-          in
-          Hashtbl.replace net key (n + d, tu))
-        deltas;
-      Hashtbl.iter
-        (fun _ (d, tu) ->
-          if d > 0 then
-            for _ = 1 to d do
-              B.insert reference tu
-            done
-          else
-            for _ = 1 to -d do
-              B.remove reference tu
-            done)
-        net;
-      B.apply_many batched deltas;
-      ok_invariants batched && tree_contents reference = tree_contents batched)
-
-let test_apply_many_structural () =
-  let t = make_tree () in
-  (* Bulk grow from empty (splits all the way up), drain to empty
-     (deferred restructure drops every leaf), then reuse. *)
-  B.apply_many t (List.init 300 (fun i -> (tup i i, 1)));
-  check_int "cardinal after bulk grow" 300 (B.cardinal t);
-  check "invariants after bulk grow" true (ok_invariants t);
-  check "scan sorted" true (B.scan t = List.init 300 (fun i -> tup i i));
-  B.apply_many t (List.init 300 (fun i -> (tup i i, -1)));
-  check_int "drained" 0 (B.cardinal t);
-  check "invariants after drain" true (ok_invariants t);
-  B.apply_many t [ (tup 7 7, 3); (tup 7 7, 0); (tup 9 9, -5) ];
-  check_int "net refcount" 3 (B.refcount t (tup 7 7));
-  check "negative on absent ignored" false (B.mem t (tup 9 9));
-  check "reusable" true (ok_invariants t)
-
-let test_apply_many_page_accounting () =
-  let t = make_tree () in
-  B.bulk_load t (List.init 200 (fun i -> tup i i));
-  let stats = Storage.Stats.create () in
-  Storage.Stats.begin_op stats;
-  (* Four deltas landing in one leaf (keys 40..43 pack together under
-     cap 4, and the net entry count stays 4): one shared descent, the
-     leaf written once — not four separate root-to-leaf walks. *)
-  B.apply_many ~stats t
-    [ (tup 40 40, -1); (tup 41 1, 1); (tup 42 42, -1); (tup 43 1, 1) ];
-  check_int "one leaf written" 1 (Storage.Stats.op_writes stats);
-  check "one shared descent" true
-    (Storage.Stats.op_reads stats <= B.height t + 2);
-  check "invariants" true (ok_invariants t)
 
 (* ---------------- company-base fixtures ---------------- *)
 
@@ -218,6 +126,45 @@ let test_annihilation_writes_nothing () =
     (Storage.Stats.snapshot stats).Storage.Stats.s_total_writes;
   check "trees never diverged" true (agree a)
 
+(* ---------------- flush page accounting ---------------- *)
+
+(* A flush is one [adjust] per net delta inside the caller's operation,
+   which charges each page once.  [Node.label] over 24 nodes on 128-byte
+   pages (8 two-column tuples per leaf) gives trees of three leaves under
+   a root.  Dropping three labels leaves the middle leaf 5 entries, so
+   renaming two of its nodes buffers four deltas that neither overfill
+   nor empty it, in whatever order they are applied. *)
+let test_flush_page_accounting () =
+  let schema = Gom.Schema.define_tuple Gom.Schema.empty "Node" [ ("label", "STRING") ] in
+  let store = Gom.Store.create schema in
+  let nodes = Array.init 24 (fun _ -> Gom.Store.new_object store "Node") in
+  let label i v = Gom.Store.set_attr store nodes.(i) "label" v in
+  Array.iteri (fun i _ -> label i (V.Str (Printf.sprintf "k%02d" i))) nodes;
+  let mgr = M.create (E.make store (Storage.Heap.create ~size_of:(fun _ -> 100) store)) in
+  let a =
+    Core.Asr.create
+      ~config:(Storage.Config.make ~page_size:128 ())
+      store
+      (Gom.Path.make schema "Node" [ "label" ])
+      Core.Extension.Canonical (D.binary ~m:1)
+  in
+  M.register mgr a;
+  List.iter (fun i -> label i V.Null) [ 8; 9; 10 ];
+  M.set_policy mgr M.On_query;
+  label 12 (V.Str "k12b");
+  label 13 (V.Str "k13b");
+  check_int "four deltas buffered" 4 (Core.Asr.pending_deltas a);
+  check "three leaves under a root" true
+    (List.for_all
+       (fun g -> g.Core.Asr.leaf_pages = 3 && g.Core.Asr.inner_pages = 1)
+       (Core.Asr.geometry a));
+  let stats = Storage.Stats.create () in
+  Storage.Stats.begin_op stats;
+  check_int "four deltas flushed" 4 (Core.Asr.flush ~stats a);
+  check_int "one leaf written per tree" 2 (Storage.Stats.op_writes stats);
+  check_int "root and leaf read per tree" 4 (Storage.Stats.op_reads stats);
+  check "trees caught up" true (agree a)
+
 (* ---------------- freshness watermark ---------------- *)
 
 let test_watermark_catchup () =
@@ -288,7 +235,8 @@ let policies =
    under [policy] behind an engine that catches up on first use.  With
    [pooled], each base holds a second relation of the same kind over
    another decomposition, both drawing their partitions from one sharing
-   pool, so shared trees take both relations' deltas (and buffers). *)
+   pool, so shared trees take both relations' deltas (and buffers).
+   Pages are 64 bytes, so flushes split and empty leaves. *)
 let deferred_case ~pooled spec kind pick ops_seed policy =
   let store_i, path_i = Workload.Generator.build spec in
   let store_d, path_d = Workload.Generator.build spec in
@@ -297,11 +245,13 @@ let deferred_case ~pooled spec kind pick ops_seed policy =
   let m = Gom.Path.arity path_i - 1 in
   let decs = D.all ~m in
   let dec k = List.nth decs (k mod List.length decs) in
+  let config = Storage.Config.make ~page_size:64 () in
   let side store path env =
-    let pool = if pooled then Some (Core.Asr.make_pool store) else None in
-    let a = Core.Asr.create ?pool store path kind (dec pick) in
+    let pool = if pooled then Some (Core.Asr.make_pool ~config store) else None in
+    let a = Core.Asr.create ~config ?pool store path kind (dec pick) in
     let peers =
-      if pooled then [ Core.Asr.create ?pool store path kind (dec (pick + 1)) ] else []
+      if pooled then [ Core.Asr.create ~config ?pool store path kind (dec (pick + 1)) ]
+      else []
     in
     let mgr = M.create env in
     List.iter (M.register mgr) (a :: peers);
@@ -621,11 +571,6 @@ let test_mid_flush_crash_sweep () =
 
 let suite =
   [
-    Qc.to_alcotest prop_apply_many_equals_sequential;
-    Alcotest.test_case "apply_many: grow, drain, reuse" `Quick
-      test_apply_many_structural;
-    Alcotest.test_case "apply_many: shared-descent page accounting" `Quick
-      test_apply_many_page_accounting;
     Alcotest.test_case "flush policy strings" `Quick test_policy_strings;
     Alcotest.test_case "every-k policy flushes on the k-th event" `Quick
       test_every_k_flushes;
@@ -634,6 +579,7 @@ let suite =
       test_switch_to_immediate_drains;
     Alcotest.test_case "insert+delete annihilate before any page" `Quick
       test_annihilation_writes_nothing;
+    Alcotest.test_case "flush: one leaf write per tree" `Quick test_flush_page_accounting;
     Alcotest.test_case "freshness watermark: catch-up on first use" `Quick
       test_watermark_catchup;
     Alcotest.test_case "delta counters in stats summary" `Quick

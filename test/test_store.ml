@@ -43,9 +43,11 @@ let test_set_attr_typing () =
   St.set_attr st node "leaf" (V.Ref leaf);
   check "stored" true (V.equal (St.get_attr st node "leaf") (V.Ref leaf));
   St.set_attr st node "n" (V.Int 42);
-  (* wrong atomic type *)
-  check "int into string" true
-    (throws_type (fun () -> St.set_attr st node "n" (V.Str "x")));
+  (* wrong atomic type; the message names the attribute *)
+  Alcotest.check_raises "int into string"
+    (St.Type_error
+       ("set_attr n: value " ^ V.to_string (V.Str "x") ^ " does not conform to type INT"))
+    (fun () -> St.set_attr st node "n" (V.Str "x"));
   (* wrong object type *)
   let other = St.new_object st "Node" in
   check "node into leaf attr" true
@@ -67,7 +69,10 @@ let test_set_elements_typing () =
   let node = St.new_object st "Node" in
   St.insert_elem st s (V.Ref leaf);
   check_int "one element" 1 (List.length (St.elements st s));
-  check "wrong elem type" true (throws_type (fun () -> St.insert_elem st s (V.Ref node)));
+  Alcotest.check_raises "wrong elem type"
+    (St.Type_error
+       ("insert_elem: value " ^ V.to_string (V.Ref node) ^ " does not conform to type Leaf"))
+    (fun () -> St.insert_elem st s (V.Ref node));
   check "null elem" true (throws_type (fun () -> St.insert_elem st s V.Null));
   (* duplicate insert is a no-op *)
   St.insert_elem st s (V.Ref leaf);
