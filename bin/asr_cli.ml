@@ -704,7 +704,7 @@ let auto_cmd base file path_spec p_up queries updates =
   in
   let best, built = Workload.Autodesign.auto store path mix ~p_up in
   Format.printf "measured profile over %a:@.%a@.@." Gom.Path.pp path Costmodel.Profile.pp
-    (Workload.Profiler.profile_of_base store path);
+    (Engine.measure_profile store path);
   Format.printf "winning design: %s (%.2f pages/op, %.4f vs no support)@."
     (Costmodel.Opmix.design_name best.Costmodel.Advisor.design)
     best.Costmodel.Advisor.expected_cost best.Costmodel.Advisor.normalized;

@@ -68,7 +68,8 @@ let () =
 
   section "4b. Measure a real base and materialise the winner";
   (* The advisor can also run against a profile measured from a live
-     base (Workload.Profiler) and apply its recommendation directly. *)
+     base (Engine.measure_profile) and apply its recommendation
+     directly. *)
   let spec =
     Workload.Generator.spec ~seed:77
       ~counts:[ 200; 400; 800; 1600 ]

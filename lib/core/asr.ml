@@ -48,13 +48,12 @@ type gate = {
 
 type t = {
   id : int;  (* process-unique identity, usable as a hash key *)
-  seg : string;  (* segment name of the trees' page traffic *)
+  seg : string;  (* name of the trees' pager: the pool's, when pooled *)
   store : Gom.Store.t;
   path : Gom.Path.t;
   kind : Extension.kind;
   dec : Decomposition.t;
   config : Storage.Config.t;
-  pager : Storage.Pager.t;
   owner : (Relation.Tuple.t -> bool) option;
       (* placement predicate: when set, this relation materialises only
          the extension tuples the predicate owns (horizontal sharding) *)
@@ -72,17 +71,11 @@ and pool = {
   mutable members : t list;  (* every relation created against the pool *)
 }
 
-let next_id = ref 0
+let next_id = Atomic.make 0
+let next_pool = Atomic.make 0
 
 let id t = t.id
 let seg t = t.seg
-
-(* Tag page traffic from this relation's trees with its segment name so
-   the buffer pool can report per-segment hit ratios (planner warmth). *)
-let in_seg ?stats t f =
-  match stats with
-  | Some st -> Storage.Stats.in_segment st t.seg f
-  | None -> f ()
 
 let store t = t.store
 let owner t = t.owner
@@ -115,12 +108,12 @@ let project_tuple tup ~lo ~hi = Array.sub tup lo (hi - lo + 1)
 (* Section 5.4: sharing of access support relation partitions          *)
 (* ------------------------------------------------------------------ *)
 
-let make_pool ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ()) store
-    =
+let make_pool ?(config = Storage.Config.default) store =
   {
     pool_store = store;
     pool_config = config;
-    pool_pager = pager;
+    pool_pager =
+      Storage.Pager.create ("pool" ^ string_of_int (Atomic.fetch_and_add next_pool 1));
     segments = [];
     members = [];
   }
@@ -188,8 +181,7 @@ let fresh_trees ~config ~pager ~width ~skey =
       { entries = Ttbl.create 64; by_first = Vtbl.create 16; by_last = Vtbl.create 16 };
   }
 
-let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ()) ?pool
-    ?owner store path kind dec =
+let create ?(config = Storage.Config.default) ?pool ?owner store path kind dec =
   let m = Gom.Path.arity path - 1 in
   (match List.rev (Decomposition.boundaries dec) with
   | last :: _ when last = m -> ()
@@ -198,8 +190,11 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
   | Some p when not (p.pool_store == store) ->
     invalid_arg "Asr.create: pool belongs to a different store"
   | _ -> ());
+  let id = Atomic.fetch_and_add next_id 1 in
   let config, pager =
-    match pool with Some p -> (p.pool_config, p.pool_pager) | None -> (config, pager)
+    match pool with
+    | Some p -> (p.pool_config, p.pool_pager)
+    | None -> (config, Storage.Pager.create ("asr" ^ string_of_int id))
   in
   let extension = Extension.compute store path kind in
   let tuples =
@@ -232,18 +227,15 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
       { lo; hi; trees }
   in
   let parts = Array.of_list (List.map mk_part (Decomposition.partitions dec)) in
-  let id = !next_id in
-  incr next_id;
   let t =
     {
       id;
-      seg = "asr" ^ string_of_int id;
+      seg = Storage.Pager.name pager;
       store;
       path;
       kind;
       dec;
       config;
-      pager;
       owner;
       parts;
       deferred = false;
@@ -358,9 +350,8 @@ let flush_unlocked ?stats t =
         Vtbl.reset buf.by_first;
         Vtbl.reset buf.by_last;
         flushed := !flushed + List.length deltas;
-        in_seg ?stats t (fun () ->
-            List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.fwd proj d) deltas;
-            List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.bwd proj d) deltas)
+        List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.fwd proj d) deltas;
+        List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.bwd proj d) deltas
       end)
     () t;
   (match stats with
@@ -377,22 +368,16 @@ let partition_relation t i =
   let p = t.parts.(i) in
   Relation.of_list ~width:(p.hi - p.lo + 1) (Storage.Bptree.scan p.trees.fwd)
 
-let lookup_fwd ?stats t i key =
-  in_seg ?stats t (fun () -> Storage.Bptree.lookup ?stats t.parts.(i).trees.fwd key)
-
-let lookup_bwd ?stats t i key =
-  in_seg ?stats t (fun () -> Storage.Bptree.lookup ?stats t.parts.(i).trees.bwd key)
+let lookup_fwd ?stats t i key = Storage.Bptree.lookup ?stats t.parts.(i).trees.fwd key
+let lookup_bwd ?stats t i key = Storage.Bptree.lookup ?stats t.parts.(i).trees.bwd key
 
 let lookup_fwd_many ?stats t i keys =
-  in_seg ?stats t (fun () ->
-      Storage.Bptree.lookup_many ?stats t.parts.(i).trees.fwd keys)
+  Storage.Bptree.lookup_many ?stats t.parts.(i).trees.fwd keys
 
 let lookup_bwd_many ?stats t i keys =
-  in_seg ?stats t (fun () ->
-      Storage.Bptree.lookup_many ?stats t.parts.(i).trees.bwd keys)
+  Storage.Bptree.lookup_many ?stats t.parts.(i).trees.bwd keys
 
-let scan_partition ?stats t i =
-  in_seg ?stats t (fun () -> Storage.Bptree.scan ?stats t.parts.(i).trees.fwd)
+let scan_partition ?stats t i = Storage.Bptree.scan ?stats t.parts.(i).trees.fwd
 
 (* ------------------------------------------------------------------ *)
 (* The current relation: trees overlaid with the pending deltas        *)
@@ -465,10 +450,10 @@ let write_partition ?stats p ~remove ~add =
 
 (* Retract [remove], then add [add]: the trees (or, deferred, the
    write-behind buffers) take exactly the given difference, under one
-   seal and one segment tag.  The difference must be exact — every
-   removed tuple present, every added one absent — since nothing else
-   records the relation.  Tuples outside the fragment's placement
-   predicate are dropped from both sides (the owning shard stores them). *)
+   seal.  The difference must be exact — every removed tuple present,
+   every added one absent — since nothing else records the relation.
+   Tuples outside the fragment's placement predicate are dropped from
+   both sides (the owning shard stores them). *)
 let apply_delta ?stats t ~remove ~add =
   let mine tup =
     if Array.length tup <> arity t then invalid_arg "Asr.apply_delta: width mismatch";
@@ -487,8 +472,7 @@ let apply_delta ?stats t ~remove ~add =
         t.parts
     else
       with_sealed t (fun () ->
-          in_seg ?stats t (fun () ->
-              Array.iter (fun p -> write_partition ?stats p ~remove ~add) t.parts))
+          Array.iter (fun p -> write_partition ?stats p ~remove ~add) t.parts)
   end;
   List.length remove + List.length add
 
@@ -596,10 +580,9 @@ let patch_partition ?stats tg i =
          pending work would read as divergence and later double-apply. *)
       ignore (flush_unlocked ?stats t);
       let diff = partition_diff ?stats tg i in
-      in_seg ?stats t (fun () ->
-          List.iter
-            (fun (proj, want, have) -> adjust ?stats t.parts.(i).trees proj (want - have))
-            diff);
+      List.iter
+        (fun (proj, want, have) -> adjust ?stats t.parts.(i).trees proj (want - have))
+        diff;
       List.length diff)
 
 type part_geometry = {

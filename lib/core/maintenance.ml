@@ -44,28 +44,6 @@ let last_event_cost t = Storage.Stats.op_accesses t.stats
 
 let value_oid v = Gom.Value.oid v
 
-(* Path positions [i] (0-based, attribute [A(i+1)]) whose attribute
-   matches a mutation of [attr] on an object of type [ty]. *)
-let positions_matching schema path ~ty ~attr =
-  let n = Gom.Path.length path in
-  List.filter
-    (fun i ->
-      let step = Gom.Path.step path (i + 1) in
-      String.equal step.Gom.Path.attr attr
-      && Gom.Schema.is_subtype schema ~sub:ty ~sup:step.Gom.Path.domain)
-    (List.init n Fun.id)
-
-(* Positions [i] such that the mutated set instance can be the
-   intermediate set [t'(i+1)] of the path. *)
-let set_positions_matching schema path ~set_ty =
-  let n = Gom.Path.length path in
-  List.filter
-    (fun i ->
-      match (Gom.Path.step path (i + 1)).Gom.Path.set_type with
-      | Some st -> Gom.Schema.is_subtype schema ~sub:set_ty ~sup:st
-      | None -> false)
-    (List.init n Fun.id)
-
 (* ------------------------------------------------------------------ *)
 (* I_l / I_r: maximal partial prefixes and suffixes                    *)
 (* ------------------------------------------------------------------ *)
@@ -318,7 +296,7 @@ let handle_event t index ev =
   | Gom.Store.Created _ | Gom.Store.Deleted _ -> ()
   | Gom.Store.Attr_set { obj; attr; old_value; new_value } ->
     if Gom.Store.mem store obj then
-      positions_matching schema path ~ty:(Gom.Store.type_of store obj) ~attr
+      Gom.Path.positions_matching schema path ~ty:(Gom.Store.type_of store obj) ~attr
       |> List.iter (fun i ->
              let step = Gom.Path.step path (i + 1) in
              apply_position t index ~undo:(Attr (obj, attr, old_value)) ~i ~whole:true
@@ -338,7 +316,7 @@ let handle_event t index ev =
           if inserted then ((if was = [] then [ marker ] else []), [ edge ])
           else ([ edge ], if now = [] then [ marker ] else [])
         in
-        set_positions_matching schema path ~set_ty:(Gom.Store.type_of store set)
+        Gom.Path.set_positions_matching schema path ~set_ty:(Gom.Store.type_of store set)
         |> List.iter (fun i ->
                let step = Gom.Path.step path (i + 1) in
                (* An orphan set is not represented in any extension. *)

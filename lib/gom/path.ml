@@ -122,3 +122,24 @@ let is_prefix ~affix t =
 let to_string t = t.t0 ^ "." ^ String.concat "." (List.map (fun s -> s.attr) t.steps)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+(* The 0-based positions of the steps satisfying [f], in path order. *)
+let positions f t =
+  let rec go i = function
+    | [] -> []
+    | s :: tl -> if f s then i :: go (i + 1) tl else go (i + 1) tl
+  in
+  go 0 t.steps
+
+let positions_matching schema t ~ty ~attr =
+  positions
+    (fun s -> String.equal s.attr attr && Schema.is_subtype schema ~sub:ty ~sup:s.domain)
+    t
+
+let set_positions_matching schema t ~set_ty =
+  positions
+    (fun s ->
+      match s.set_type with
+      | Some st -> Schema.is_subtype schema ~sub:set_ty ~sup:st
+      | None -> false)
+    t

@@ -75,6 +75,16 @@ val step : t -> int -> step
 val type_at : t -> int -> Schema.type_name
 (** [type_at p i] is [ti] for [0 <= i <= n]. *)
 
+val positions_matching :
+  Schema.t -> t -> ty:Schema.type_name -> attr:Schema.attr_name -> int list
+(** The 0-based positions [i] whose attribute [A(i+1)] is mutated by a
+    write of [attr] on an object of type [ty] — the step's domain or a
+    subtype of it — in path order. *)
+
+val set_positions_matching : Schema.t -> t -> set_ty:Schema.type_name -> int list
+(** The positions [i] at which an instance of [set_ty] can be the
+    intermediate set [t'(i+1)], in path order. *)
+
 val linear : t -> bool
 (** True iff the path contains no set occurrence. *)
 

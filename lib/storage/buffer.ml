@@ -1,15 +1,8 @@
 type policy = Lru | Clock
 
-type key = string * int
+type key = int
 
-(* Frames are looked up on every first touch of a page in an operation:
-   hash and compare the pair directly, without the generic walk. *)
-module Frames = Hashtbl.Make (struct
-  type t = key
-
-  let equal (s, p) (s', p') = Int.equal p p' && String.equal s s'
-  let hash (s, p) = (Hashtbl.hash s * 65599) + p
-end)
+module Frames = Pager.Tbl
 
 type frame = {
   mutable stamp : int;  (* LRU recency *)

@@ -8,11 +8,10 @@
     frame is pure bookkeeping — identity, recency and pin state are all
     the cost model needs.
 
-    Frames are keyed by [(segment, page)] pairs: heap pages and each
-    access support relation's tree pages come from {e independent}
-    pagers whose identifiers collide, so the owning segment (see
-    {!Stats.in_segment}) namespaces them and a hot heap page can never
-    masquerade as a hot tree page.
+    Frames are keyed by page identifier alone: a {!Pager} puts its
+    segment number in every identifier it allocates, so a heap page and
+    a tree page never share a frame, and every relation reading one
+    shared pool page finds the one frame that holds it.
 
     The pool is a mechanism only — it keeps no hit/miss counters.
     {!Stats} owns the accounting and interprets the outcomes. *)
@@ -22,8 +21,8 @@ type policy = Lru | Clock
     stamp; capacities are small) or the classic clock / second-chance
     approximation. *)
 
-type key = string * int
-(** [(segment, page)]. *)
+type key = int
+(** A page identifier (see {!Pager.alloc}). *)
 
 type t
 

@@ -102,11 +102,11 @@ let remove t oid =
     done;
     t.placements <- Omap.remove oid t.placements
 
-let create ?(config = Config.default) ?(pager = Pager.create ()) ~size_of store =
+let create ?(config = Config.default) ~size_of store =
   let t =
     {
       config;
-      pager;
+      pager = Pager.create "heap";
       size_of;
       schema = Gom.Store.schema store;
       placements = Omap.empty;
@@ -150,22 +150,12 @@ let placement t oid =
 let page_of t oid = (placement t oid).first
 let span_of t oid = (placement t oid).span
 
-let seg = "heap"
-
 let read_object t stats oid =
   (match t.tracer with Some tr -> Affinity.touch tr oid | None -> ());
   let p = placement t oid in
-  Stats.in_segment stats seg (fun () ->
-      for i = 0 to p.span - 1 do
-        Stats.read stats (p.first + i)
-      done)
-
-let write_object t stats oid =
-  let p = placement t oid in
-  Stats.in_segment stats seg (fun () ->
-      for i = 0 to p.span - 1 do
-        Stats.write stats (p.first + i)
-      done)
+  for i = 0 to p.span - 1 do
+    Stats.read stats (p.first + i)
+  done
 
 let extent_pages ?(deep = false) t ty =
   let tys = if deep then Gom.Schema.subtypes_closure t.schema ty else [ ty ] in
@@ -180,12 +170,11 @@ let pages_of_type ?deep t ty = max 1 (List.length (extent_pages ?deep t ty))
 
 let scan_extent ?deep t stats ty =
   let pages = extent_pages ?deep t ty in
-  Stats.in_segment stats seg (fun () ->
-      (* Sequential extent pass: stage the whole extent, then read it —
-         with a pool attached the pages are fetched once here and left
-         resident for whoever traverses them next. *)
-      Stats.prefetch stats pages;
-      List.iter (Stats.read stats) pages)
+  (* Sequential extent pass: stage the whole extent, then read it — with
+     a pool attached the pages are fetched once here and left resident
+     for whoever traverses them next. *)
+  Stats.prefetch stats pages;
+  List.iter (Stats.read stats) pages
 
 (* ------------------------------------------------------------------ *)
 (* Traversal-aware reclustering                                        *)

@@ -22,15 +22,13 @@ type placement = { first : int; span : int; ty : Gom.Schema.type_name }
 (** Where an object lives: pages [first .. first+span-1]. *)
 
 val create :
-  ?config:Config.t ->
-  ?pager:Pager.t ->
-  size_of:(Gom.Schema.type_name -> int) ->
-  Gom.Store.t ->
-  t
+  ?config:Config.t -> size_of:(Gom.Schema.type_name -> int) -> Gom.Store.t -> t
 (** [create ~size_of store] lays out all existing objects and subscribes
     to the store so future objects get pages too.  [size_of] gives the
     average object size per type (the paper's [size_i]); objects larger
-    than a page span several consecutive pages. *)
+    than a page span several consecutive pages.  The heap's pages come
+    from its own {!Pager}, registered as ["heap"], so they are distinct
+    from every tree page and from every other heap's pages. *)
 
 val close : t -> unit
 (** Unsubscribe from the store: objects created later get no pages.
@@ -64,11 +62,11 @@ val span_of : t -> Gom.Oid.t -> int
     page).  @raise Not_found for unknown objects. *)
 
 val read_object : t -> Stats.t -> Gom.Oid.t -> unit
-(** Charge the page reads needed to fetch the object (all [span] pages),
-    tagged to the ["heap"] segment, and inform the tracer if any. *)
-
-val write_object : t -> Stats.t -> Gom.Oid.t -> unit
-(** Charge the page writes for storing the object back. *)
+(** Charge the page reads needed to fetch the object (all [span] pages)
+    and inform the tracer if any.  Mutations charge no heap page: the
+    ledger measures index maintenance, and the cost model prices the
+    object write separately
+    ([Costmodel.Update_cost.object_update_cost]). *)
 
 val pages_of_type : ?deep:bool -> t -> Gom.Schema.type_name -> int
 (** Number of distinct pages the extent occupies (the paper's [op_i]).

@@ -11,11 +11,10 @@
      secondary storage.  Without a pool, physical = logical (the paper's
      cold model).
 
-   Frames are keyed by (segment, page): heap pages and every ASR's tree
-   pages come from independent pagers whose identifiers collide, so the
-   active segment (dynamically scoped via [in_segment]) namespaces the
-   pool and carries per-segment hit/miss tallies for buffer-aware plan
-   pricing.
+   A page identifier carries its pager's segment number (see [Pager]),
+   so it is unique in the process: the per-operation sets and the pool
+   key on it alone, and the per-segment hit/miss tallies behind
+   buffer-aware plan pricing are found from the page itself.
 
    Beside the page ledger sit the event counters (integrity audits,
    deferred-maintenance deltas, overload and replication-frame events).
@@ -74,15 +73,9 @@ let counter_name c = snd table.(slot c)
 
 type counts = int array
 
-type seg_counts = { mutable sh : int; mutable sm : int }
+type seg_counts = { name : string; mutable sh : int; mutable sm : int }
 
-(* The per-operation distinct-page sets, keyed by raw page id. *)
-module Pages = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash p = p land max_int
-end)
+module Pages = Pager.Tbl
 
 type t = {
   mutable op_reads : int;
@@ -104,17 +97,10 @@ type t = {
   touched_r : unit Pages.t;
   touched_w : unit Pages.t;
   pool : Buffer.t option;
-  mutable seg : string;  (* active segment; "" outside any [in_segment] *)
-  mutable cur : seg_counts;  (* [seg]'s tallies, resolved on entry *)
-  segs : (string, seg_counts) Hashtbl.t;
-      (* never shrinks: [reset] zeroes the tallies in place, so a [cur]
-         resolved before it stays the live record *)
+  segs : seg_counts Pages.t;  (* by segment number, named on first touch *)
 }
 
 let create ?(buffer_capacity = 0) ?buffer_policy () =
-  let outer = { sh = 0; sm = 0 } in
-  let segs = Hashtbl.create 8 in
-  Hashtbl.add segs "" outer;
   {
     op_reads = 0;
     op_writes = 0;
@@ -138,9 +124,7 @@ let create ?(buffer_capacity = 0) ?buffer_policy () =
       (if buffer_capacity > 0 then
          Some (Buffer.create ?policy:buffer_policy ~capacity:buffer_capacity ())
        else None);
-    seg = "";
-    cur = outer;
-    segs;
+    segs = Pages.create 8;
   }
 
 let begin_op t =
@@ -151,30 +135,14 @@ let begin_op t =
   Pages.reset t.touched_r;
   Pages.reset t.touched_w
 
-let seg_counts t seg =
-  match Hashtbl.find_opt t.segs seg with
-  | Some c -> c
-  | None ->
-    let c = { sh = 0; sm = 0 } in
-    Hashtbl.add t.segs seg c;
+let seg_counts t page =
+  let seg = Pager.segment page in
+  match Pages.find t.segs seg with
+  | c -> c
+  | exception Not_found ->
+    let c = { name = Pager.segment_name seg; sh = 0; sm = 0 } in
+    Pages.add t.segs seg c;
     c
-
-(* The tallies are resolved once here, not on every read; without a pool
-   nothing reads them. *)
-let in_segment t seg f =
-  let prev = t.seg and prev_cur = t.cur in
-  t.seg <- seg;
-  (match t.pool with Some _ -> t.cur <- seg_counts t seg | None -> ());
-  match f () with
-  | r ->
-    t.seg <- prev;
-    t.cur <- prev_cur;
-    r
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    t.seg <- prev;
-    t.cur <- prev_cur;
-    Printexc.raise_with_backtrace e bt
 
 let read t page =
   if not (Pages.mem t.touched_r page) then begin
@@ -186,8 +154,8 @@ let read t page =
       t.op_reads <- t.op_reads + 1;
       t.total_reads <- t.total_reads + 1
     | Some b -> (
-      let c = t.cur in
-      match Buffer.reference b (t.seg, page) with
+      let c = seg_counts t page in
+      match Buffer.reference b page with
       | Buffer.Hit ->
         t.hits <- t.hits + 1;
         c.sh <- c.sh + 1
@@ -216,7 +184,7 @@ let write t page =
     match t.pool with
     | None -> ()
     | Some b -> (
-      match Buffer.reference b (t.seg, page) with
+      match Buffer.reference b page with
       | Buffer.Miss { evicted = true } -> t.evictions <- t.evictions + 1
       | Buffer.Miss { evicted = false } | Buffer.Hit | Buffer.Prefetch_hit -> ())
   end
@@ -229,9 +197,8 @@ let prefetch t pages =
        every workload (property-tested) — speculation must never cost
        more than it saves:
        - skip pages this operation already touched: their upcoming
-         demand reads are suppressed by distinct-page accounting (the
-         touched set is raw-id keyed, preserving unbuffered op counts),
-         so a staged frame could never be referenced;
+         demand reads are suppressed by distinct-page accounting, so a
+         staged frame could never be referenced;
        - bound the staging by the pool size: more pages than frames
          exist would evict prefetched-but-unread frames (a 1-frame pool
          would thrash). *)
@@ -243,7 +210,7 @@ let prefetch t pages =
     let pages = take (Buffer.capacity b) pages in
     List.iter
       (fun page ->
-        match Buffer.prefetch b (t.seg, page) with
+        match Buffer.prefetch b page with
         | `Resident -> ()
         | `Admitted evicted ->
           (* Speculative fetch: physical I/O paid now, charged to the
@@ -255,10 +222,10 @@ let prefetch t pages =
       pages
 
 let pin_page t page =
-  match t.pool with Some b -> Buffer.pin b (t.seg, page) | None -> ()
+  match t.pool with Some b -> Buffer.pin b page | None -> ()
 
 let unpin_page t page =
-  match t.pool with Some b -> Buffer.unpin b (t.seg, page) | None -> ()
+  match t.pool with Some b -> Buffer.unpin b page | None -> ()
 
 let op_reads t = t.op_reads
 let op_writes t = t.op_writes
@@ -283,16 +250,23 @@ let hit_ratio t =
   if t.pool = None || denom = 0 then None
   else Some (float_of_int t.hits /. float_of_int denom)
 
-let segment_hit_ratio t seg =
+(* Every segment registered under [name] (each heap is a "heap"), summed
+   as (hits, misses). *)
+let segment_tallies t name =
+  Pages.fold
+    (fun _ c (h, m) -> if String.equal c.name name then (h + c.sh, m + c.sm) else (h, m))
+    t.segs (0, 0)
+
+let segment_hit_ratio t name =
   if t.pool = None then None
   else
-    match Hashtbl.find_opt t.segs seg with
-    | Some c when c.sh + c.sm > 0 ->
-      Some (float_of_int c.sh /. float_of_int (c.sh + c.sm))
-    | Some _ | None -> None
+    match segment_tallies t name with
+    | 0, 0 -> None
+    | h, m -> Some (float_of_int h /. float_of_int (h + m))
 
-let segment_accesses t seg =
-  match Hashtbl.find_opt t.segs seg with Some c -> c.sh + c.sm | None -> 0
+let segment_accesses t name =
+  let h, m = segment_tallies t name in
+  h + m
 
 let add t c n =
   let i = slot c in
@@ -448,9 +422,5 @@ let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.shard_grouped <- 0;
   t.shard_scatter <- 0;
-  Hashtbl.iter
-    (fun _ c ->
-      c.sh <- 0;
-      c.sm <- 0)
-    t.segs;
+  Pages.reset t.segs;
   match t.pool with Some b -> Buffer.reset b | None -> ()

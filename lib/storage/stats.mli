@@ -23,10 +23,14 @@
     between the access layers and the pager: resident reads become
     {e hits} (no physical charge), absent ones {e misses} (one physical
     read, admission, possibly an eviction), and {!prefetch} stages pages
-    speculatively.  Frames are namespaced by the active {e segment}
-    (see {!in_segment}) because heap and tree pagers produce colliding
-    page identifiers; segments also carry the per-segment hit ratios
-    the planner's buffer-aware pricing consumes. *)
+    speculatively.
+
+    A page identifier names its segment ({!Pager}): the heap, each
+    access support relation and each sharing pool allocate from their
+    own segment, so a heap page and a tree page never count as one, and
+    a pool page read by two relations is one page with one frame.  The
+    segment also carries the per-segment hit ratios the planner's
+    buffer-aware pricing consumes ({!segment_hit_ratio}). *)
 
 type t
 
@@ -45,7 +49,10 @@ val read : t -> int -> unit
 (** Record a read of the given page: one logical read per operation per
     distinct page, and one physical read unless the pool holds the
     page.  Within-operation repeats are free (distinct-page
-    accounting). *)
+    accounting), and they do not reach the pool either: a page read
+    twice in one operation is charged, and refreshes its LRU recency,
+    once.  The buffered ledger thus makes exactly the pool references
+    the unbuffered one counts. *)
 
 val write : t -> int -> unit
 (** Record a write of the given page; counted once per operation
@@ -60,7 +67,9 @@ val prefetch : t -> int list -> unit
     {!prefetched}); the first later demand read of such a page is a
     {e prefetch hit} — free of further I/O, but counted as miss-like
     for warmth, so an operation prefetching its own scan does not
-    inflate its hit ratio.  At most pool-capacity pages are staged
+    inflate its hit ratio.  Pages this operation already read are
+    skipped: no demand read of theirs can follow.  At most
+    pool-capacity pages are staged
     (beyond that, speculation would evict its own unread frames — pure
     wasted I/O).  No-op without a pool. *)
 
@@ -70,18 +79,6 @@ val pin_page : t -> int -> unit
     cursor while prefetching ahead.  Pins nest; see {!Buffer.pin}. *)
 
 val unpin_page : t -> int -> unit
-
-val in_segment : t -> string -> (unit -> 'a) -> 'a
-(** [in_segment t seg f] runs [f] with [seg] as the active segment
-    (dynamically scoped, nestable, exception-safe).  The segment
-    namespaces pool frames — heap pages and each ASR's tree pages come
-    from independent pagers whose identifiers collide — and accumulates
-    the per-segment hit/miss tallies behind {!segment_hit_ratio}.
-    {!Heap} tags its accesses ["heap"]; {!Core.Asr} tags each
-    relation's tree traffic with {!Core.Asr.seg}.  The segment's
-    tallies are resolved once on entry, and stay the live record across
-    a {!reset} inside [f]; when [f] raises, the outer segment is
-    restored and the exception re-raised with its backtrace. *)
 
 val op_reads : t -> int
 (** Distinct pages {e physically} read from storage since the last
@@ -131,12 +128,15 @@ val hit_ratio : t -> float option
     pool or before any buffered access. *)
 
 val segment_hit_ratio : t -> string -> float option
-(** Measured hit ratio of one segment's traffic ([None] without a pool
-    or when the segment has no accesses yet).  This is the signal the
-    planner's buffer-aware pricing scales page costs by. *)
+(** Measured hit ratio of the traffic to pages of the segments
+    registered under the given name ({!Pager.create}; every heap is
+    ["heap"], a relation is {!Core.Asr.seg}, raw identifiers outside any
+    pager are [""]).  [None] without a pool or when those segments have
+    no accesses yet.  This is the signal the planner's buffer-aware
+    pricing scales page costs by. *)
 
 val segment_accesses : t -> string -> int
-(** Buffered accesses recorded for the segment (hits + misses +
+(** Buffered accesses recorded for the named segments (hits + misses +
     prefetch hits) — the sample size behind {!segment_hit_ratio}. *)
 
 (** {2 Event counters}

@@ -18,6 +18,6 @@ let apply ?pool store path design =
     Some (Core.Asr.create ?pool store path kind (physical_decomposition path dec))
 
 let auto ?max_storage_pages ?sizes store path mix ~p_up =
-  let profile = Profiler.profile_of_base ?sizes store path in
+  let profile = Engine.measure_profile ?sizes store path in
   let best = Costmodel.Advisor.best ?max_storage_pages profile mix ~p_up in
   (best, apply store path best.Costmodel.Advisor.design)

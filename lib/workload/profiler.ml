@@ -1,7 +1,3 @@
-(* Profile measurement moved into the engine (the planner's live feed);
-   kept here as the workload-facing name. *)
-let profile_of_base ?sizes store path = Engine.measure_profile ?sizes store path
-
 module Monitor = struct
   type t = {
     store : Gom.Store.t;
@@ -15,24 +11,6 @@ module Monitor = struct
 
   let bump tbl key =
     Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-  let positions_of schema path ~ty ~attr =
-    let n = Gom.Path.length path in
-    List.filter
-      (fun i ->
-        let step = Gom.Path.step path (i + 1) in
-        String.equal step.Gom.Path.attr attr
-        && Gom.Schema.is_subtype schema ~sub:ty ~sup:step.Gom.Path.domain)
-      (List.init n Fun.id)
-
-  let set_positions_of schema path ~set_ty =
-    let n = Gom.Path.length path in
-    List.filter
-      (fun i ->
-        match (Gom.Path.step path (i + 1)).Gom.Path.set_type with
-        | Some st -> Gom.Schema.is_subtype schema ~sub:set_ty ~sup:st
-        | None -> false)
-      (List.init n Fun.id)
 
   let create store path =
     let t =
@@ -59,10 +37,12 @@ module Monitor = struct
         in
         match ev with
         | Gom.Store.Attr_set { obj; attr; _ } when Gom.Store.mem store obj ->
-          hit (positions_of schema path ~ty:(Gom.Store.type_of store obj) ~attr)
+          let ty = Gom.Store.type_of store obj in
+          hit (Gom.Path.positions_matching schema path ~ty ~attr)
         | Gom.Store.Set_inserted { set; _ } | Gom.Store.Set_removed { set; _ }
           when Gom.Store.mem store set ->
-          hit (set_positions_of schema path ~set_ty:(Gom.Store.type_of store set))
+          let set_ty = Gom.Store.type_of store set in
+          hit (Gom.Path.set_positions_matching schema path ~set_ty)
         | Gom.Store.Created _ | Gom.Store.Deleted _ | Gom.Store.Attr_set _
         | Gom.Store.Set_inserted _ | Gom.Store.Set_removed _ ->
           ()));
@@ -115,6 +95,6 @@ module Monitor = struct
     | None ->
       invalid_arg "Monitor.recommend: record at least one query and one update first"
     | Some mix ->
-      let profile = profile_of_base ?sizes t.store t.path in
+      let profile = Engine.measure_profile ?sizes t.store t.path in
       Costmodel.Advisor.rank ?max_storage_pages profile mix ~p_up:(observed_p_up t)
 end

@@ -1,24 +1,14 @@
-(** Deriving application profiles and usage mixes from a live object
-    base — the feedback loop the paper's conclusion envisions: "for a
-    recorded database usage pattern the system could (semi-)
-    automatically adjust the physical database design".
+(** Deriving usage mixes from a live object base — the feedback loop
+    the paper's conclusion envisions: "for a recorded database usage
+    pattern the system could (semi-) automatically adjust the physical
+    database design".
 
-    {!profile_of_base} measures the Figure 3 parameters ([c_i], [d_i],
-    [fan_i], and the {e actual} sharing degrees) along a path
-    expression.  {!Monitor} records executed queries and propagated
-    updates and turns them into an operation mix, so
+    The Figure 3 parameters ([c_i], [d_i], [fan_i], and the {e actual}
+    sharing degrees) along a path are measured by
+    {!Engine.measure_profile}.  {!Monitor} records executed queries and
+    propagated updates and turns them into an operation mix, so
     {!Monitor.recommend} can re-run the advisor against reality instead
     of an assumed workload. *)
-
-val profile_of_base :
-  ?sizes:(Gom.Schema.type_name -> int) ->
-  Gom.Store.t ->
-  Gom.Path.t ->
-  Costmodel.Profile.t
-(** Measure [c_i] (deep extents; distinct values for an elementary
-    terminal type), [d_i], average [fan_i] and explicit measured
-    [shar_i] along the path.  [sizes] supplies the [size_i] parameters
-    (default 100 bytes). *)
 
 module Monitor : sig
   type t

@@ -140,6 +140,35 @@ let test_refresh () =
   let expected = Core.Extension.compute b.C.store (A.path a) Core.Extension.Canonical in
   check "matches scratch recompute" true (Relation.equal expected (A.extension_relation a))
 
+(* A heap page and a tree page are different pages even when both are
+   their pager's first: within one operation an extent scan and a
+   partition scan are charged the sum of what each is charged alone. *)
+let test_heap_and_tree_pages_distinct () =
+  let b, a = mk () in
+  (* One object a page, and every type's extent: the heap's pages from
+     its first up, as the partition's come from its pager's first. *)
+  let heap = Storage.Heap.create ~size_of:(fun _ -> 4056) b.C.store in
+  let types =
+    Gom.Store.fold_objects b.C.store ~init:[] ~f:(fun acc inst ->
+        let ty = Gom.Instance.ty inst in
+        if List.mem ty acc then acc else ty :: acc)
+  in
+  let st = Storage.Stats.create () in
+  let charged f =
+    Storage.Stats.begin_op st;
+    f ();
+    Storage.Stats.op_reads st
+  in
+  let extent () = List.iter (Storage.Heap.scan_extent heap st) types in
+  let partition () = ignore (A.scan_partition ~stats:st a 0) in
+  let e = charged extent and p = charged partition in
+  check "the extents span pages" true (e >= 2);
+  check "the partition has a page" true (p >= 1);
+  check_int "both in one operation" (e + p)
+    (charged (fun () ->
+         extent ();
+         partition ()))
+
 let suite =
   [
     Alcotest.test_case "mismatched decomposition rejected" `Quick test_create_mismatched_dec;
@@ -150,4 +179,6 @@ let suite =
     Alcotest.test_case "paths through the partitions" `Quick test_paths;
     Alcotest.test_case "geometry" `Quick test_geometry;
     Alcotest.test_case "refresh" `Quick test_refresh;
+    Alcotest.test_case "heap and tree pages count apart" `Quick
+      test_heap_and_tree_pages_distinct;
   ]

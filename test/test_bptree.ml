@@ -11,7 +11,7 @@ let check_int = Alcotest.(check int)
 let small_config = Storage.Config.make ~page_size:64 ~oid_size:8 ~pp_size:4 ()
 
 let make_tree ?(config = small_config) () =
-  B.create ~config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+  B.create ~config ~pager:(Storage.Pager.create "bptree") ~tuple_bytes:16
     ~key_of:(fun tup -> tup.(0))
 
 let tup a b = [| V.Ref (Gom.Oid.of_int a); V.Ref (Gom.Oid.of_int b) |]
@@ -136,7 +136,7 @@ let test_insert_page_accounting () =
 let test_backward_clustering () =
   (* A tree keyed on the last column, as the redundant copy. *)
   let t =
-    B.create ~config:small_config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+    B.create ~config:small_config ~pager:(Storage.Pager.create "bptree") ~tuple_bytes:16
       ~key_of:(fun tup -> tup.(1))
   in
   B.bulk_load t [ tup 1 9; tup 2 9; tup 3 7 ];
@@ -289,7 +289,7 @@ let prop_model =
     ~count:(Qc.iters_env "ASR_BPTREE_COUNT" 300) arb_history (fun (last, ops, sets) ->
       let col = if last then 1 else 0 in
       let t =
-        B.create ~config:small_config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+        B.create ~config:small_config ~pager:(Storage.Pager.create "bptree") ~tuple_bytes:16
           ~key_of:(fun tu -> tu.(col))
       in
       let model = Hashtbl.create 64 in
@@ -345,7 +345,7 @@ let prop_adjust_pages =
         Gen.(triple bool gen_ops (pair gen_pair gen_delta)))
     (fun (last, ops, ((a, b), d)) ->
       let make () =
-        let pager = Storage.Pager.create () in
+        let pager = Storage.Pager.create "bptree" in
         let t =
           B.create ~config:small_config ~pager ~tuple_bytes:16 ~key_of:(fun tu ->
               tu.(if last then 1 else 0))
@@ -395,7 +395,7 @@ let golden_trace () =
     let int n = Random.State.int rng n in
     let pair () = (int 12, int 6) in
     let col = h mod 2 in
-    let pager = Storage.Pager.create () in
+    let pager = Storage.Pager.create "bptree" in
     let t = B.create ~config:small_config ~pager ~tuple_bytes:16 ~key_of:(fun tu -> tu.(col)) in
     let stats = S.create ~buffer_capacity:3 () in
     let bulk n = B.bulk_load t (List.init n (fun _ -> let a, b = pair () in tup a b)) in

@@ -159,7 +159,7 @@ let test_restore_object_guards () =
 let test_bptree_lookup_across_holes () =
   let config = Storage.Config.make ~page_size:64 ~oid_size:8 ~pp_size:4 () in
   let t =
-    Storage.Bptree.create ~config ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+    Storage.Bptree.create ~config ~pager:(Storage.Pager.create "bptree") ~tuple_bytes:16
       ~key_of:(fun tup -> tup.(0))
   in
   let tup a b = [| V.Ref (Gom.Oid.of_int a); V.Ref (Gom.Oid.of_int b) |] in

@@ -531,7 +531,7 @@ let test_cost_based_veto () =
   (* And with a profile that favours the index, it is kept: pinning a
      new profile bumps the engine generation, so the cached losing plan
      is invalidated and the query replans. *)
-  let winning_profile = Workload.Profiler.profile_of_base store tag_path in
+  let winning_profile = Engine.measure_profile store tag_path in
   Engine.set_profile engine tag_path winning_profile;
   match Gql.Eval.plan ~engine q with
   | Gql.Eval.Merged_backward { choice; _ } when stitched_through choice index -> ()

@@ -12,7 +12,7 @@ let checkf msg expected actual = Alcotest.(check (float 1e-9)) msg expected actu
 let test_profile_of_company () =
   let b = C.base () in
   let path = C.name_path b.C.store in
-  let p = Pr.profile_of_base b.C.store path in
+  let p = Engine.measure_profile b.C.store path in
   Alcotest.(check int) "n" 3 (P.n p);
   (* Figure 2: 3 divisions, 3 products, 2 base parts, 2 names. *)
   checkf "c0 divisions" 3. (P.c p 0);
@@ -40,7 +40,7 @@ let test_profile_matches_generator () =
       ~defined:[ 280; 560; 1100 ] ~fan:[ 2; 2; 2 ] ()
   in
   let store, path = Workload.Generator.build spec in
-  let p = Pr.profile_of_base store path in
+  let p = Engine.measure_profile store path in
   checkf "c0 exact" 300. (P.c p 0);
   checkf "d0 exact" 280. (P.d p 0);
   checkf "fan0 exact" 2. (P.fan p 0);

@@ -301,6 +301,30 @@ let prop_pooled_maintenance =
       done;
       !ok)
 
+(* Two members of a pool reading one shared leaf read one page: on a
+   buffered accountant the second member's scan finds the first's
+   frames resident. *)
+let test_shared_frames () =
+  let store, div_path, fac_path, _, _, _, _ = extended_base () in
+  let pool = A.make_pool store in
+  let dec = D.make ~m:5 [ 0; 2; 5 ] in
+  let a1 = A.create ~pool store div_path X.Full dec in
+  let a2 = A.create ~pool store fac_path X.Full dec in
+  check "partition 1 is the shared tail" true (A.partition_shared a1 1);
+  let st = Storage.Stats.create ~buffer_capacity:8 () in
+  Storage.Stats.begin_op st;
+  let rows1 = A.scan_partition ~stats:st a1 1 in
+  let misses = Storage.Stats.buffer_misses st in
+  check "the first scan misses" true (misses >= 1);
+  Storage.Stats.begin_op st;
+  let rows2 = A.scan_partition ~stats:st a2 1 in
+  check "same rows" true (rows1 = rows2);
+  check_int "the second scan misses nothing" misses (Storage.Stats.buffer_misses st);
+  check_int "the second scan hits every page" misses (Storage.Stats.buffer_hits st);
+  check_int "one segment for the pool's members" (2 * misses)
+    (Storage.Stats.segment_accesses st (A.seg a2));
+  check "members report the pool's segment" true (A.seg a1 = A.seg a2)
+
 let suite =
   [
     Alcotest.test_case "segment keys" `Quick test_segment_keys;
@@ -312,4 +336,5 @@ let suite =
     Alcotest.test_case "refresh preserves sharers" `Quick test_refresh_preserves_sharers;
     Alcotest.test_case "stitched sharers keep their own tuples" `Quick test_stitched_sharers;
     Alcotest.test_case "pool bound to one store" `Quick test_pool_rejects_foreign_store;
+    Alcotest.test_case "pool members share frames" `Quick test_shared_frames;
   ]

@@ -162,72 +162,74 @@ module B = Storage.Buffer
 
 let test_buffer_clock_second_chance () =
   let b = B.create ~policy:B.Clock ~capacity:3 () in
-  ignore (B.reference b ("s", 1));
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 3));
+  ignore (B.reference b 1);
+  ignore (B.reference b 2);
+  ignore (B.reference b 3);
   (* Admitting 4 sweeps the whole ring (clearing every ref bit) and
      evicts 1, the frame under the hand. *)
-  (match B.reference b ("s", 4) with
+  (match B.reference b 4 with
   | B.Miss { evicted = true } -> ()
   | _ -> Alcotest.fail "expected an evicting miss");
-  check "hand victim gone" false (B.mem b ("s", 1));
+  check "hand victim gone" false (B.mem b 1);
   (* Re-reference 2: its bit is set again, so the next eviction must
      give it a second chance and take 3 — even though 3 is behind 2 in
      hand order. *)
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 5));
-  check "second-chanced page survives" true (B.mem b ("s", 2));
-  check "unreferenced page evicted" false (B.mem b ("s", 3));
-  check "fresh admission resident" true (B.mem b ("s", 4))
+  ignore (B.reference b 2);
+  ignore (B.reference b 5);
+  check "second-chanced page survives" true (B.mem b 2);
+  check "unreferenced page evicted" false (B.mem b 3);
+  check "fresh admission resident" true (B.mem b 4)
 
 let test_buffer_pin_nesting () =
   let b = B.create ~capacity:2 () in
-  ignore (B.reference b ("s", 1));
-  B.pin b ("s", 1);
-  B.pin b ("s", 1) (* nested *);
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 3)) (* must evict 2, never pinned 1 *);
-  check "pinned frame survives eviction" true (B.mem b ("s", 1));
-  B.unpin b ("s", 1) (* one pin remains *);
-  ignore (B.reference b ("s", 4));
-  check "still pinned after one unpin" true (B.mem b ("s", 1));
-  B.unpin b ("s", 1);
-  ignore (B.reference b ("s", 5));
-  ignore (B.reference b ("s", 6));
-  check "fully unpinned frame evictable" false (B.mem b ("s", 1));
-  B.unpin b ("s", 99) (* unknown frame: no-op *)
+  ignore (B.reference b 1);
+  B.pin b 1;
+  B.pin b 1 (* nested *);
+  ignore (B.reference b 2);
+  ignore (B.reference b 3) (* must evict 2, never pinned 1 *);
+  check "pinned frame survives eviction" true (B.mem b 1);
+  B.unpin b 1 (* one pin remains *);
+  ignore (B.reference b 4);
+  check "still pinned after one unpin" true (B.mem b 1);
+  B.unpin b 1;
+  ignore (B.reference b 5);
+  ignore (B.reference b 6);
+  check "fully unpinned frame evictable" false (B.mem b 1);
+  B.unpin b 99 (* unknown frame: no-op *)
 
 let test_buffer_all_pinned_overflows () =
   let b = B.create ~capacity:1 () in
-  ignore (B.reference b ("s", 1));
-  B.pin b ("s", 1);
-  (match B.reference b ("s", 2) with
+  ignore (B.reference b 1);
+  B.pin b 1;
+  (match B.reference b 2 with
   | B.Miss { evicted = false } -> ()
   | _ -> Alcotest.fail "expected a non-evicting overflow miss");
-  check "overflow admitted" true (B.mem b ("s", 2));
+  check "overflow admitted" true (B.mem b 2);
   check_int "transient overflow" 2 (B.resident b)
 
 let test_buffer_prefetch_outcomes () =
   let b = B.create ~capacity:4 () in
-  (match B.prefetch b ("s", 1) with
+  (match B.prefetch b 1 with
   | `Admitted false -> ()
   | _ -> Alcotest.fail "expected speculative admission");
-  (match B.reference b ("s", 1) with
+  (match B.reference b 1 with
   | B.Prefetch_hit -> ()
   | _ -> Alcotest.fail "first demand read should be a prefetch hit");
-  (match B.reference b ("s", 1) with
+  (match B.reference b 1 with
   | B.Hit -> ()
   | _ -> Alcotest.fail "later reads are plain hits");
-  (match B.prefetch b ("s", 1) with
+  (match B.prefetch b 1 with
   | `Resident -> ()
   | _ -> Alcotest.fail "prefetching a resident page is a no-op")
 
 let test_buffer_segment_namespacing () =
   let b = B.create ~capacity:4 () in
-  ignore (B.reference b ("heap", 1));
-  (match B.reference b ("asr0", 1) with
+  let first_page name = Storage.Pager.alloc (Storage.Pager.create name) in
+  let heap0 = first_page "heap" and tree0 = first_page "asr" in
+  ignore (B.reference b heap0);
+  (match B.reference b tree0 with
   | B.Miss _ -> ()
-  | _ -> Alcotest.fail "page 1 of another segment must be a distinct frame");
+  | _ -> Alcotest.fail "the first page of another pager must be a distinct frame");
   check_int "two frames" 2 (B.resident b)
 
 let test_stats_prefetch_accounting () =
@@ -248,44 +250,30 @@ let test_stats_prefetch_accounting () =
 
 let test_stats_segment_hit_ratio () =
   let st = S.create ~buffer_capacity:8 () in
-  (* Page 1 of the heap and page 1 of a tree pager are different pages:
-     the pool must key frames by (segment, page).  Separate operations,
-     because within-op distinct-page suppression is by raw identifier
-     (preserving the unbuffered op_reads semantics). *)
+  (* The first pages of two pagers are two pages, even within one
+     operation: each misses and counts. *)
+  let heap = Storage.Pager.create "heap" and tree = Storage.Pager.create "asr-ratio" in
+  let h0 = Storage.Pager.alloc heap and t0 = Storage.Pager.alloc tree in
   S.begin_op st;
-  S.in_segment st "heap" (fun () -> S.read st 1);
+  S.read st h0;
+  S.read st t0;
+  check_int "first pages of two pagers both miss" 2 (S.buffer_misses st);
+  check_int "and both count" 2 (S.op_logical_reads st);
   S.begin_op st;
-  S.in_segment st "asr0" (fun () -> S.read st 1);
-  check_int "colliding ids in distinct segments both miss" 2 (S.buffer_misses st);
-  S.begin_op st;
-  S.in_segment st "heap" (fun () -> S.read st 1);
+  S.read st h0;
   (match S.segment_hit_ratio st "heap" with
   | Some r -> check "heap warmed to 1/2" true (abs_float (r -. 0.5) < 1e-9)
   | None -> Alcotest.fail "heap segment has traffic");
-  (match S.segment_hit_ratio st "asr0" with
-  | Some r -> check "asr0 still cold" true (r < 1e-9)
-  | None -> Alcotest.fail "asr0 segment has traffic");
-  check "untouched segment has no ratio" true
-    (S.segment_hit_ratio st "asr99" = None)
-
-let test_stats_in_segment_raise () =
-  let st = S.create ~buffer_capacity:8 () in
-  S.begin_op st;
-  S.in_segment st "outer" (fun () ->
-      (match S.in_segment st "inner" (fun () -> S.read st 1; raise Exit) with
-      | () -> Alcotest.fail "the body's exception must propagate"
-      | exception Exit -> ());
-      S.read st 2);
-  S.read st 3;
-  check_int "the raising body's read" 1 (S.segment_accesses st "inner");
-  check_int "outer segment restored after the raise" 1 (S.segment_accesses st "outer");
-  check_int "top level restored" 1 (S.segment_accesses st "");
-  (* A reset inside a segment keeps tallying into that segment. *)
-  S.in_segment st "outer" (fun () ->
-      S.reset st;
-      S.read st 4);
-  check_int "tallies cleared, then one read" 1 (S.segment_accesses st "outer");
-  check_int "other segments cleared" 0 (S.segment_accesses st "inner")
+  (match S.segment_hit_ratio st "asr-ratio" with
+  | Some r -> check "tree still cold" true (r < 1e-9)
+  | None -> Alcotest.fail "tree segment has traffic");
+  check "untouched segment has no ratio" true (S.segment_hit_ratio st "asr99" = None);
+  (* A raw identifier belongs to no pager: segment 0, named "". *)
+  S.read st 1;
+  check_int "raw id tallied under the empty name" 1 (S.segment_accesses st "");
+  check_int "heap accesses" 2 (S.segment_accesses st "heap");
+  S.reset st;
+  check_int "reset clears the tallies" 0 (S.segment_accesses st "heap")
 
 (* --- Reclustering --- *)
 
@@ -445,7 +433,6 @@ let suite =
     Alcotest.test_case "buffer segment namespacing" `Quick test_buffer_segment_namespacing;
     Alcotest.test_case "stats prefetch accounting" `Quick test_stats_prefetch_accounting;
     Alcotest.test_case "stats segment hit ratio" `Quick test_stats_segment_hit_ratio;
-    Alcotest.test_case "stats in_segment restores on raise" `Quick test_stats_in_segment_raise;
     Alcotest.test_case "stats JSON keys golden" `Quick test_stats_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
