@@ -1132,7 +1132,7 @@ let bench_clustering ?(buffer_pages = 16) ~quick () =
      let key = Gom.Value.Ref anchors.(0) in
      for _ = 1 to 40 do
        Storage.Stats.begin_op flip_stats;
-       ignore (Core.Asr.lookup_fwd ~stats:flip_stats index 0 key)
+       ignore (Core.Asr.lookup ~stats:flip_stats index 0 ~fwd:true [ key ] key)
      done
    end);
   let warm_choice = Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Fwd in

@@ -368,14 +368,25 @@ let partition_relation t i =
   let p = t.parts.(i) in
   Relation.of_list ~width:(p.hi - p.lo + 1) (Storage.Bptree.scan p.trees.fwd)
 
-let lookup_fwd ?stats t i key = Storage.Bptree.lookup ?stats t.parts.(i).trees.fwd key
-let lookup_bwd ?stats t i key = Storage.Bptree.lookup ?stats t.parts.(i).trees.bwd key
+(* The rows of [key] in [found], (key, rows) pairs in key order. *)
+let rec search found key lo hi =
+  if lo >= hi then []
+  else
+    let mid = (lo + hi) lsr 1 in
+    let k, rows = found.(mid) in
+    let c = Gom.Value.compare k key in
+    if c = 0 then rows else if c < 0 then search found key (mid + 1) hi else search found key lo mid
 
-let lookup_fwd_many ?stats t i keys =
-  Storage.Bptree.lookup_many ?stats t.parts.(i).trees.fwd keys
-
-let lookup_bwd_many ?stats t i keys =
-  Storage.Bptree.lookup_many ?stats t.parts.(i).trees.bwd keys
+(* One batched read of the keys.  Its answers come back in key order,
+   so a key's rows are found by binary search; a probe's lone key needs
+   no array. *)
+let lookup ?stats t i ~fwd keys =
+  let trees = t.parts.(i).trees in
+  match Storage.Bptree.lookup_many ?stats (if fwd then trees.fwd else trees.bwd) keys with
+  | [ (k, rows) ] -> fun key -> if Gom.Value.equal k key then rows else []
+  | found ->
+    let found = Array.of_list found in
+    fun key -> search found key 0 (Array.length found)
 
 let scan_partition ?stats t i = Storage.Bptree.scan ?stats t.parts.(i).trees.fwd
 
@@ -396,12 +407,15 @@ let overlay t pi pending rows =
     (fun proj -> count proj > 0)
     (List.sort_uniq Relation.Tuple.compare (rows @ List.map (fun e -> e.proj) pending))
 
-let probe ?stats t i ~fwd key =
-  let rows = (if fwd then lookup_fwd else lookup_bwd) ?stats t i key in
+let probe ?stats t i ~fwd keys =
+  let rows = lookup ?stats t i ~fwd keys in
   let buf = t.parts.(i).trees.pending in
-  match Vtbl.find_opt (if fwd then buf.by_first else buf.by_last) key with
-  | None -> rows
-  | Some pending -> overlay t i pending rows
+  let by_key = if fwd then buf.by_first else buf.by_last in
+  if Vtbl.length by_key = 0 then rows
+  else fun key ->
+    match Vtbl.find_opt by_key key with
+    | None -> rows key
+    | Some pending -> overlay t i pending (rows key)
 
 let probe_scan ?stats t i =
   let rows = scan_partition ?stats t i in

@@ -145,19 +145,6 @@ let stitch_steps index dir ~i ~j =
 
 type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
 
-let lookup_each env index dir part _keys =
-  (match dir with Fwd -> Asr.lookup_fwd | Bwd -> Asr.lookup_bwd) ~stats:env.stats index part
-
-module Vtbl = Hashtbl.Make (Gom.Value)
-
-let lookup_many env index dir part keys =
-  let lookup = match dir with Fwd -> Asr.lookup_fwd_many | Bwd -> Asr.lookup_bwd_many in
-  let fetched = Vtbl.create 16 in
-  List.iter
-    (fun (k, rows) -> Vtbl.replace fetched k rows)
-    (lookup ~stats:env.stats index part keys);
-  fun key -> Option.value ~default:[] (Vtbl.find_opt fetched key)
-
 let distinct_at rows col_in_part =
   rows
   |> List.filter_map (fun (row : Relation.Tuple.t) ->
@@ -202,8 +189,11 @@ let walk env index ~lookup ~scan ~keys ~advance steps items =
   in
   go items steps
 
-let stitch env index ~lookup steps frontiers =
-  walk env index ~lookup ~scan:(Asr.scan_partition ~stats:env.stats index) steps frontiers
+let stitch env index dir steps frontiers =
+  walk env index
+    ~lookup:(Asr.lookup ~stats:env.stats index ~fwd:(match dir with Fwd -> true | Bwd -> false))
+    ~scan:(Asr.scan_partition ~stats:env.stats index)
+    steps frontiers
     ~keys:(fun frontiers -> List.concat (Array.to_list frontiers))
     ~advance:(fun ~enter:_ ~leave select ->
       Array.map (function [] -> [] | frontier -> distinct_at (select frontier) leave))
@@ -235,10 +225,9 @@ let paths env index ~lookup ~scan dir ~i ~j probe =
          let pad = Array.make (col j - col i + 1 - Array.length p) Gom.Value.Null in
          match dir with Fwd -> Array.append p pad | Bwd -> Array.append pad p)
 
-(* One probe, per-key lookups: the paper's reference cost. *)
+(* One probe: a stitch of one frontier. *)
 let supported env index dir ~i ~j probe =
-  let steps = stitch_steps index dir ~i ~j in
-  (stitch env index ~lookup:(lookup_each env index dir) steps [| [ probe ] |]).(0)
+  (stitch env index dir (stitch_steps index dir ~i ~j) [| [ probe ] |]).(0)
 
 let forward_supported env index ~i ~j oid =
   supported env index Fwd ~i ~j (Gom.Value.Ref oid)

@@ -112,24 +112,22 @@ val stitch_steps : Asr.t -> dir -> i:int -> j:int -> step list
     forward from object position [i] to [j], backward from [j] to [i].
     @raise Invalid_argument unless [0 <= i < j <= n]. *)
 
-(** [lookup part keys] prepares the lookups of [keys] (every probe's)
-    in partition [part]; the function it returns gives one key's rows. *)
-type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
-
 val stitch :
-  env ->
-  Asr.t ->
-  lookup:lookup ->
-  step list ->
-  Gom.Value.t list array ->
-  Gom.Value.t list array
-(** [stitch env index ~lookup steps frontiers] runs the walk for one
-    frontier per probe and returns each probe's final frontier
-    (distinct, sorted, NULL-free).  A [Scan] reads its partition once
-    and filters it for every probe; a [Lookup] prepares [lookup] once
-    with the keys of all frontiers, then asks it for each probe's keys.
-    Stops as soon as every frontier is empty; calls {!checkpoint} once
-    per partition round. *)
+  env -> Asr.t -> dir -> step list -> Gom.Value.t list array -> Gom.Value.t list array
+(** [stitch env index dir steps frontiers] runs the walk in direction
+    [dir] for one frontier per probe over the trees as they stand, and
+    returns each probe's final frontier (distinct, sorted, NULL-free).
+    A [Scan] reads its partition once and filters it for every probe; a
+    [Lookup] reads the keys of all frontiers in one {!Asr.lookup}, so
+    sorted keys share descents and leaf pages, then gives each probe
+    its keys' rows.  One probe is one frontier: there is no per-key
+    path.  Stops as soon as every frontier is empty; calls {!checkpoint}
+    once per partition round. *)
+
+(** [lookup part keys] prepares the lookups of [keys] (every partial
+    path's tip) in partition [part]; the function it returns gives one
+    key's rows — the shape of {!Asr.lookup} and {!Asr.probe}. *)
+type lookup = int -> Gom.Value.t list -> Gom.Value.t -> Relation.Tuple.t list
 
 val paths :
   env ->
@@ -146,21 +144,13 @@ val paths :
     position [i] ([Fwd]) or [j] ([Bwd]), NULL beyond a dead end; [[]]
     when the relation does not hold the probe.  [scan] reads a partition
     entered away from its clustering column.  Distinct, sorted.
-    Maintenance reads the §6.1 sides [I_l] and [I_r] this way. *)
-
-val lookup_each : env -> Asr.t -> dir -> lookup
-(** One {!Asr.lookup_fwd} (or {!Asr.lookup_bwd}) each time a probe asks
-    for a key: the paper's per-probe reference cost. *)
-
-val lookup_many : env -> Asr.t -> dir -> lookup
-(** One {!Asr.lookup_fwd_many} (or {!Asr.lookup_bwd_many}) over all the
-    keys up front: sorted keys share descents and leaf pages, the
-    batched executors' lookup. *)
+    Maintenance reads the §6.1 sides [I_l] and [I_r] this way, with
+    {!Asr.probe} as [lookup] so pending deferred deltas are seen. *)
 
 val forward_supported :
   env -> Asr.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
 (** Index evaluation of [Q^(i,j)(fw)]: {!stitch_steps} run through
-    {!stitch} with {!lookup_each}.  The caller must ensure
+    {!stitch} with one frontier.  The caller must ensure
     {!Asr.supports}; results on supported ranges agree with
     {!forward_scan} (property-tested). *)
 

@@ -153,11 +153,12 @@ let rec graph_suffixes t ~undo ~applied path ~pos ~oid =
 
 (* The relation's own partial paths from [probe] at object position [i]
    to position [j]: the §5.6 walk over the partitions, with pending
-   deferred deltas overlaid. *)
+   deferred deltas overlaid; the tips of one round share descents. *)
 let read_paths t index dir ~i ~j probe =
-  let lookup part _keys key = Asr.probe ~stats:t.stats index part ~fwd:(dir = Exec.Fwd) key in
-  Exec.paths t.env index ~lookup ~scan:(Asr.probe_scan ~stats:t.stats index) dir ~i ~j
-    probe
+  Exec.paths t.env index
+    ~lookup:(Asr.probe ~stats:t.stats index ~fwd:(dir = Exec.Fwd))
+    ~scan:(Asr.probe_scan ~stats:t.stats index)
+    dir ~i ~j probe
 
 (* ------------------------------------------------------------------ *)
 (* Edge-local deltas (section 6.1)                                     *)

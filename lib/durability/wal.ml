@@ -166,47 +166,6 @@ let parse_frame ~recno line =
     | _ -> None)
   | _ -> None
 
-let scan path =
-  let text =
-    if not (Sys.file_exists path) then ""
-    else
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let n = String.length text in
-  let rec go recs count off committed committed_bytes in_txn =
-    let finish valid_bytes =
-      {
-        records = List.rev recs;
-        committed;
-        committed_bytes;
-        valid_bytes;
-        total_bytes = n;
-      }
-    in
-    if off >= n then finish off
-    else
-      match String.index_from_opt text off '\n' with
-      | None -> finish off (* torn final record: no terminator *)
-      | Some nl -> (
-        let line = String.sub text off (nl - off) in
-        match parse_frame ~recno:(count + 1) line with
-        | None -> finish off (* damaged record: untrusted from here on *)
-        | Some record ->
-          let end_off = nl + 1 in
-          let in_txn', committed', cbytes' =
-            match record with
-            | Begin -> (true, committed, committed_bytes)
-            | Commit | Abort -> (false, count + 1, end_off)
-            | _ when in_txn -> (true, committed, committed_bytes)
-            | _ -> (false, count + 1, end_off)
-          in
-          go (record :: recs) (count + 1) end_off committed' cbytes' in_txn')
-  in
-  go [] 0 0 0 0 false
-
 (* ---------------- incremental scanning ---------------- *)
 
 module Scanner = struct
@@ -244,30 +203,36 @@ module Scanner = struct
     t.ready <- { g_records = List.rev t.open_group; g_end = t.base } :: t.ready;
     t.open_group <- []
 
-  (* Same commit-boundary logic as [scan]: a record outside any
-     begin..commit/abort span commits by itself; a span commits (or
-     nets out) wholesale at its closing marker. *)
-  let rec drain t =
-    match String.index_opt t.buf '\n' with
-    | None -> ()
-    | Some nl ->
-      let line = String.sub t.buf 0 nl in
-      (match parse_frame ~recno:(t.recno + 1) line with
-      | None -> raise (Bad_record { recno = t.recno + 1; off = t.base })
-      | Some record ->
-        t.buf <- String.sub t.buf (nl + 1) (String.length t.buf - nl - 1);
-        t.base <- t.base + nl + 1;
-        t.recno <- t.recno + 1;
-        t.open_group <- record :: t.open_group;
-        (match record with
-        | Begin -> t.in_txn <- true
-        | Commit | Abort -> seal t
-        | _ when t.in_txn -> ()
-        | _ -> seal t));
-      drain t
+  (* The commit-boundary rule: a record outside any begin..commit/abort
+     span commits by itself; a span commits (or nets out) wholesale at
+     its closing marker.  The walk goes by offset through the buffer,
+     which is cut once, past the last record taken — also when a bad
+     line stops it. *)
+  let drain t =
+    let buf = t.buf in
+    let rec go off =
+      match String.index_from_opt buf off '\n' with
+      | None -> (off, false)
+      | Some nl -> (
+        match parse_frame ~recno:(t.recno + 1) (String.sub buf off (nl - off)) with
+        | None -> (off, true)
+        | Some record ->
+          t.base <- t.base + nl + 1 - off;
+          t.recno <- t.recno + 1;
+          t.open_group <- record :: t.open_group;
+          (match record with
+          | Begin -> t.in_txn <- true
+          | Commit | Abort -> seal t
+          | _ when t.in_txn -> ()
+          | _ -> seal t);
+          go (nl + 1))
+    in
+    let off, bad = go 0 in
+    if off > 0 then t.buf <- String.sub buf off (String.length buf - off);
+    if bad then raise (Bad_record { recno = t.recno + 1; off = t.base })
 
   let feed t s =
-    t.buf <- t.buf ^ s;
+    t.buf <- (if t.buf = "" then s else t.buf ^ s);
     drain t
 
   let take_groups t =
@@ -277,9 +242,32 @@ module Scanner = struct
 
   let committed_bytes t = t.committed
   let committed_records t = t.committed_records
+  let valid_bytes t = t.base
   let fed_bytes t = t.base + String.length t.buf
   let pending_records t = List.length t.open_group
 end
+
+(* A scanner over the whole file, stopped by the first bad record. *)
+let scan path =
+  let text =
+    if not (Sys.file_exists path) then ""
+    else
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let sc = Scanner.create () in
+  (try Scanner.feed sc text with Scanner.Bad_record _ -> ());
+  {
+    records =
+      List.concat_map (fun g -> g.Scanner.g_records) (Scanner.take_groups sc)
+      @ List.rev sc.Scanner.open_group;
+    committed = Scanner.committed_records sc;
+    committed_bytes = Scanner.committed_bytes sc;
+    valid_bytes = Scanner.valid_bytes sc;
+    total_bytes = String.length text;
+  }
 
 exception Replay_error of string
 

@@ -101,9 +101,9 @@ type scanned = {
 }
 
 val scan : string -> scanned
-(** Read and validate a log.  Scanning stops at the first torn or
-    corrupt record — everything after it is untrusted tail.  A missing
-    file reads as empty. *)
+(** Read and validate a log: a {!Scanner} fed the whole file.  Scanning
+    stops at the first torn or corrupt record — everything after it is
+    untrusted tail.  A missing file reads as empty. *)
 
 (** {2 Incremental scanning}
 
@@ -146,6 +146,9 @@ module Scanner : sig
 
   val committed_records : t -> int
   (** Records (markers included) in the committed prefix. *)
+
+  val valid_bytes : t -> int
+  (** Absolute offset just past the last intact record. *)
 
   val fed_bytes : t -> int
   (** Total bytes fed so far. *)

@@ -690,17 +690,16 @@ let choose_aux ?env t path ~i ~j ~dir =
 let choose ?env t path ~i ~j ~dir = fst (choose_aux ?env t path ~i ~j ~dir)
 
 (* ------------------------------------------------------------------ *)
-(* Execution: one probe                                                *)
+(* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Run a stitch plan's own steps, one frontier per probe, behind the
    execution guards: the partitions the planner health-checked are, by
    construction, the partitions read. *)
-let run_stitch ~env t index steps ~lookup probes =
+let run_stitch ~env t index dir steps probes =
   if not (stitch_usable t index steps) then raise Stale_plan;
   with_index_trees ~env index (fun () ->
-      Core.Exec.stitch env index ~lookup steps
-        (Array.of_list (List.map (fun p -> [ p ]) probes)))
+      Core.Exec.stitch env index dir steps (Array.of_list (List.map (fun p -> [ p ]) probes)))
 
 let oids vs = List.map Gom.Value.oid_exn vs |> List.sort_uniq Gom.Oid.compare
 
@@ -708,8 +707,7 @@ let run_forward_exn ~env t plan oid =
   match (plan : Plan.t) with
   | Nav { path; i; j } -> Core.Exec.forward_scan env path ~i ~j oid
   | Stitch { index; dir = Fwd; steps; _ } ->
-    let lookup = Core.Exec.lookup_each env index Fwd in
-    (run_stitch ~env t index steps ~lookup [ Gom.Value.Ref oid ]).(0)
+    (run_stitch ~env t index Fwd steps [ Gom.Value.Ref oid ]).(0)
   | Stitch { dir = Bwd; _ } | Extent_scan _ ->
     invalid_arg "Engine.run_forward: backward plan"
 
@@ -723,8 +721,7 @@ let run_backward_exn ~env t plan ~target =
   match (plan : Plan.t) with
   | Extent_scan { path; i; j } -> Core.Exec.backward_scan env path ~i ~j ~target
   | Stitch { index; dir = Bwd; steps; _ } ->
-    let lookup = Core.Exec.lookup_each env index Bwd in
-    oids (run_stitch ~env t index steps ~lookup [ target ]).(0)
+    oids (run_stitch ~env t index Bwd steps [ target ]).(0)
   | Stitch { dir = Fwd; _ } | Nav _ -> invalid_arg "Engine.run_backward: forward plan"
 
 let run_backward ?env t plan ~target =
@@ -749,24 +746,6 @@ let scan_fallback ~env t path ~i ~j ~target =
   invalidate_plans t;
   run_backward_exn ~env t (Plan.Extent_scan { path; i; j }) ~target
 
-let forward ?env t path ~i ~j oid =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Fwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
-  try run_forward_exn ~env t c.chosen oid
-  with Stale_plan -> nav_fallback ~env t path ~i ~j oid
-
-let backward ?env t path ~i ~j ~target =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Bwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
-  try run_backward_exn ~env t c.chosen ~target
-  with Stale_plan -> scan_fallback ~env t path ~i ~j ~target
-
-(* ------------------------------------------------------------------ *)
-(* Execution: batched probes                                           *)
-(* ------------------------------------------------------------------ *)
-
 let forward_batch ?env t path ~i ~j oids =
   let env = resolve_env t env in
   let c = choose ~env t path ~i ~j ~dir:Plan.Fwd in
@@ -775,9 +754,8 @@ let forward_batch ?env t path ~i ~j oids =
   match c.chosen with
   | Plan.Stitch { index; steps; _ } -> (
     try
-      let lookup = Core.Exec.lookup_many env index Fwd in
       let refs = List.map (fun o -> Gom.Value.Ref o) probes in
-      let finals = run_stitch ~env t index steps ~lookup refs in
+      let finals = run_stitch ~env t index Fwd steps refs in
       List.mapi (fun k o -> (o, finals.(k))) probes
     with Stale_plan ->
       List.map (fun o -> (o, nav_fallback ~env t path ~i ~j o)) probes)
@@ -797,8 +775,7 @@ let backward_batch ?env t path ~i ~j ~targets =
   match c.chosen with
   | Plan.Stitch { index; steps; _ } -> (
     try
-      let lookup = Core.Exec.lookup_many env index Bwd in
-      let finals = run_stitch ~env t index steps ~lookup probes in
+      let finals = run_stitch ~env t index Bwd steps probes in
       List.mapi (fun k v -> (v, oids finals.(k))) probes
     with Stale_plan ->
       List.map (fun v -> (v, scan_fallback ~env t path ~i ~j ~target:v)) probes)
@@ -809,6 +786,12 @@ let backward_batch ?env t path ~i ~j ~targets =
           try run_backward_exn ~env t plan ~target:v
           with Stale_plan -> scan_fallback ~env t path ~i ~j ~target:v ))
       probes
+
+(* One probe is a batch of one. *)
+let forward ?env t path ~i ~j oid = snd (List.hd (forward_batch ?env t path ~i ~j [ oid ]))
+
+let backward ?env t path ~i ~j ~target =
+  snd (List.hd (backward_batch ?env t path ~i ~j ~targets:[ target ]))
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                             *)

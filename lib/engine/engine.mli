@@ -24,10 +24,11 @@
     {!forward_batch} / {!backward_batch} evaluate many probes as one
     accounting operation: a stitch plan runs its own steps through
     {!Core.Exec.stitch} with one frontier per probe, scanning each
-    partition once per batch and looking keys up through
-    {!Core.Exec.lookup_many}, so sorted keys share B+ tree descents and
-    leaf pages.  Per-probe execution runs the same steps with
-    {!Core.Exec.lookup_each}, charging exactly what
+    partition once per batch and reading each lookup step's keys in one
+    {!Core.Asr.lookup}, so sorted keys share B+ tree descents and leaf
+    pages.  There is one keyed read path: {!forward} / {!backward} are a
+    batch of one, and {!run_forward} / {!run_backward} run a plan's
+    steps for one frontier, charging exactly what
     {!Core.Exec.forward_supported} / {!Core.Exec.backward_supported}
     charge.  Either way the partitions read are the ones planned.
 
@@ -231,7 +232,8 @@ val run_backward : ?env:Core.Exec.env -> t -> Plan.t -> target:Gom.Value.t -> Go
 
 val forward :
   ?env:Core.Exec.env -> t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
-(** Plan (cached) and execute as one accounting operation.  If a
+(** Plan (cached) and execute as one accounting operation: a
+    {!forward_batch} of one probe.  If a
     concurrent [unregister] or health change invalidates the chosen
     stitch mid-flight, execution degrades to graph navigation (counted
     as {!Storage.Stats.Fallbacks}) instead of failing. *)
@@ -244,7 +246,8 @@ val backward :
   j:int ->
   target:Gom.Value.t ->
   Gom.Oid.t list
-(** Backward analogue of {!forward}; degrades to an extent scan. *)
+(** Backward analogue of {!forward} (a {!backward_batch} of one target);
+    degrades to an extent scan. *)
 
 val forward_batch :
   ?env:Core.Exec.env ->

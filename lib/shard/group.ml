@@ -159,39 +159,6 @@ let note_scatter t = Storage.Stats.note_shard_scatter t.router_stats
 
 let scatter_tasks t f = List.init t.n (fun k () -> f k)
 
-let forward t path ~i ~j oid =
-  if t.n = 1 then begin
-    note_grouped t;
-    Engine.forward ~env:t.envs.(0) t.engines.(0) path ~i ~j oid
-  end
-  else if grouped_ok t path ~i then begin
-    note_grouped t;
-    let k = Placement.shard_of_oid t.placement oid in
-    Engine.forward ~env:t.envs.(k) t.engines.(k) path ~i ~j oid
-  end
-  else begin
-    note_scatter t;
-    Parallel.Pool.run_all t.pool
-      (scatter_tasks t (fun k ->
-           Engine.forward ~env:t.envs.(k) t.engines.(k) path ~i ~j oid))
-    |> List.concat
-    |> List.sort_uniq Gom.Value.compare
-  end
-
-let backward t path ~i ~j ~target =
-  if t.n = 1 then begin
-    note_grouped t;
-    Engine.backward ~env:t.envs.(0) t.engines.(0) path ~i ~j ~target
-  end
-  else begin
-    note_scatter t;
-    Parallel.Pool.run_all t.pool
-      (scatter_tasks t (fun k ->
-           Engine.backward ~env:t.envs.(k) t.engines.(k) path ~i ~j ~target))
-    |> List.concat
-    |> List.sort_uniq Gom.Oid.compare
-  end
-
 (* Pointwise union of per-shard batch answers.  Every shard deduplicates
    and sorts the same probe list, so the chunks are keyed identically
    and merge positionally; the per-probe union re-sorts with the same
@@ -261,6 +228,12 @@ let backward_batch t path ~i ~j ~targets =
            Engine.backward_batch ~env:t.envs.(k) t.engines.(k) path ~i ~j ~targets))
     |> merge_batches Gom.Oid.compare
   end
+
+(* One probe is a batch of one, routed like any batch. *)
+let forward t path ~i ~j oid = snd (List.hd (forward_batch t path ~i ~j [ oid ]))
+
+let backward t path ~i ~j ~target =
+  snd (List.hd (backward_batch t path ~i ~j ~targets:[ target ]))
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance and accounting                                          *)

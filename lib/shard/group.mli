@@ -117,9 +117,12 @@ val specs : t -> (Gom.Path.t * Core.Extension.kind * Core.Decomposition.t) list
 
 val forward :
   t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
+(** One probe: {!forward_batch} over a batch of one, routed (and
+    counted grouped or scattered) like any batch. *)
 
 val backward :
   t -> Gom.Path.t -> i:int -> j:int -> target:Gom.Value.t -> Gom.Oid.t list
+(** One target: {!backward_batch} over a batch of one. *)
 
 val forward_batch :
   t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t list -> (Gom.Oid.t * Gom.Value.t list) list

@@ -124,8 +124,7 @@ let prefetch_depth = 4
 
 let prefetch_chain ?(will_follow = fun _ -> true) stats node =
   match stats with
-  | None -> ()
-  | Some s ->
+  | Some s when Stats.has_buffer s ->
     (* [will_follow n] says whether the caller's walk provably reads
        [n]'s successor: staging a leaf the walk then abandons is
        physical I/O paid for nothing, and would break the buffered <=
@@ -157,6 +156,7 @@ let prefetch_chain ?(will_follow = fun _ -> true) stats node =
         ~finally:(fun () -> Stats.unpin_page s node.page)
         (fun () -> Stats.prefetch s upcoming)
     end
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading                                                        *)
@@ -397,70 +397,56 @@ let collect_run t key es acc =
   in
   go (lower_bound t es key) acc
 
-(* Descend to [key] and ride the leaves holding its run, reading each
-   page once; [f] sees every leaf's entries. *)
-let fold_run ?stats t key ~init ~f =
-  let leaf = descend_for_key ?stats t key t.root in
-  let rec walk node ~charged acc =
+(* Whether [keys] are already sorted and distinct, as a frontier is. *)
+let rec ascending = function
+  | a :: (b :: _ as rest) -> Gom.Value.compare a b < 0 && ascending rest
+  | [ _ ] | [] -> true
+
+(* The cursor before any run: no leaf, so the first key descends. *)
+let no_leaf = { page = -1; body = Inner { children = [] } }
+
+(* The one keyed read: serve the keys in ascending order, sharing tree
+   descents between adjacent keys — when the next key falls strictly
+   inside the key range of the leaf the previous run ended on, the walk
+   continues from that leaf instead of re-descending from the root.
+   Combined with per-operation distinct-page accounting, probes whose
+   runs share leaves charge those leaves once; a single key is a batch
+   of one. *)
+let lookup_many ?stats t keys =
+  let cursor = ref no_leaf in
+  (* Collect [key]'s run from [node] on; the first leaf's page is
+     already read, by the descent or by the run that left the cursor
+     there. *)
+  let rec walk key node ~charged acc =
     match node.body with
     | Inner _ -> acc
     | Leaf l ->
       if not charged then read stats node.page;
-      let acc = f l.entries acc in
-      if run_continues t l.entries key then
-        match l.next with Some nx -> walk nx ~charged:false acc | None -> acc
+      cursor := node;
+      let acc = collect_run t key l.entries acc in
+      if run_continues t l.entries key then begin
+        (* Stage only leaves the run goes on to: a run ending in this
+           leaf stages nothing. *)
+        prefetch_chain stats node ~will_follow:(fun n ->
+            match n.body with Inner _ -> false | Leaf l -> run_continues t l.entries key);
+        match l.next with Some nx -> walk key nx ~charged:false acc | None -> acc
+      end
       else acc
   in
-  (* The descent already read the first leaf page. *)
-  walk leaf ~charged:true init
-
-let lookup ?stats t key = List.rev (fold_run ?stats t key ~init:[] ~f:(collect_run t key))
-
-(* Serve many point lookups at once, in ascending key order, sharing
-   tree descents between adjacent keys: when the next key falls strictly
-   inside the key range of the leaf the previous lookup ended on, the
-   walk continues from that leaf instead of re-descending from the root.
-   Combined with per-operation distinct-page accounting this is the
-   batched executor's page-locality win: probes whose runs share leaves
-   charge those leaves once. *)
-let lookup_many ?stats t keys =
-  let keys = List.sort_uniq Gom.Value.compare keys in
-  let cursor = ref None in
   List.map
     (fun key ->
-      let resume =
-        match !cursor with
-        | Some ({ body = Leaf { entries = es; _ }; _ } as node)
+      let leaf =
+        match !cursor.body with
+        | Leaf { entries = es; _ }
           when Array.length es > 0
                && Gom.Value.compare (t.key_of es.(0).tup) key < 0
                && Gom.Value.compare (t.key_of es.(Array.length es - 1).tup) key >= 0 ->
           (* The run for [key], if any, starts in this leaf. *)
-          Some node
-        | Some _ | None -> None
+          !cursor
+        | Leaf _ | Inner _ -> descend_for_key ?stats t key t.root
       in
-      let leaf =
-        match resume with
-        | Some node -> node
-        | None -> descend_for_key ?stats t key t.root
-      in
-      let rec walk node acc =
-        match node.body with
-        | Inner _ -> acc
-        | Leaf l ->
-          read stats node.page;
-          prefetch_chain stats node
-            ~will_follow:(fun n ->
-              match n.body with
-              | Inner _ -> false
-              | Leaf l -> run_continues t l.entries key);
-          cursor := Some node;
-          let acc = collect_run t key l.entries acc in
-          if run_continues t l.entries key then
-            match l.next with Some nx -> walk nx acc | None -> acc
-          else acc
-      in
-      (key, List.rev (walk leaf [])))
-    keys
+      (key, List.rev (walk key leaf ~charged:true [])))
+    (if ascending keys then keys else List.sort_uniq Gom.Value.compare keys)
 
 let find_entry t tup =
   let key = t.key_of tup in

@@ -68,19 +68,18 @@ val remove : ?stats:Stats.t -> t -> tuple -> unit
 (** [adjust t tuple (-1)]: drop one reference to [tuple]; unknown tuples
     are ignored. *)
 
-val lookup : ?stats:Stats.t -> t -> Gom.Value.t -> tuple list
-(** All tuples whose key equals the argument (each listed once,
-    whatever its reference count), in tuple order.  Accounting: the
-    descent reads the inner pages, then every leaf page holding a
-    matching entry. *)
-
 val lookup_many :
   ?stats:Stats.t -> t -> Gom.Value.t list -> (Gom.Value.t * tuple list) list
-(** Batched {!lookup}: serves the (deduplicated) keys in ascending
-    order, re-using the leaf the previous key's run ended on whenever
-    the next key falls inside its key range, so adjacent keys share
-    descents and leaf pages.  Returns one [(key, tuples)] pair per
-    distinct key, in key order ([tuples] may be empty). *)
+(** The tree's one keyed read.  For each distinct key, every tuple
+    whose key equals it (each listed once, whatever its reference
+    count), in tuple order; one [(key, tuples)] pair per distinct key,
+    in key order ([tuples] may be empty).  A single probe is a batch of
+    one.  Keys are served in ascending order, re-using the leaf the
+    previous key's run ended on whenever the next key falls inside its
+    key range, so adjacent keys share descents and leaf pages.
+    Accounting: a descent reads the inner pages, then every leaf page
+    holding a matching entry; with a buffer pool, the leaves a run
+    provably continues into are prefetched ({!Stats.prefetch}). *)
 
 val mem : t -> tuple -> bool
 

@@ -16,26 +16,24 @@
     The pool is a mechanism only — it keeps no hit/miss counters.
     {!Stats} owns the accounting and interprets the outcomes. *)
 
-type policy = Lru | Clock
-(** Eviction policy: exact least-recently-used (scan for the minimum
-    stamp; capacities are small) or the classic clock / second-chance
-    approximation. *)
-
 type key = int
 (** A page identifier (see {!Pager.alloc}). *)
 
 type t
 
-val create : ?policy:policy -> capacity:int -> unit -> t
+val create : capacity:int -> t
 (** A pool of at most [capacity] frames (plus transient overflow when
-    every frame is pinned).  Default policy is [Lru].
+    every frame is pinned), evicting the least recently used unpinned
+    frame (a scan for the minimum stamp; capacities are small).
     @raise Invalid_argument when [capacity <= 0]. *)
 
 val capacity : t -> int
-val policy : t -> policy
 
 val resident : t -> int
 (** Number of frames currently cached. *)
+
+val pinned : t -> int
+(** Number of frames holding at least one pin. *)
 
 val mem : t -> key -> bool
 

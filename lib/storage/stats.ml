@@ -100,7 +100,7 @@ type t = {
   segs : seg_counts Pages.t;  (* by segment number, named on first touch *)
 }
 
-let create ?(buffer_capacity = 0) ?buffer_policy () =
+let create ?(buffer_capacity = 0) () =
   {
     op_reads = 0;
     op_writes = 0;
@@ -121,9 +121,7 @@ let create ?(buffer_capacity = 0) ?buffer_policy () =
     touched_r = Pages.create 256;
     touched_w = Pages.create 64;
     pool =
-      (if buffer_capacity > 0 then
-         Some (Buffer.create ?policy:buffer_policy ~capacity:buffer_capacity ())
-       else None);
+      (if buffer_capacity > 0 then Some (Buffer.create ~capacity:buffer_capacity) else None);
     segs = Pages.create 8;
   }
 
@@ -199,15 +197,15 @@ let prefetch t pages =
        - skip pages this operation already touched: their upcoming
          demand reads are suppressed by distinct-page accounting, so a
          staged frame could never be referenced;
-       - bound the staging by the pool size: more pages than frames
-         exist would evict prefetched-but-unread frames (a 1-frame pool
-         would thrash). *)
+       - bound the staging by the frames no pin holds: staging more
+         would evict prefetched-but-unread frames (a chain walk pins the
+         leaf it stands on, so a 4-frame pool has room for 3). *)
     let pages = List.filter (fun p -> not (Pages.mem t.touched_r p)) pages in
     let rec take n = function
       | p :: tl when n > 0 -> p :: take (n - 1) tl
       | _ -> []
     in
-    let pages = take (Buffer.capacity b) pages in
+    let pages = take (Buffer.capacity b - Buffer.pinned b) pages in
     List.iter
       (fun page ->
         match Buffer.prefetch b page with

@@ -34,10 +34,9 @@
 
 type t
 
-val create : ?buffer_capacity:int -> ?buffer_policy:Buffer.policy -> unit -> t
+val create : ?buffer_capacity:int -> unit -> t
 (** [create ()] counts cold, per-operation distinct accesses (physical =
-    logical).  With [~buffer_capacity:n > 0], a pool of [n] frames
-    (default policy LRU; [?buffer_policy] selects {!Buffer.Clock})
+    logical).  With [~buffer_capacity:n > 0], an LRU pool of [n] frames
     absorbs repeated reads across operations. *)
 
 val begin_op : t -> unit
@@ -68,10 +67,10 @@ val prefetch : t -> int list -> unit
     {e prefetch hit} — free of further I/O, but counted as miss-like
     for warmth, so an operation prefetching its own scan does not
     inflate its hit ratio.  Pages this operation already read are
-    skipped: no demand read of theirs can follow.  At most
-    pool-capacity pages are staged
-    (beyond that, speculation would evict its own unread frames — pure
-    wasted I/O).  No-op without a pool. *)
+    skipped: no demand read of theirs can follow.  At most as many
+    pages are staged as the pool has frames without a pin (beyond that,
+    speculation would evict its own unread frames — pure wasted I/O).
+    No-op without a pool. *)
 
 val pin_page : t -> int -> unit
 (** Pin a page frame in the pool (no-op without a pool): pinned frames

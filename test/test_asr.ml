@@ -40,11 +40,12 @@ let test_partitions_are_projections () =
         (D.partitions (A.decomposition a)))
     Core.Extension.all
 
-let test_lookup_fwd_bwd () =
+let test_lookup_both_trees () =
   let b, a = mk ~kind:Core.Extension.Canonical ~dec:(D.trivial ~m:5) () in
-  let rows = A.lookup_fwd a 0 (V.Ref b.C.truck) in
+  let one ~fwd key = A.lookup a 0 ~fwd [ key ] key in
+  let rows = one ~fwd:true (V.Ref b.C.truck) in
   check_int "truck leads to one complete tuple" 1 (List.length rows);
-  let rows = A.lookup_bwd a 0 (V.Str "Door") in
+  let rows = one ~fwd:false (V.Str "Door") in
   check_int "Door reached by two divisions" 2 (List.length rows)
 
 let test_supports_dispatch () =
@@ -99,11 +100,10 @@ let test_paths () =
   in
   let env = Core.Exec.make b.C.store (Storage.Heap.create ~size_of:(fun _ -> 100) b.C.store) in
   let read dir ~i ~j =
-    let lookup part _ key =
-      A.probe ~stats:env.Core.Exec.stats a part ~fwd:(dir = Core.Exec.Fwd) key
-    in
-    Core.Exec.paths env a ~lookup ~scan:(A.probe_scan ~stats:env.Core.Exec.stats a) dir ~i ~j
-      (V.Ref b.C.sec560)
+    Core.Exec.paths env a
+      ~lookup:(A.probe ~stats:env.Core.Exec.stats a ~fwd:(dir = Core.Exec.Fwd))
+      ~scan:(A.probe_scan ~stats:env.Core.Exec.stats a)
+      dir ~i ~j (V.Ref b.C.sec560)
   in
   Storage.Stats.begin_op env.Core.Exec.stats;
   check "suffixes" true (read Core.Exec.Fwd ~i:1 ~j:3 = side 2 5);
@@ -111,7 +111,7 @@ let test_paths () =
   check "pages charged" true (Storage.Stats.op_reads env.Core.Exec.stats >= 1);
   check "prefixes" true (read Core.Exec.Bwd ~i:0 ~j:1 = side 0 2);
   check "absent probe" true
-    (Core.Exec.paths env a ~lookup:(fun part _ key -> A.probe a part ~fwd:true key)
+    (Core.Exec.paths env a ~lookup:(A.probe a ~fwd:true)
        ~scan:(A.probe_scan a) Core.Exec.Fwd ~i:1 ~j:3 (V.Ref (Gom.Oid.of_int 999999))
     = [])
 
@@ -173,7 +173,7 @@ let suite =
   [
     Alcotest.test_case "mismatched decomposition rejected" `Quick test_create_mismatched_dec;
     Alcotest.test_case "partitions are projections" `Quick test_partitions_are_projections;
-    Alcotest.test_case "forward/backward lookups" `Quick test_lookup_fwd_bwd;
+    Alcotest.test_case "forward/backward lookups" `Quick test_lookup_both_trees;
     Alcotest.test_case "supports dispatch" `Quick test_supports_dispatch;
     Alcotest.test_case "insert/remove with refcounts" `Quick test_insert_remove_refcounts;
     Alcotest.test_case "paths through the partitions" `Quick test_paths;

@@ -16,10 +16,10 @@ let test_valduriez_binary_join_index () =
   (* Both join directions work, as for Valduriez's two clustering
      copies. *)
   let sec_parts = V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition") in
-  let fwd = Core.Asr.lookup_fwd idx 0 (V.Ref b.C.sec560) in
+  let fwd = Core.Asr.lookup idx 0 ~fwd:true [ V.Ref b.C.sec560 ] (V.Ref b.C.sec560) in
   check "forward join" true
     (List.exists (fun (t : Relation.Tuple.t) -> V.equal t.(2) (V.Ref b.C.door)) fwd);
-  let bwd = Core.Asr.lookup_bwd idx 0 (V.Ref b.C.door) in
+  let bwd = Core.Asr.lookup idx 0 ~fwd:false [ V.Ref b.C.door ] (V.Ref b.C.door) in
   check "backward join" true
     (List.exists (fun (t : Relation.Tuple.t) -> V.equal t.(1) (V.Ref sec_parts)) bwd)
 

@@ -128,13 +128,13 @@ let prop_logical_counts_buffer_invariant =
           S.begin_op st;
           List.iter
             (fun src ->
-              ignore (Core.Asr.lookup_fwd ~stats:st a 0 src);
+              ignore (Core.Asr.lookup ~stats:st a 0 ~fwd:true [ src ] src);
               match src with
               | V.Ref o -> H.read_object heap st o
               | _ -> ())
             sources;
           S.begin_op st;
-          ignore (Core.Asr.lookup_fwd_many ~stats:st a 0 sources);
+          ignore (Core.Asr.lookup ~stats:st a 0 ~fwd:true sources : V.t -> _);
           ignore (Core.Asr.scan_partition ~stats:st a 0);
           H.scan_extent heap st (Gom.Path.type_at path n)
         done;

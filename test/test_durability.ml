@@ -500,6 +500,91 @@ let prop_frame_matches_printf =
              && List.map Wal.frame s.Wal.records = List.map Wal.frame records
              && s.Wal.valid_bytes = s.Wal.total_bytes))
 
+(* The committed prefix of an intact record sequence, by the log's rule
+   (a record outside a begin..commit/abort span commits by itself), as
+   (records, bytes). *)
+let committed_prefix records =
+  let rec go n bytes in_txn ((c, cb) as committed) = function
+    | [] -> committed
+    | r :: rest -> (
+      let n = n + 1 and bytes = bytes + String.length (Wal.frame r) in
+      match r with
+      | Wal.Begin -> go n bytes true committed rest
+      | Wal.Commit | Wal.Abort -> go n bytes false (n, bytes) rest
+      | _ when in_txn -> go n bytes true (c, cb) rest
+      | _ -> go n bytes false (n, bytes) rest)
+  in
+  go 0 0 false (0, 0) records
+
+(* A log of intact records, then a clean end, a torn final frame (no
+   newline) or a corrupt one (a wrong CRC digit) followed by more intact
+   frames; scanned whole and fed to a scanner in random slices. *)
+let prop_scan_equals_scanner =
+  let gen =
+    QCheck.Gen.(
+      quad (list_size (0 -- 25) record_gen) (int_bound 2) (pair record_gen (list_size (0 -- 3) record_gen))
+        (list_size (0 -- 8) (int_bound 2000)))
+  in
+  let print (records, fate, _, cuts) =
+    Printf.sprintf "%d records, fate %d, cuts [%s]\n%s" (List.length records) fate
+      (String.concat ";" (List.map string_of_int cuts))
+      (String.concat "" (List.map printf_frame records))
+  in
+  QCheck.Test.make ~name:"wal scan = scanner fed in random slices, torn and corrupt tails"
+    ~count:300 (QCheck.make ~print gen) (fun (records, fate, (damaged, after), cuts) ->
+      let intact = String.concat "" (List.map Wal.frame records) in
+      let bad = Wal.frame damaged in
+      let tail =
+        match fate with
+        | 0 -> ""
+        | 1 -> String.sub bad 0 (String.length bad - 1)
+        | _ ->
+          let digit = if bad.[0] = '0' then "1" else "0" in
+          digit ^ String.sub bad 1 (String.length bad - 1) ^ String.concat "" (List.map Wal.frame after)
+      in
+      let text = intact ^ tail in
+      let committed, committed_bytes = committed_prefix records in
+      let frames l = List.map Wal.frame l in
+      let s =
+        with_dir (fun dir ->
+            let path = Filename.concat dir "tail.log" in
+            let oc = open_out_bin path in
+            output_string oc text;
+            close_out oc;
+            Wal.scan path)
+      in
+      let sc = Wal.Scanner.create () in
+      let len = String.length text in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) @ [ len ] in
+      (try
+         ignore
+           (List.fold_left
+              (fun from cut ->
+                Wal.Scanner.feed sc (String.sub text from (cut - from));
+                cut)
+              0 cuts)
+       with Wal.Scanner.Bad_record _ -> ());
+      let groups = List.concat_map (fun g -> g.Wal.Scanner.g_records) (Wal.Scanner.take_groups sc) in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if frames s.Wal.records <> frames records then fail "scan records differ";
+      if frames groups <> frames (List.filteri (fun i _ -> i < committed) records) then
+        fail "scanner groups differ from the committed prefix";
+      if Wal.Scanner.pending_records sc <> List.length records - committed then
+        fail "scanner holds %d pending records" (Wal.Scanner.pending_records sc);
+      List.iter
+        (fun (what, want, from_scan, from_scanner) ->
+          if from_scan <> want || from_scanner <> want then
+            fail "%s: want %d, scan %d, scanner %d" what want from_scan from_scanner)
+        [
+          ("committed", committed, s.Wal.committed, Wal.Scanner.committed_records sc);
+          ( "committed_bytes",
+            committed_bytes,
+            s.Wal.committed_bytes,
+            Wal.Scanner.committed_bytes sc );
+          ("valid_bytes", String.length intact, s.Wal.valid_bytes, Wal.Scanner.valid_bytes sc);
+        ];
+      s.Wal.total_bytes = len)
+
 (* ---------------- when bytes reach the OS ---------------- *)
 
 let file_size path = (Unix.stat path).Unix.st_size
@@ -571,6 +656,7 @@ let suite =
     Alcotest.test_case "scan: missing file, damaged record" `Quick
       test_scan_missing_and_damaged;
     Qc.to_alcotest prop_frame_matches_printf;
+    Qc.to_alcotest prop_scan_equals_scanner;
     Alcotest.test_case "open transaction reaches the OS at its marker" `Quick
       test_open_txn_reaches_os_at_commit;
     Alcotest.test_case "autocommit and Sync_always reach the OS per record" `Quick

@@ -169,11 +169,10 @@ let test_bptree_lookup_across_holes () =
     Storage.Bptree.remove t (tup i i)
   done;
   check "invariants" true (Result.is_ok (Storage.Bptree.check_invariants t));
-  check "left of hole" true
-    (Storage.Bptree.lookup t (V.Ref (Gom.Oid.of_int 19)) = [ tup 19 19 ]);
-  check "right of hole" true
-    (Storage.Bptree.lookup t (V.Ref (Gom.Oid.of_int 45)) = [ tup 45 45 ]);
-  check "inside hole" true (Storage.Bptree.lookup t (V.Ref (Gom.Oid.of_int 30)) = []);
+  let key i = V.Ref (Gom.Oid.of_int i) in
+  check "around and inside the hole" true
+    (Storage.Bptree.lookup_many t [ key 19; key 45; key 30 ]
+    = [ (key 19, [ tup 19 19 ]); (key 30, []); (key 45, [ tup 45 45 ]) ]);
   check_int "cardinal" 39 (Storage.Bptree.cardinal t)
 
 (* ---- values ---- *)

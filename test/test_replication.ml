@@ -167,11 +167,12 @@ let assert_equivalent ctx db replica =
         (fun tu ->
           let k0 = Relation.Tuple.get tu 0 in
           let kn = Relation.Tuple.get tu (Relation.Tuple.width tu - 1) in
+          let one a part ~fwd key = Core.Asr.lookup a part ~fwd [ key ] key in
           check (ctx ^ ": fw lookup identical") true
-            (Core.Asr.lookup_fwd pa 0 k0 = Core.Asr.lookup_fwd ra 0 k0);
+            (one pa 0 ~fwd:true k0 = one ra 0 ~fwd:true k0);
           let last = Core.Asr.partition_count pa - 1 in
           check (ctx ^ ": bw lookup identical") true
-            (Core.Asr.lookup_bwd pa last kn = Core.Asr.lookup_bwd ra last kn))
+            (one pa last ~fwd:false kn = one ra last ~fwd:false kn))
         (Relation.to_list (Core.Asr.extension_relation pa)))
     pas ras
 

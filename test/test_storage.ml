@@ -156,35 +156,16 @@ let test_heap_deep_extent () =
   check_int "deep pages include subtype extents" 2
     (H.pages_of_type ~deep:true heap "Base")
 
-(* --- Buffer module mechanics (policy, pins, prefetch outcomes) --- *)
+(* --- Buffer module mechanics (pins, prefetch outcomes) --- *)
 
 module B = Storage.Buffer
 
-let test_buffer_clock_second_chance () =
-  let b = B.create ~policy:B.Clock ~capacity:3 () in
-  ignore (B.reference b 1);
-  ignore (B.reference b 2);
-  ignore (B.reference b 3);
-  (* Admitting 4 sweeps the whole ring (clearing every ref bit) and
-     evicts 1, the frame under the hand. *)
-  (match B.reference b 4 with
-  | B.Miss { evicted = true } -> ()
-  | _ -> Alcotest.fail "expected an evicting miss");
-  check "hand victim gone" false (B.mem b 1);
-  (* Re-reference 2: its bit is set again, so the next eviction must
-     give it a second chance and take 3 — even though 3 is behind 2 in
-     hand order. *)
-  ignore (B.reference b 2);
-  ignore (B.reference b 5);
-  check "second-chanced page survives" true (B.mem b 2);
-  check "unreferenced page evicted" false (B.mem b 3);
-  check "fresh admission resident" true (B.mem b 4)
-
 let test_buffer_pin_nesting () =
-  let b = B.create ~capacity:2 () in
+  let b = B.create ~capacity:2 in
   ignore (B.reference b 1);
   B.pin b 1;
   B.pin b 1 (* nested *);
+  check_int "one pinned frame" 1 (B.pinned b);
   ignore (B.reference b 2);
   ignore (B.reference b 3) (* must evict 2, never pinned 1 *);
   check "pinned frame survives eviction" true (B.mem b 1);
@@ -192,13 +173,14 @@ let test_buffer_pin_nesting () =
   ignore (B.reference b 4);
   check "still pinned after one unpin" true (B.mem b 1);
   B.unpin b 1;
+  check_int "no pinned frame" 0 (B.pinned b);
   ignore (B.reference b 5);
   ignore (B.reference b 6);
   check "fully unpinned frame evictable" false (B.mem b 1);
   B.unpin b 99 (* unknown frame: no-op *)
 
 let test_buffer_all_pinned_overflows () =
-  let b = B.create ~capacity:1 () in
+  let b = B.create ~capacity:1 in
   ignore (B.reference b 1);
   B.pin b 1;
   (match B.reference b 2 with
@@ -208,7 +190,7 @@ let test_buffer_all_pinned_overflows () =
   check_int "transient overflow" 2 (B.resident b)
 
 let test_buffer_prefetch_outcomes () =
-  let b = B.create ~capacity:4 () in
+  let b = B.create ~capacity:4 in
   (match B.prefetch b 1 with
   | `Admitted false -> ()
   | _ -> Alcotest.fail "expected speculative admission");
@@ -223,7 +205,7 @@ let test_buffer_prefetch_outcomes () =
   | _ -> Alcotest.fail "prefetching a resident page is a no-op")
 
 let test_buffer_segment_namespacing () =
-  let b = B.create ~capacity:4 () in
+  let b = B.create ~capacity:4 in
   let first_page name = Storage.Pager.alloc (Storage.Pager.create name) in
   let heap0 = first_page "heap" and tree0 = first_page "asr" in
   ignore (B.reference b heap0);
@@ -426,7 +408,6 @@ let suite =
     Alcotest.test_case "large objects span pages" `Quick test_heap_large_objects;
     Alcotest.test_case "deep extents" `Quick test_heap_deep_extent;
     Alcotest.test_case "deletion forgets placement" `Quick test_heap_delete_forgets;
-    Alcotest.test_case "buffer clock second chance" `Quick test_buffer_clock_second_chance;
     Alcotest.test_case "buffer pin nesting" `Quick test_buffer_pin_nesting;
     Alcotest.test_case "buffer all-pinned overflow" `Quick test_buffer_all_pinned_overflows;
     Alcotest.test_case "buffer prefetch outcomes" `Quick test_buffer_prefetch_outcomes;
