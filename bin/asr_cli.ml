@@ -824,12 +824,6 @@ let db_status db =
        (Storage.Stats.buffer_misses st)
        (Storage.Stats.buffer_evictions st)
    else Format.printf "buffer:     none (unbuffered page accounting)@.");
-  (match Storage.Heap.recluster_progress env.Core.Exec.heap with
-  | Some (moved, planned) ->
-    Format.printf "recluster:  %d/%d move(s) applied%s@." moved planned
-      (if Storage.Heap.recluster_active env.Core.Exec.heap then " (running)"
-       else " (complete)")
-  | None -> Format.printf "recluster:  never run (creation-order layout)@.");
   (* What epoch publication costs against this base: the one-time O(n)
      image, then a CoW republication (no intervening writes here, so it
      copies nothing and shares every instance). *)

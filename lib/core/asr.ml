@@ -1,12 +1,14 @@
 (* One write-behind buffer per pair of trees: the net signed refcount
-   delta of each projected tuple.  A delta whose net reaches zero
+   delta of each projected tuple.  Every difference is written through
+   it, and only a flush moves the trees.  A delta whose net reaches zero
    annihilates — the insert/delete pair never touches a page.  One
    buffer serves both redundant trees (they hold the same projection
    multiset), and every relation sharing them from a pool, so the trees
-   plus the buffer always count every sharer's references.  Entries are
-   also reachable by their first and last column, so a maintenance read
-   of one key finds that key's pending deltas without scanning the
-   buffer. *)
+   plus the buffer always count every sharer's references.  While deltas
+   wait, the first probe indexes them by their first and last column, so
+   a maintenance read of one key finds that key's pending deltas without
+   scanning the buffer; a buffer drained before any probe is never
+   indexed. *)
 module Vtbl = Hashtbl.Make (Gom.Value)
 
 module Ttbl = Hashtbl.Make (struct
@@ -22,6 +24,7 @@ type buffer = {
   entries : entry Ttbl.t;
   by_first : entry list Vtbl.t;
   by_last : entry list Vtbl.t;
+  mutable indexed : bool;  (* [by_first]/[by_last] hold every entry *)
 }
 
 type trees = {
@@ -58,7 +61,6 @@ type t = {
       (* placement predicate: when set, this relation materialises only
          the extension tuples the predicate owns (horizontal sharding) *)
   parts : part array;
-  mutable deferred : bool;
   gate : gate;
   pool : pool option;
 }
@@ -178,7 +180,12 @@ let fresh_trees ~config ~pager ~width ~skey =
           tup.(width - 1));
     skey;
     pending =
-      { entries = Ttbl.create 64; by_first = Vtbl.create 16; by_last = Vtbl.create 16 };
+      {
+        entries = Ttbl.create 64;
+        by_first = Vtbl.create 16;
+        by_last = Vtbl.create 16;
+        indexed = false;
+      };
   }
 
 let create ?(config = Storage.Config.default) ?pool ?owner store path kind dec =
@@ -238,7 +245,6 @@ let create ?(config = Storage.Config.default) ?pool ?owner store path kind dec =
       config;
       owner;
       parts;
-      deferred = false;
       gate =
         { closed = Atomic.make false; readers = Atomic.make 0; version = Atomic.make 0 };
       pool;
@@ -281,11 +287,8 @@ let with_sealed t f =
     f
 
 (* ------------------------------------------------------------------ *)
-(* Deferred maintenance: write-behind delta buffers                    *)
+(* Write-behind delta buffers                                          *)
 (* ------------------------------------------------------------------ *)
-
-let deferred t = t.deferred
-let set_deferred t flag = t.deferred <- flag
 
 (* Folds over the relation's distinct trees: two of its partitions may
    share one pool segment. *)
@@ -317,21 +320,25 @@ let index_remove tbl key e =
     | es -> Vtbl.replace tbl key es)
   | None -> ()
 
+let index_entry buf e =
+  index_add buf.by_first e.proj.(0) e;
+  index_add buf.by_last e.proj.(Array.length e.proj - 1) e
+
 let buffer_delta ?stats buf proj d =
-  let last = Array.length proj - 1 in
   (match stats with Some st -> Storage.Stats.(incr st Deltas_buffered) | None -> ());
   match Ttbl.find_opt buf.entries proj with
   | None ->
     let e = { proj; net = d } in
     Ttbl.replace buf.entries proj e;
-    index_add buf.by_first proj.(0) e;
-    index_add buf.by_last proj.(last) e
+    if buf.indexed then index_entry buf e
   | Some e ->
     e.net <- e.net + d;
     if e.net = 0 then begin
       Ttbl.remove buf.entries proj;
-      index_remove buf.by_first proj.(0) e;
-      index_remove buf.by_last proj.(last) e;
+      if buf.indexed then begin
+        index_remove buf.by_first proj.(0) e;
+        index_remove buf.by_last proj.(Array.length proj - 1) e
+      end;
       match stats with Some st -> Storage.Stats.(incr st Deltas_annihilated) | None -> ()
     end
     else
@@ -346,9 +353,13 @@ let flush_unlocked ?stats t =
       let buf = tr.pending in
       if Ttbl.length buf.entries > 0 then begin
         let deltas = Ttbl.fold (fun _ e acc -> (e.proj, e.net) :: acc) buf.entries [] in
-        Ttbl.reset buf.entries;
-        Vtbl.reset buf.by_first;
-        Vtbl.reset buf.by_last;
+        (* [clear] keeps the grown bucket arrays for the next deltas. *)
+        Ttbl.clear buf.entries;
+        if buf.indexed then begin
+          Vtbl.clear buf.by_first;
+          Vtbl.clear buf.by_last;
+          buf.indexed <- false
+        end;
         flushed := !flushed + List.length deltas;
         List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.fwd proj d) deltas;
         List.iter (fun (proj, d) -> Storage.Bptree.adjust ?stats tr.bwd proj d) deltas
@@ -410,12 +421,18 @@ let overlay t pi pending rows =
 let probe ?stats t i ~fwd keys =
   let rows = lookup ?stats t i ~fwd keys in
   let buf = t.parts.(i).trees.pending in
-  let by_key = if fwd then buf.by_first else buf.by_last in
-  if Vtbl.length by_key = 0 then rows
-  else fun key ->
-    match Vtbl.find_opt by_key key with
-    | None -> rows key
-    | Some pending -> overlay t i pending (rows key)
+  if Ttbl.length buf.entries = 0 then rows
+  else begin
+    if not buf.indexed then begin
+      Ttbl.iter (fun _ e -> index_entry buf e) buf.entries;
+      buf.indexed <- true
+    end;
+    let by_key = if fwd then buf.by_first else buf.by_last in
+    fun key ->
+      match Vtbl.find_opt by_key key with
+      | None -> rows key
+      | Some pending -> overlay t i pending (rows key)
+  end
 
 let probe_scan ?stats t i =
   let rows = scan_partition ?stats t i in
@@ -437,57 +454,26 @@ let extension_relation t =
 
 let cardinal t = Relation.cardinal (extension_relation t)
 
-(* Write one partition's share of a difference, netting its projection
-   deltas first: two extension tuples that differ only outside the
-   partition's columns share a projection there, and a remove and an add
-   of them cancel without touching the trees.  Each projection is
-   written once, with its whole net, at its first occurrence on the side
-   its net falls on. *)
-let write_partition ?stats p ~remove ~add =
-  let net = Ttbl.create 16 in
-  let count d tup =
-    let proj = project_tuple tup ~lo:p.lo ~hi:p.hi in
-    Ttbl.replace net proj (d + Option.value ~default:0 (Ttbl.find_opt net proj));
-    proj
-  in
-  let removed = List.map (count (-1)) remove in
-  let added = List.map (count 1) add in
-  let write sign proj =
-    match Ttbl.find_opt net proj with
-    | Some d when d * sign > 0 ->
-      Ttbl.remove net proj;
-      adjust ?stats p.trees proj d
-    | _ -> ()
-  in
-  List.iter (write (-1)) removed;
-  List.iter (write 1) added
-
-(* Retract [remove], then add [add]: the trees (or, deferred, the
-   write-behind buffers) take exactly the given difference, under one
-   seal.  The difference must be exact — every removed tuple present,
-   every added one absent — since nothing else records the relation.
-   Tuples outside the fragment's placement predicate are dropped from
-   both sides (the owning shard stores them). *)
+(* Buffer a difference: retract [remove], then add [add], netted per
+   projection in each partition's write-behind buffer.  The difference
+   must be exact — every removed tuple present, every added one absent
+   — since nothing else records the relation.  Tuples outside the
+   fragment's placement predicate are dropped from both sides (the
+   owning shard stores them). *)
 let apply_delta ?stats t ~remove ~add =
   let mine tup =
     if Array.length tup <> arity t then invalid_arg "Asr.apply_delta: width mismatch";
     match t.owner with Some f -> f tup | None -> true
   in
   let remove = List.filter mine remove and add = List.filter mine add in
-  if remove <> [] || add <> [] then begin
-    if t.deferred then
-      Array.iter
-        (fun p ->
-          let buffer d tup =
-            buffer_delta ?stats p.trees.pending (project_tuple tup ~lo:p.lo ~hi:p.hi) d
-          in
-          List.iter (buffer (-1)) remove;
-          List.iter (buffer 1) add)
-        t.parts
-    else
-      with_sealed t (fun () ->
-          Array.iter (fun p -> write_partition ?stats p ~remove ~add) t.parts)
-  end;
+  Array.iter
+    (fun p ->
+      let buffer d tup =
+        buffer_delta ?stats p.trees.pending (project_tuple tup ~lo:p.lo ~hi:p.hi) d
+      in
+      List.iter (buffer (-1)) remove;
+      List.iter (buffer 1) add)
+    t.parts;
   List.length remove + List.length add
 
 let supports t ~i ~j =

@@ -145,7 +145,7 @@ val paths :
     when the relation does not hold the probe.  [scan] reads a partition
     entered away from its clustering column.  Distinct, sorted.
     Maintenance reads the §6.1 sides [I_l] and [I_r] this way, with
-    {!Asr.probe} as [lookup] so pending deferred deltas are seen. *)
+    {!Asr.probe} as [lookup] so pending buffered deltas are seen. *)
 
 val forward_supported :
   env -> Asr.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list

@@ -153,7 +153,7 @@ let rec graph_suffixes t ~undo ~applied path ~pos ~oid =
 
 (* The relation's own partial paths from [probe] at object position [i]
    to position [j]: the §5.6 walk over the partitions, with pending
-   deferred deltas overlaid; the tips of one round share descents. *)
+   buffered deltas overlaid; the tips of one round share descents. *)
 let read_paths t index dir ~i ~j probe =
   Exec.paths t.env index
     ~lookup:(Asr.probe ~stats:t.stats index ~fwd:(dir = Exec.Fwd))
@@ -271,12 +271,17 @@ let apply_position t index ~undo ~i ~whole ~others changes =
         List.iter (fun x -> if not (mem x lost || others x) then emit remove (orphan x)) gained
       end)
     changes;
-  if !remove <> [] || !add <> [] then
+  if !remove <> [] || !add <> [] then begin
     ignore
       (Asr.apply_delta ~stats:t.stats index
          ~remove:(List.sort_uniq Relation.Tuple.compare !remove)
          ~add:(List.sort_uniq Relation.Tuple.compare !add)
-        : int)
+        : int);
+    (* Write-through: the trees take the difference at once. *)
+    match t.policy with
+    | Immediate -> ignore (Asr.flush ~stats:t.stats index : int)
+    | Every_k_events _ | Bytes_threshold _ | On_query -> ()
+  end
 
 let handle_event t index ev =
   let store = t.store in
@@ -349,9 +354,9 @@ let pending_bytes t =
 let set_policy t p =
   t.policy <- p;
   t.events_since_flush <- 0;
-  let defer = match p with Immediate -> false | _ -> true in
-  List.iter (fun a -> Asr.set_deferred a defer) t.asrs;
-  if not defer then ignore (flush_all t)
+  match p with
+  | Immediate -> ignore (flush_all t)
+  | Every_k_events _ | Bytes_threshold _ | On_query -> ()
 
 (* Threshold check after each store event; runs inside the event's
    accounting operation, so a flushing event pays for its flush. *)
@@ -391,5 +396,4 @@ let close t =
 let register t index =
   if not (Asr.store index == t.store) then
     invalid_arg "Maintenance.register: ASR built over a different store";
-  t.asrs <- t.asrs @ [ index ];
-  Asr.set_deferred index (match t.policy with Immediate -> false | _ -> true)
+  t.asrs <- t.asrs @ [ index ]

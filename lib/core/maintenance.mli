@@ -30,8 +30,8 @@
     itself where it stores them: [I_l] is read from the partitions that
     end at [o_i]'s column for full and left-complete extensions, [I_r]
     from those that start at [x]'s column for full ones, both with the
-    §5.6 walk ({!Exec.paths}) and, in deferred mode, through the pending
-    deltas ({!Asr.probe}).  These reads charge the pages whose
+    §5.6 walk ({!Exec.paths}) and through any deltas still waiting to
+    be flushed ({!Asr.probe}).  These reads charge the pages whose
     contents produce the answer.  Every other side is walked over the
     object graph from the edge's endpoint alone: a charged backward
     search through the extents for canonical and right-complete
@@ -54,12 +54,15 @@ type t
 
 (** {2 Flush policies}
 
-    The manager computes every event's difference at once; what a
-    policy controls is when the partition trees take it (until then it
-    waits in write-behind buffers that maintenance reads through):
+    The manager computes every event's difference at once and buffers
+    it ({!Asr.apply_delta}); what a policy controls is when the
+    partition trees take it ({!Asr.flush}).  Until then it waits in
+    write-behind buffers that maintenance reads through.  The policy
+    lives here alone: a relation does not know it.
 
-    - [Immediate] — classic write-through: every event's tree writes
-      happen inline (the pre-deferred behaviour, and the default);
+    - [Immediate] — write-through: the manager flushes each relation
+      right after buffering a difference, so the trees take every event
+      inline (the default);
     - [Every_k_events k] — deltas buffer; the manager flushes after
       every [k]-th store event;
     - [Bytes_threshold b] — flush when the buffered volume (in stored
@@ -88,9 +91,8 @@ val close : t -> unit
     buffered for {!flush_all}.  Idempotent. *)
 
 val register : t -> Asr.t -> unit
-(** Add an access support relation to maintain; it inherits the
-    manager's current flush policy.  The ASR must be built over the
-    same store. *)
+(** Add an access support relation to maintain under the manager's
+    flush policy.  The ASR must be built over the same store. *)
 
 val policy : t -> flush_policy
 

@@ -179,6 +179,11 @@ val observe_read : t -> unit
     {!Retryable} or {!Crash} when the plan says so; [Flip_tail] /
     [Drop_tail] plans are inert here (there is no data to damage). *)
 
+val read_all : string -> string
+(** A whole file, read directly (no fault plan); a missing file reads
+    as [""].  The one whole-file reader of logs and snapshots that
+    recovery, replication and failover share. *)
+
 val read_through : t -> string -> string
 (** Read a whole file, damaged per the plan: the fault-point read
     returns flipped or truncated bytes, raises {!Retryable}, or raises

@@ -245,20 +245,19 @@ module Scanner = struct
   let valid_bytes t = t.base
   let fed_bytes t = t.base + String.length t.buf
   let pending_records t = List.length t.open_group
+
+  (* Stopped by the first bad record, and cut back to the last intact
+     one: the tail it buffered is never fed again. *)
+  let of_log text =
+    let t = create () in
+    (try feed t text with Bad_record _ -> ());
+    t.buf <- "";
+    t
 end
 
-(* A scanner over the whole file, stopped by the first bad record. *)
 let scan path =
-  let text =
-    if not (Sys.file_exists path) then ""
-    else
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let sc = Scanner.create () in
-  (try Scanner.feed sc text with Scanner.Bad_record _ -> ());
+  let text = Fault.read_all path in
+  let sc = Scanner.of_log text in
   {
     records =
       List.concat_map (fun g -> g.Scanner.g_records) (Scanner.take_groups sc)

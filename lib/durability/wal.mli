@@ -101,9 +101,9 @@ type scanned = {
 }
 
 val scan : string -> scanned
-(** Read and validate a log: a {!Scanner} fed the whole file.  Scanning
-    stops at the first torn or corrupt record — everything after it is
-    untrusted tail.  A missing file reads as empty. *)
+(** Read and validate a log: {!Scanner.of_log} over the whole file.
+    Scanning stops at the first torn or corrupt record — everything
+    after it is untrusted tail.  A missing file reads as empty. *)
 
 (** {2 Incremental scanning}
 
@@ -155,6 +155,13 @@ module Scanner : sig
 
   val pending_records : t -> int
   (** Intact records past the committed point (an open span). *)
+
+  val of_log : string -> t
+  (** A scanner fed a whole log and stopped, like {!scan}, by its first
+      torn or corrupt record, which it drops with every byte after it:
+      [fed_bytes] is [valid_bytes], so the next {!feed} continues at
+      that offset.  The intact records of a trailing open span stay
+      pending, for a later feed to complete. *)
 end
 
 exception Replay_error of string

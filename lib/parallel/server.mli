@@ -42,9 +42,9 @@ val create :
     behind the server's back afterwards — route every write through
     {!update}.  The spec'd relations are registered with [?maintenance]
     (the live base's manager — its flush policy then governs them) or
-    with a private immediate-mode manager; either way every pending
-    delta is flushed before a snapshot is published, so published
-    epochs are always delta-free.
+    with a private manager under the immediate policy; either way every
+    pending delta is flushed before a snapshot is published, so
+    published epochs are always delta-free.
 
     [?buffer_pages:n] (default 0 = unbuffered) gives each worker task's
     private environment an [n]-page buffer pool; the merged accountant

@@ -1,11 +1,3 @@
-let read_all path =
-  if not (Sys.file_exists path) then ""
-  else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
 type divergence =
   | Log_prefix_mismatch of { byte : int }
   | Log_beyond_primary of { bytes : int; primary_bytes : int }
@@ -140,11 +132,11 @@ let check_against_primary ~dir ~pdir db divs =
   if pgen <> gen then
     divs := Generation_skew { replica_gen = gen; primary_gen = pgen } :: !divs
   else begin
-    let psnap = read_all (Durability.Db.snapshot_file pdir gen) in
-    let rsnap = read_all (Durability.Db.snapshot_file dir gen) in
+    let psnap = Durability.Fault.read_all (Durability.Db.snapshot_file pdir gen) in
+    let rsnap = Durability.Fault.read_all (Durability.Db.snapshot_file dir gen) in
     if psnap <> rsnap then divs := Snapshot_mismatch { gen } :: !divs;
-    let plog = read_all (Durability.Db.wal_file pdir gen) in
-    let rlog = read_all (Durability.Db.wal_file dir gen) in
+    let plog = Durability.Fault.read_all (Durability.Db.wal_file pdir gen) in
+    let rlog = Durability.Fault.read_all (Durability.Db.wal_file dir gen) in
     let rlen = String.length rlog and plen = String.length plog in
     if rlen > plen then
       divs := Log_beyond_primary { bytes = rlen; primary_bytes = plen } :: !divs
@@ -256,7 +248,8 @@ let promote ?primary_dir ~dir () =
   | None -> ());
   let committed_bytes =
     String.length
-      (read_all (Durability.Db.wal_file dir (Durability.Db.generation db)))
+      (Durability.Fault.read_all
+         (Durability.Db.wal_file dir (Durability.Db.generation db)))
   in
   let report =
     {

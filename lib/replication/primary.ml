@@ -2,14 +2,6 @@ exception Replication_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Replication_error s)) fmt
 
-let read_all path =
-  if not (Sys.file_exists path) then ""
-  else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
 type t = {
   db : Durability.Db.t;
   frame_bytes : int;
@@ -62,7 +54,9 @@ let refresh t =
     t.scan_gen <- gen;
     t.read_off <- 0
   end;
-  let text = read_all (Durability.Db.wal_file (Durability.Db.dir t.db) gen) in
+  let text =
+    Durability.Fault.read_all (Durability.Db.wal_file (Durability.Db.dir t.db) gen)
+  in
   let len = String.length text in
   if len > t.read_off then begin
     (try
@@ -144,7 +138,8 @@ let ship t ch =
     (* Generation rotated under the replica (or nothing shipped yet):
        re-seed it with the checkpoint image; the log restarts at 0. *)
     let snapshot =
-      read_all (Durability.Db.snapshot_file (Durability.Db.dir t.db) gen)
+      Durability.Fault.read_all
+        (Durability.Db.snapshot_file (Durability.Db.dir t.db) gen)
     in
     if snapshot = "" then error "generation %d snapshot missing" gen;
     let specs =

@@ -4,14 +4,6 @@ let error fmt = Format.kasprintf (fun s -> raise (Replica_error s)) fmt
 let marker_file dir = Filename.concat dir "REPLICA"
 let marker_header = "asr-replica v1"
 
-let read_all path =
-  if not (Sys.file_exists path) then ""
-  else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
 type state = {
   rs_store : Gom.Store.t;
   rs_source : Parallel.Snapshot.source;
@@ -104,11 +96,12 @@ let open_wal t =
       (Durability.Fault.open_append t.fault
          (Durability.Db.wal_file t.r_dir t.gen))
 
-(* Resume from our own files: load the generation snapshot, chop the
-   local log back to its last intact record — a torn tail from a
-   mid-frame kill is damage, but intact records of a still-open span
-   are kept, because the next shipped slice completes them — and
-   replay the committed prefix.  ASRs rebuild from the manifest specs,
+(* Resume from our own files: load the generation snapshot, read the
+   local log once and chop it back to its last intact record — a torn
+   tail from a mid-frame kill is damage, but intact records of a
+   still-open span are kept, because the next shipped slice completes
+   them — and replay the committed prefix.  The one scanner that read
+   the log takes the next slices.  ASRs rebuild from the manifest specs,
    exactly like crash recovery of a durable base. *)
 let resume t =
   let gen, specs = Durability.Db.read_manifest t.r_dir in
@@ -116,18 +109,14 @@ let resume t =
   if not (Sys.file_exists snap_path) then
     error "replica %s: generation %d snapshot missing" t.r_dir gen;
   let store =
-    try Gom.Serial.store_of_string (read_all snap_path)
+    try Gom.Serial.store_of_string (Durability.Fault.read_all snap_path)
     with Gom.Serial.Corrupt m -> error "replica snapshot %d: %s" gen m
   in
   let wal_path = Durability.Db.wal_file t.r_dir gen in
-  let scanned = Durability.Wal.scan wal_path in
-  if scanned.Durability.Wal.total_bytes > scanned.Durability.Wal.valid_bytes
-  then Unix.truncate wal_path scanned.Durability.Wal.valid_bytes;
-  let text = read_all wal_path in
-  let scanner = Durability.Wal.Scanner.create () in
-  (try Durability.Wal.Scanner.feed scanner text
-   with Durability.Wal.Scanner.Bad_record { recno; off } ->
-     error "replica log %d corrupt at record %d (byte %d)" gen recno off);
+  let text = Durability.Fault.read_all wal_path in
+  let scanner = Durability.Wal.Scanner.of_log text in
+  let valid = Durability.Wal.Scanner.valid_bytes scanner in
+  if String.length text > valid then Unix.truncate wal_path valid;
   let groups = Durability.Wal.Scanner.take_groups scanner in
   let records = ref 0 in
   List.iter
@@ -139,7 +128,7 @@ let resume t =
     groups;
   t.gen <- gen;
   t.scanner <- scanner;
-  t.wal_bytes <- String.length text;
+  t.wal_bytes <- valid;
   t.applied_off <- Durability.Wal.Scanner.committed_bytes scanner;
   t.applied_records <- !records;
   close_state t;

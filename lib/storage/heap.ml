@@ -28,9 +28,6 @@ type t = {
   mutable tracer : Affinity.t option;
       (* live heaps may carry an affinity tracer; snapshots never do
          (worker domains must not race on its tables) *)
-  mutable rc_moved : int;  (* recluster progress: object moves applied *)
-  mutable rc_planned : int;  (* ... out of this many planned *)
-  mutable rc_active : bool;
   mutable sub : (Gom.Store.t * Gom.Store.subscription) option;
       (* the live heap's store listener; snapshots have none *)
 }
@@ -113,9 +110,6 @@ let create ?(config = Config.default) ~size_of store =
       areas = Smap.empty;
       occ = Smap.empty;
       tracer = None;
-      rc_moved = 0;
-      rc_planned = 0;
-      rc_active = false;
       sub = None;
     }
   in
@@ -186,15 +180,6 @@ type recluster_outcome = {
   rc_target_pages : int;  (* fresh pages the moved objects share *)
 }
 
-type recluster_job = {
-  rj_heap : t;
-  rj_slice : int;
-  mutable rj_moves : (Gom.Oid.t * int) list;  (* (object, target page) *)
-  mutable rj_moved : int;
-  mutable rj_targets : Iset.t;
-  rj_considered : int;
-}
-
 (* Pack the plan's clusters onto fresh pages by first-fit in cluster
    order: a cluster that fits the current fill page shares it (hot
    neighbourhoods can co-reside), otherwise a fresh page is opened.
@@ -239,69 +224,24 @@ let plan_moves t plan =
     plan;
   (List.rev !moves, !considered)
 
-let recluster_start ?(slice = 64) t ~plan =
-  if t.rc_active then invalid_arg "Heap.recluster_start: a job is already running";
+(* Rewrite each planned placement.  An object the plan names twice is
+   moved by its last naming, and counted only where it changed page. *)
+let recluster t ~plan =
   let moves, considered = plan_moves t plan in
-  t.rc_active <- true;
-  t.rc_moved <- 0;
-  t.rc_planned <- List.length moves;
+  let moved = ref 0 and targets = ref Iset.empty in
+  List.iter
+    (fun (oid, page) ->
+      let p = Omap.find oid t.placements in
+      if p.first <> page then begin
+        occ_remove t p.ty p.first;
+        occ_add t p.ty page;
+        t.placements <- Omap.add oid { p with first = page } t.placements;
+        incr moved;
+        targets := Iset.add page !targets
+      end)
+    moves;
   {
-    rj_heap = t;
-    rj_slice = max 1 slice;
-    rj_moves = moves;
-    rj_moved = 0;
-    rj_targets = Iset.empty;
-    rj_considered = considered;
+    rc_considered = considered;
+    rc_moved = !moved;
+    rc_target_pages = Iset.cardinal !targets;
   }
-
-let apply_move t (oid, page) =
-  match Omap.find_opt oid t.placements with
-  | Some p when p.span = 1 && p.first <> page ->
-    occ_remove t p.ty p.first;
-    occ_add t p.ty page;
-    t.placements <- Omap.add oid { p with first = page } t.placements;
-    true
-  | Some _ | None -> false (* deleted since planning, or already there *)
-
-let recluster_step job =
-  let t = job.rj_heap in
-  let rec go n =
-    if n = 0 then `More
-    else
-      match job.rj_moves with
-      | [] ->
-        t.rc_active <- false;
-        `Done
-          {
-            rc_considered = job.rj_considered;
-            rc_moved = job.rj_moved;
-            rc_target_pages = Iset.cardinal job.rj_targets;
-          }
-      | m :: rest ->
-        job.rj_moves <- rest;
-        if apply_move t m then begin
-          job.rj_moved <- job.rj_moved + 1;
-          t.rc_moved <- t.rc_moved + 1;
-          job.rj_targets <- Iset.add (snd m) job.rj_targets
-        end;
-        go (n - 1)
-  in
-  if job.rj_moves = [] then go 1 (* drain the Done transition *) else go job.rj_slice
-
-let recluster_abort job =
-  (* Applied moves stay applied (they are answer-preserving); the rest
-     of the plan is dropped. *)
-  job.rj_moves <- [];
-  job.rj_heap.rc_active <- false
-
-let recluster ?slice t ~plan =
-  let job = recluster_start ?slice t ~plan in
-  let rec drive () =
-    match recluster_step job with `More -> drive () | `Done o -> o
-  in
-  drive ()
-
-let recluster_progress t =
-  if t.rc_active || t.rc_planned > 0 then Some (t.rc_moved, t.rc_planned) else None
-
-let recluster_active t = t.rc_active

@@ -90,11 +90,8 @@ val scan_extent : ?deep:bool -> t -> Stats.t -> Gom.Schema.type_name -> unit
     freshly allocated pages (first-fit: consecutive clusters share a
     page when they fit).  Only placements move; object identity, values
     and ASRs are untouched, so every query answer is preserved by
-    construction.  Multi-page (large) objects are never moved.
-
-    The work can run in bounded slices from the background-maintenance
-    loop: [recluster_start] precomputes the move list, and each
-    [recluster_step] applies at most [slice] moves. *)
+    construction.  Multi-page (large) objects and objects no longer in
+    the heap are never moved. *)
 
 type recluster_outcome = {
   rc_considered : int;  (** objects named by the plan *)
@@ -102,27 +99,6 @@ type recluster_outcome = {
   rc_target_pages : int;  (** fresh pages the moved objects now share *)
 }
 
-type recluster_job
-
-val recluster_start :
-  ?slice:int -> t -> plan:Gom.Oid.t list list -> recluster_job
-(** Plan the moves and mark the heap as reclustering.  [slice] (default
-    64) is the per-step move budget.  @raise Invalid_argument if a job
-    is already active on this heap. *)
-
-val recluster_step : recluster_job -> [ `More | `Done of recluster_outcome ]
-(** Apply one slice.  Objects deleted since planning are skipped. *)
-
-val recluster_abort : recluster_job -> unit
-(** Drop the remaining moves.  Already-applied moves stay (they are
-    answer-preserving). *)
-
-val recluster :
-  ?slice:int -> t -> plan:Gom.Oid.t list list -> recluster_outcome
-(** [recluster_start] driven to completion. *)
-
-val recluster_progress : t -> (int * int) option
-(** [Some (moved, planned)] once a recluster has started (running or
-    finished); [None] if none ever ran. *)
-
-val recluster_active : t -> bool
+val recluster : t -> plan:Gom.Oid.t list list -> recluster_outcome
+(** Pack the plan's clusters onto fresh pages and move their objects
+    there, in one pass. *)

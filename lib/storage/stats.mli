@@ -154,7 +154,12 @@ type counter =
   | Retries  (** One bounded retry of a transiently failing read. *)
   | Deltas_buffered
       (** One typed delta (+tuple/−tuple for one partition) entering a
-          write-behind maintenance buffer. *)
+          write-behind maintenance buffer.  Every flush policy buffers
+          every delta, so the four [Deltas_*] counters count under
+          [Immediate] too: its [Deltas_buffered] equals a deferred
+          policy's over the same events, its merges and annihilations
+          are those within one event, and it flushes every event's net
+          deltas. *)
   | Deltas_merged
       (** One delta that coalesced with a pending delta on the same
           projected tuple (refcount deltas summed; net still non-zero). *)

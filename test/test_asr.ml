@@ -70,8 +70,14 @@ let test_insert_remove_refcounts () =
   check_int "two tuples initially" 2 (A.cardinal a);
   (* Both tuples share the (sec560, ..., "Door") projection in partition
      (2,5); removing one must keep the shared partition row. *)
-  let remove tup = A.apply_delta a ~remove:[ tup ] ~add:[] in
-  let insert tup = A.apply_delta a ~remove:[] ~add:[ tup ] in
+  (* A difference is buffered; the flush writes it into the trees that
+     [partition_relation] reads. *)
+  let written n =
+    ignore (A.flush a : int);
+    n
+  in
+  let remove tup = written (A.apply_delta a ~remove:[ tup ] ~add:[]) in
+  let insert tup = written (A.apply_delta a ~remove:[] ~add:[ tup ]) in
   check_int "remove truck tuple" 1 (remove row_truck);
   check "extension shrank" true (not (Relation.mem (A.extension_relation a) row_truck));
   let p25 = A.partition_relation a 1 in

@@ -210,33 +210,49 @@ let test_maintenance_charges_pages () =
 (* Section 6.1: inserting an edge into a set adds only the paths through
    the new edge.  One event must write exactly the extension's symmetric
    difference — one buffered delta per changed tuple and partition, and
-   nothing that a later delta of the same event cancels. *)
+   nothing that a later delta of the same event cancels — under every
+   policy, since all of them buffer the same difference.  Write-through
+   flushes it before the event returns; on-query only when asked. *)
 let test_event_writes_only_difference () =
   List.iter
-    (fun kind ->
-      let b, mgr, a = company_setup kind (D.binary ~m:5) in
-      M.set_policy mgr M.On_query;
-      let st = M.stats mgr in
-      let count c = Storage.Stats.count st c in
-      let buffered0 = count Storage.Stats.Deltas_buffered in
-      let annihilated0 = count Storage.Stats.Deltas_annihilated in
-      let before = Core.Asr.extension_relation a in
-      let sec_parts = V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition") in
-      Gom.Store.insert_elem b.C.store sec_parts (V.Ref b.C.pepper);
-      let after = Core.Asr.extension_relation a in
-      let minus x y = Relation.cardinal (Relation.filter x (fun t -> not (Relation.mem y t))) in
-      let changed = minus before after + minus after before in
-      let name = Core.Extension.name kind in
-      check (name ^ ": the event changes the extension") true (changed > 0);
-      check_int (name ^ ": deltas buffered")
-        (changed * Core.Asr.partition_count a)
-        (count Storage.Stats.Deltas_buffered - buffered0);
-      check_int (name ^ ": deltas annihilated") 0
-        (count Storage.Stats.Deltas_annihilated - annihilated0);
-      ignore (M.flush_all mgr);
-      check_agree (name ^ ": flushed trees agree") a;
-      check (name ^ ": flushed trees exact") true (trees_exact a))
-    Core.Extension.all
+    (fun policy ->
+      List.iter
+        (fun kind ->
+          let b, mgr, a = company_setup kind (D.binary ~m:5) in
+          M.set_policy mgr policy;
+          let st = M.stats mgr in
+          let count c = Storage.Stats.count st c in
+          let buffered0 = count Storage.Stats.Deltas_buffered in
+          let annihilated0 = count Storage.Stats.Deltas_annihilated in
+          let merged0 = count Storage.Stats.Deltas_merged in
+          let flushed0 = count Storage.Stats.Deltas_flushed in
+          let before = Core.Asr.extension_relation a in
+          let sec_parts = V.oid_exn (Gom.Store.get_attr b.C.store b.C.sec560 "Composition") in
+          Gom.Store.insert_elem b.C.store sec_parts (V.Ref b.C.pepper);
+          let after = Core.Asr.extension_relation a in
+          let minus x y =
+            Relation.cardinal (Relation.filter x (fun t -> not (Relation.mem y t)))
+          in
+          let changed = minus before after + minus after before in
+          let name = M.policy_to_string policy ^ " " ^ Core.Extension.name kind in
+          let buffered = count Storage.Stats.Deltas_buffered - buffered0 in
+          check (name ^ ": the event changes the extension") true (changed > 0);
+          check_int (name ^ ": deltas buffered") (changed * Core.Asr.partition_count a) buffered;
+          check_int (name ^ ": deltas annihilated") 0
+            (count Storage.Stats.Deltas_annihilated - annihilated0);
+          if policy = M.Immediate then begin
+            (* Changed tuples that agree on a partition's columns merge
+               into one net delta there; each net is flushed once. *)
+            check_int (name ^ ": nothing left pending") 0 (M.pending mgr);
+            check_int (name ^ ": every net delta flushed")
+              (buffered - (count Storage.Stats.Deltas_merged - merged0))
+              (count Storage.Stats.Deltas_flushed - flushed0)
+          end
+          else ignore (M.flush_all mgr);
+          check_agree (name ^ ": flushed trees agree") a;
+          check (name ^ ": flushed trees exact") true (trees_exact a))
+        Core.Extension.all)
+    [ M.On_query; M.Immediate ]
 
 (* --- randomised scenario: arbitrary mutation sequences ------------- *)
 

@@ -107,7 +107,11 @@ let test_switch_to_immediate_drains () =
   M.set_policy mgr M.Immediate;
   check_int "switch to immediate drains" 0 (M.pending mgr);
   check "trees caught up" true (agree a);
-  check "deferred flag dropped" false (Core.Asr.deferred a)
+  (* Under immediate, the next event's difference reaches the trees
+     before the event returns. *)
+  Gom.Store.remove_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
+  check_int "the next event leaves nothing pending" 0 (M.pending mgr);
+  check "trees agree after it" true (agree a)
 
 (* ---------------- annihilating merge ---------------- *)
 

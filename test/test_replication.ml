@@ -345,7 +345,9 @@ let test_digest_cadence_catches_asr_divergence () =
       | a :: _ ->
         ignore (Core.Asr.flush a);
         (match Relation.to_list (Core.Asr.extension_relation a) with
-        | tu :: _ -> ignore (Core.Asr.apply_delta a ~remove:[ tu ] ~add:[] : int)
+        | tu :: _ ->
+          ignore (Core.Asr.apply_delta a ~remove:[ tu ] ~add:[] : int);
+          ignore (Core.Asr.flush a : int)
         | [] -> Alcotest.fail "replica ASR is empty")
       | [] -> Alcotest.fail "replica has no ASRs");
       churn_round rig.g_db rig.g_base 2;
@@ -405,6 +407,54 @@ let test_resume_catch_up () =
       ignore (R.Session.drain session);
       check_int "still generation 1" 1 (R.Replica.generation replica);
       assert_equivalent "resumed" rig.g_db replica;
+      R.Replica.close replica;
+      Db.close rig.g_db)
+
+(* A replica killed mid-frame inside a transaction leaves the intact
+   records of an open span followed by a torn record.  Resuming reads
+   its log once: the torn bytes are cut from the file and from the
+   scanner, the open span stays pending, and the next shipped slice
+   completes it. *)
+let test_resume_torn_tail_in_open_span () =
+  with_dirs (fun pdir rdir ->
+      let rig = make_rig ~frame_bytes:64 pdir rdir in
+      churn_round rig.g_db rig.g_base 1;
+      ignore (R.Session.drain rig.g_session);
+      R.Replica.close rig.g_replica;
+      let log = Db.wal_file rdir 1 in
+      (* The records with their start offsets. *)
+      let lines =
+        String.split_on_char '\n' (read_file log)
+        |> List.filter (fun l -> l <> "")
+        |> Array.of_list
+      in
+      let start = Array.make (Array.length lines + 1) 0 in
+      Array.iteri (fun i l -> start.(i + 1) <- start.(i) + String.length l + 1) lines;
+      (* The last [begin] with two records after it: keep it and the next
+         record, and half of the one after. *)
+      let b = ref (-1) in
+      Array.iteri
+        (fun i l ->
+          if String.ends_with ~suffix:" begin" l && i + 2 < Array.length lines then b := i)
+        lines;
+      check "the log holds a transaction" true (!b >= 0);
+      let committed = start.(!b) and intact = start.(!b + 2) in
+      Unix.truncate log (intact + (String.length lines.(!b + 2) / 2));
+      churn_round rig.g_db rig.g_base 2;
+      let stats = Storage.Stats.create () in
+      let channel = R.Channel.create ~stats () in
+      let replica = R.Replica.create ~stats ~dir:rdir () in
+      check_int "applied up to the open span" committed (R.Replica.applied_bytes replica);
+      check_int "log kept through the intact records" intact (R.Replica.wal_bytes replica);
+      check_int "torn bytes cut from the file" intact (String.length (read_file log));
+      let session =
+        R.Session.create ~stats ~primary:rig.g_primary ~channel ~replica ()
+      in
+      ignore (R.Session.drain session);
+      check "no divergence" true (R.Replica.diverged replica = None);
+      check_string "log byte-identical to the primary's" (read_file (Db.wal_file pdir 1))
+        (read_file log);
+      assert_equivalent "resumed over a torn tail" rig.g_db replica;
       R.Replica.close replica;
       Db.close rig.g_db)
 
@@ -779,6 +829,8 @@ let suite =
         test_digest_cadence_catches_asr_divergence );
       ("bounded-staleness read gating", `Quick, test_lag_gated_reads);
       ("replica resumes from its files", `Quick, test_resume_catch_up);
+      ("replica resumes over a torn tail in an open span", `Quick,
+       test_resume_torn_tail_in_open_span);
       ("promote refuses a non-replica", `Quick, test_promote_refuses_non_replica);
       ( "mid-churn kill promotes to the committed prefix",
         `Quick,

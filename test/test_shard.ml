@@ -160,56 +160,6 @@ let trees_agree ref_asr grp ~spec_idx =
   in
   disjoint && ext_union && parts_union
 
-(* Random mutation driver (same shape as the maintenance fuzzers):
-   assignments, set surgery, deletions — all through the primary
-   store, fanning out to the replicas. *)
-type op = Insert | Remove | Assign | AssignNull | Delete
-
-let apply_random_op rng store path =
-  let nn = Gom.Path.length path in
-  let level = Random.State.int rng nn in
-  let step = Gom.Path.step path (level + 1) in
-  let sources = Gom.Store.extent ~deep:true store step.Gom.Path.domain in
-  let targets = Gom.Store.extent ~deep:true store step.Gom.Path.range in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  if sources = [] then ()
-  else
-    let src = pick sources in
-    let op =
-      match Random.State.int rng 10 with
-      | 0 | 1 | 2 -> Insert
-      | 3 | 4 -> Remove
-      | 5 | 6 -> Assign
-      | 7 -> AssignNull
-      | _ -> Delete
-    in
-    match (op, step.Gom.Path.set_type) with
-    | Delete, _ ->
-      if List.length targets > 1 then Gom.Store.delete store (pick targets)
-    | (Insert | Remove | Assign), Some set_ty -> (
-      match Gom.Store.get_attr store src step.Gom.Path.attr with
-      | V.Null ->
-        let s = Gom.Store.new_object store set_ty in
-        Gom.Store.set_attr store src step.Gom.Path.attr (V.Ref s);
-        if targets <> [] && Random.State.bool rng then
-          Gom.Store.insert_elem store s (V.Ref (pick targets))
-      | v -> (
-        let s = V.oid_exn v in
-        match op with
-        | Insert ->
-          if targets <> [] then Gom.Store.insert_elem store s (V.Ref (pick targets))
-        | Remove -> (
-          match Gom.Store.elements store s with
-          | [] -> ()
-          | elems -> Gom.Store.remove_elem store s (pick elems))
-        | Assign | AssignNull | Delete ->
-          Gom.Store.set_attr store src step.Gom.Path.attr V.Null))
-    | (Insert | Assign), None ->
-      if targets <> [] then
-        Gom.Store.set_attr store src step.Gom.Path.attr (V.Ref (pick targets))
-    | (Remove | AssignNull), None | AssignNull, Some _ ->
-      Gom.Store.set_attr store src step.Gom.Path.attr V.Null
-
 let spec_gen =
   QCheck.Gen.(
     let* nn = int_range 1 3 in
@@ -254,7 +204,7 @@ let prop_sharded_equals_unsharded =
           G.register grp ~path ~kind ~dec;
           let rng = Random.State.make [| ops_seed |] in
           for _ = 1 to 10 do
-            apply_random_op rng store path
+            Test_maintenance.apply_random_op rng store path
           done;
           (* Queries must agree even with deltas still buffered (the
              engines catch up); then drain and compare the trees. *)
@@ -286,7 +236,7 @@ let test_identical_across_shard_counts () =
             G.register grp ~path ~kind:Core.Extension.Canonical ~dec:(D.binary ~m);
             let rng = Random.State.make [| 7 |] in
             for _ = 1 to 15 do
-              apply_random_op rng store path
+              Test_maintenance.apply_random_op rng store path
             done;
             let n = Gom.Path.length path in
             let sources =
@@ -447,7 +397,7 @@ let run_durable_workload d path =
   let store = G.primary (Dur.group d) in
   let rng = Random.State.make [| 5 |] in
   for _ = 1 to 6 do
-    apply_random_op rng store path
+    Test_maintenance.apply_random_op rng store path
   done;
   ignore (Dur.flush_maintenance d : int)
 
@@ -528,7 +478,7 @@ let test_durable_stats_match_in_memory () =
           ~dec:(D.binary ~m:(Gom.Path.arity path - 1));
         let rng = Random.State.make [| 5 |] in
         for _ = 1 to 20 do
-          apply_random_op rng (G.primary grp) path
+          Test_maintenance.apply_random_op rng (G.primary grp) path
         done;
         let n = Gom.Path.length path in
         let sources = Gom.Store.extent ~deep:true (G.primary grp) (Gom.Path.type_at path 0) in

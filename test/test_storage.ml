@@ -278,53 +278,18 @@ let test_recluster_moves_and_occupancy () =
   let st = S.create () in
   S.begin_op st;
   H.scan_extent heap st "Big";
-  check_int "scan touches occupancy pages" 4 (S.op_reads st);
-  match H.recluster_progress heap with
-  | Some (moved, planned) ->
-    check_int "progress moved" 2 moved;
-    check_int "progress planned" 2 planned
-  | None -> Alcotest.fail "progress visible after a run"
-
-let test_recluster_slices_and_abort () =
-  let store, heap = heap_setup () in
-  let objs = Array.of_list (List.init 20 (fun _ -> Gom.Store.new_object store "Big")) in
-  let plan = [ [ objs.(0); objs.(10) ]; [ objs.(1); objs.(11) ] ] in
-  let job = H.recluster_start ~slice:1 heap ~plan in
-  check "job active" true (H.recluster_active heap);
-  check "second start rejected" true
-    (try ignore (H.recluster_start heap ~plan); false
-     with Invalid_argument _ -> true);
-  (match H.recluster_step job with
-  | `More -> ()
-  | `Done _ -> Alcotest.fail "4 moves at slice 1 need several steps");
-  H.recluster_abort job;
-  check "abort deactivates" false (H.recluster_active heap);
-  (* The already-applied move stays; the rest of the plan was dropped. *)
-  (match H.recluster_progress heap with
-  | Some (moved, planned) ->
-    check_int "one slice applied" 1 moved;
-    check_int "planned recorded" 4 planned
-  | None -> Alcotest.fail "progress visible after abort");
-  (* A fresh job can start after the abort and runs to completion. *)
-  let outcome = H.recluster heap ~plan:[ [ objs.(2); objs.(12) ] ] in
-  check_int "post-abort job moves" 2 outcome.H.rc_moved
+  check_int "scan touches occupancy pages" 4 (S.op_reads st)
 
 let test_recluster_skips_deleted_and_large () =
   let store, heap = heap_setup () in
   let small_a = Gom.Store.new_object store "Big" in
   let small_b = Gom.Store.new_object store "Big" in
   let doomed = Gom.Store.new_object store "Big" in
-  (* A second type sized over a page: its objects span several pages and
-     must never be moved. *)
-  let s = Gom.Store.schema store in
-  ignore s;
-  let job = H.recluster_start ~slice:64 heap ~plan:[ [ small_a; small_b; doomed ] ] in
+  (* The plan names an object deleted after it was mined. *)
   Gom.Store.delete store doomed;
-  (match H.recluster_step job with
-  | `Done o ->
-    check_int "deleted object skipped" 2 o.H.rc_moved;
-    check_int "plan named three" 3 o.H.rc_considered
-  | `More -> Alcotest.fail "single slice covers the plan");
+  let o = H.recluster heap ~plan:[ [ small_a; small_b; doomed ] ] in
+  check_int "deleted object skipped" 2 o.H.rc_moved;
+  check_int "plan named three" 3 o.H.rc_considered;
   check "survivors co-located" true (H.page_of heap small_a = H.page_of heap small_b)
 
 let test_recluster_large_objects_stay () =
@@ -417,7 +382,6 @@ let suite =
     Alcotest.test_case "stats JSON keys golden" `Quick test_stats_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
-    Alcotest.test_case "recluster slices and abort" `Quick test_recluster_slices_and_abort;
     Alcotest.test_case "recluster skips deleted" `Quick test_recluster_skips_deleted_and_large;
     Alcotest.test_case "recluster leaves large objects" `Quick
       test_recluster_large_objects_stay;
