@@ -243,7 +243,6 @@ module Scanner = struct
   let committed_bytes t = t.committed
   let committed_records t = t.committed_records
   let valid_bytes t = t.base
-  let fed_bytes t = t.base + String.length t.buf
   let pending_records t = List.length t.open_group
 
   (* Stopped by the first bad record, and cut back to the last intact

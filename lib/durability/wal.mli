@@ -150,18 +150,15 @@ module Scanner : sig
   val valid_bytes : t -> int
   (** Absolute offset just past the last intact record. *)
 
-  val fed_bytes : t -> int
-  (** Total bytes fed so far. *)
-
   val pending_records : t -> int
   (** Intact records past the committed point (an open span). *)
 
   val of_log : string -> t
   (** A scanner fed a whole log and stopped, like {!scan}, by its first
-      torn or corrupt record, which it drops with every byte after it:
-      [fed_bytes] is [valid_bytes], so the next {!feed} continues at
-      that offset.  The intact records of a trailing open span stay
-      pending, for a later feed to complete. *)
+      torn or corrupt record, which it drops with every byte after it,
+      so the next {!feed} continues at {!valid_bytes}.  The intact
+      records of a trailing open span stay pending, for a later feed to
+      complete. *)
 end
 
 exception Replay_error of string

@@ -188,11 +188,6 @@ val profile : t -> Gom.Path.t -> Costmodel.Profile.t
 
 (* {2 Planning} *)
 
-val analytic_decomposition : Gom.Path.t -> Core.Decomposition.t -> Core.Decomposition.t
-(** Map a physical decomposition's column boundaries to the analytical
-    model's object positions (its [m = n] simplification drops set-OID
-    columns). *)
-
 val embedding_offset : index_path:Gom.Path.t -> query_path:Gom.Path.t -> int option
 (** First object-position offset at which the query path embeds in the
     index path ([None] when it does not): positions [off..off+n] of the

@@ -1,7 +1,6 @@
 type publish_info = {
   publishes : int;  (* epochs published since creation (incl. the first) *)
   last_latency_s : float;
-  total_latency_s : float;
   last_copied : int;
   last_shared : int;
 }
@@ -43,7 +42,6 @@ let create ?(jobs = 1) ?(buffer_pages = 0) ?(sizes = fun _ -> 100) ?maintenance 
         {
           publishes = 1;
           last_latency_s = dt;
-          total_latency_s = dt;
           last_copied = Snapshot.copied snap;
           last_shared = Snapshot.shared snap;
         };
@@ -76,7 +74,6 @@ let publish t =
     {
       publishes = p.publishes + 1;
       last_latency_s = dt;
-      total_latency_s = p.total_latency_s +. dt;
       last_copied = Snapshot.copied snap;
       last_shared = Snapshot.shared snap;
     }

@@ -81,7 +81,6 @@ val lag : t -> int
 type publish_info = {
   publishes : int;  (** Epochs published since creation (incl. the first). *)
   last_latency_s : float;  (** Wall-clock cost of the last publication. *)
-  total_latency_s : float;
   last_copied : int;
       (** Instances deep-copied by the last publication (its dirty set). *)
   last_shared : int;

@@ -25,10 +25,8 @@ let read_shards_manifest dir =
   let path = shards_file dir in
   let text =
     try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+      if Sys.file_exists path then Durability.Fault.read_all path
+      else raise (Sys_error (path ^ ": No such file or directory"))
     with Sys_error m -> shard_error "cannot read shards manifest: %s" m
   in
   let lines =

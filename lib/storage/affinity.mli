@@ -14,8 +14,9 @@ type t
 val create : ?window:int -> ?max_edges:int -> unit -> t
 (** A fresh empty graph.  [window] (default 2) is how many recent
     touches each new touch pairs with; [max_edges] (default 65536)
-    bounds the edge table — on overflow the graph {!decay}s, aging cold
-    edges out before they can crowd hot ones. *)
+    bounds the edge table — on overflow every edge weight is halved and
+    edges that reach zero are dropped, aging cold edges out before they
+    can crowd hot ones. *)
 
 val touch : t -> Gom.Oid.t -> unit
 (** Record one object access: bumps the edge weight between this object
@@ -27,10 +28,6 @@ val break_run : t -> unit
 
 val touches : t -> int
 (** Total accesses recorded. *)
-
-val decay : t -> unit
-(** Halve every edge weight, dropping edges that reach zero — the aging
-    step that keeps the graph tracking the {e current} workload. *)
 
 val clusters :
   t -> size_of:(Gom.Oid.t -> int) -> page_size:int -> Gom.Oid.t list list

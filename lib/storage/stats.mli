@@ -282,5 +282,5 @@ val summary_hit_ratio : summary -> float
 val summary_to_json : ?extra:(string * string) list -> summary -> string
 (** One-line JSON object over the summary's counters.  [extra] fields
     are appended verbatim — each value must already be a JSON fragment
-    (e.g. [("mode", {|"batched"|})]).  Used by the benchmark harness
-    and the CLI so every [BENCH_*.json] has the same shape. *)
+    (e.g. [("mode", {|"batched"|})]).  Used by the CLI so every JSON
+    report it writes has the same shape. *)

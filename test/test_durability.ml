@@ -356,6 +356,14 @@ let test_corrupt_snapshot_refused () =
         | (_ : Db.t) -> false
         | exception Db.Recovery_error _ -> true))
 
+let test_missing_manifest_refused () =
+  with_dir (fun dir ->
+      match Db.open_ ~dir () with
+      | (_ : Db.t) -> Alcotest.fail "opened a directory without a manifest"
+      | exception Db.Recovery_error m ->
+        check "the refusal says the manifest cannot be read" true
+          (String.starts_with ~prefix:"cannot read manifest" m))
+
 let test_double_create_refused () =
   with_dir (fun dir ->
       let b = C.base () in
@@ -651,6 +659,7 @@ let suite =
     Alcotest.test_case "stale next-generation debris ignored" `Quick
       test_stale_next_generation_files_ignored;
     Alcotest.test_case "corrupt snapshot refused" `Quick test_corrupt_snapshot_refused;
+    Alcotest.test_case "missing manifest refused" `Quick test_missing_manifest_refused;
     Alcotest.test_case "double create refused" `Quick test_double_create_refused;
     Alcotest.test_case "wal record round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "scan: missing file, damaged record" `Quick

@@ -130,6 +130,68 @@ let test_annihilation_writes_nothing () =
     (Storage.Stats.snapshot stats).Storage.Stats.s_total_writes;
   check "trees never diverged" true (agree a)
 
+(* ---------------- batched flushes on churn ---------------- *)
+
+(* Pages written per event on update-heavy membership churn: mostly
+   transient insert/remove rotations, which annihilate in the buffers,
+   and every eighth step a lasting toggle that a flush must write.  Every
+   policy replays the same 600 events over the same seeded base and pays
+   for its final flush.  Returns (events, pages written, deltas
+   buffered). *)
+let churn_pages policy =
+  let spec =
+    Workload.Generator.spec ~seed:13 ~counts:[ 100; 200; 400; 800 ]
+      ~defined:[ 90; 180; 360 ] ~fan:[ 2; 2; 2 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let heap = Storage.Heap.create ~size_of:(Workload.Generator.size_of spec) store in
+  let env = E.make store heap in
+  let mgr = M.create env in
+  M.register mgr
+    (Core.Asr.create store path Core.Extension.Full
+       (D.binary ~m:(Gom.Path.arity path - 1)));
+  M.set_policy mgr policy;
+  let sources = Array.of_list (Gom.Store.extent store "T0") in
+  let movers = Array.of_list (Gom.Store.extent store "T1") in
+  let lasting = Hashtbl.create 64 in
+  let w0 = (Storage.Stats.snapshot env.E.stats).Storage.Stats.s_total_writes in
+  let events = ref 0 and i = ref 0 in
+  while !events < 600 do
+    let tgt = V.Ref movers.(!i mod Array.length movers) in
+    (match Gom.Store.get_attr store sources.(!i mod Array.length sources) "A1" with
+    | V.Ref set when !i mod 8 = 7 ->
+      if Hashtbl.mem lasting (set, tgt) then begin
+        Hashtbl.remove lasting (set, tgt);
+        Gom.Store.remove_elem store set tgt
+      end
+      else begin
+        Hashtbl.replace lasting (set, tgt) ();
+        Gom.Store.insert_elem store set tgt
+      end;
+      incr events
+    | V.Ref set when not (Hashtbl.mem lasting (set, tgt)) ->
+      Gom.Store.insert_elem store set tgt;
+      Gom.Store.remove_elem store set tgt;
+      events := !events + 2
+    | _ -> ());
+    incr i
+  done;
+  ignore (M.flush_all mgr);
+  let s = Storage.Stats.snapshot env.E.stats in
+  (!events, s.Storage.Stats.s_total_writes - w0, Storage.Stats.(summary_count s Deltas_buffered))
+
+(* The policies derive and buffer the same deltas and differ only in
+   when they flush: flushing every 64 events writes at least 3x fewer
+   pages per event than flushing after each one. *)
+let test_batched_churn_writes_fewer_pages () =
+  let per_event (events, writes, _) = float_of_int writes /. float_of_int events in
+  let runs = List.map churn_pages [ M.Immediate; M.Every_k_events 64; M.On_query ] in
+  let ratio = per_event (List.nth runs 0) /. Float.max 1e-9 (per_event (List.nth runs 1)) in
+  check (Printf.sprintf "immediate/every:64 pages per event %.2f >= 3" ratio) true (ratio >= 3.0);
+  match List.sort_uniq compare (List.map (fun (_, _, b) -> b) runs) with
+  | [ buffered ] -> check "deltas buffered > 0" true (buffered > 0)
+  | _ -> Alcotest.fail "the policies buffered different numbers of deltas"
+
 (* ---------------- flush page accounting ---------------- *)
 
 (* A flush is one [adjust] per net delta inside the caller's operation,
@@ -583,6 +645,8 @@ let suite =
       test_switch_to_immediate_drains;
     Alcotest.test_case "insert+delete annihilate before any page" `Quick
       test_annihilation_writes_nothing;
+    Alcotest.test_case "churn: every:64 writes 3x fewer pages per event" `Quick
+      test_batched_churn_writes_fewer_pages;
     Alcotest.test_case "flush: one leaf write per tree" `Quick test_flush_page_accounting;
     Alcotest.test_case "freshness watermark: catch-up on first use" `Quick
       test_watermark_catchup;

@@ -725,6 +725,78 @@ let prop_replica_equals_primary =
               assert_counters_balanced "property" stats;
               R.Replica.lag_bytes replica = 0)))
 
+(* Failover at a random point: a 600-object T0-A1-T1 base churned on a
+   primary in 12 rounds of 1-6 edge flips, shipped in 256-byte frames
+   over a chaos channel, and the primary killed after 5-44 channel
+   sends.  The replica never diverges; it is promoted against the dead
+   primary's files with no divergence and exactly the bytes it applied
+   (unless the kill landed before the seeding reset ever arrived, which
+   leaves a directory without a manifest, rightly unpromotable); no
+   frame is lost from the counters; and the replica ends at most the
+   committed log. *)
+let prop_failover_after_random_kill =
+  QCheck.Test.make ~name:"kill after 5-44 chaos sends, promote the replica" ~count:10
+    (QCheck.make
+       ~print:(fun (k, s) -> Printf.sprintf "kill after %d sends, seed %d" k s)
+       QCheck.Gen.(pair (int_range 5 44) (int_bound 0x3FFFFFF)))
+    (fun (kill_after, seed) ->
+      with_dirs (fun pdir rdir ->
+          let store, path =
+            Workload.Generator.build
+              (Workload.Generator.spec ~seed:11 ~counts:[ 300; 300 ] ~defined:[ 270 ]
+                 ~fan:[ 1 ] ())
+          in
+          let db = Db.create ~dir:pdir store in
+          ignore
+            (Db.register_asr db ~path:(Gom.Path.to_string path) ~kind:Core.Extension.Full ());
+          let stats = Storage.Stats.create () in
+          let fault = Fault.faulty_channel (R.Channel.chaos ~seed ~upto:10_000) in
+          let channel = R.Channel.create ~fault ~stats () in
+          let primary = R.Primary.create ~frame_bytes:256 ~digest_every:4 db in
+          let replica = R.Replica.create ~stats ~dir:rdir () in
+          let session =
+            R.Session.create ~stats ~seed ~stop_after_sends:kill_after ~primary ~channel
+              ~replica ()
+          in
+          let rng = Random.State.make [| seed |] in
+          let sources = Array.of_list (Gom.Store.extent store "T0") in
+          let attr = (Gom.Path.step path 1).Gom.Path.attr in
+          for _ = 1 to 12 do
+            for _ = 0 to Random.State.int rng 6 do
+              let o = sources.(Random.State.int rng (Array.length sources)) in
+              txn store (fun () ->
+                  let v = Gom.Store.get_attr store o attr in
+                  Gom.Store.set_attr store o attr V.Null;
+                  if v <> V.Null then Gom.Store.set_attr store o attr v)
+            done;
+            ignore (R.Session.step session)
+          done;
+          ignore (R.Session.kill session);
+          ignore (R.Session.drain session);
+          let diverged = R.Replica.diverged replica in
+          let seeded = R.Replica.seeded replica in
+          let applied = R.Replica.applied_bytes replica in
+          let committed = R.Primary.committed_bytes primary in
+          R.Replica.close replica;
+          Db.close db;
+          assert_counters_balanced "failover" stats;
+          if diverged <> None then
+            QCheck.Test.fail_reportf "replica diverged: %s" (Option.get diverged);
+          if committed - applied < 0 then
+            QCheck.Test.fail_reportf "replica at %d bytes past the committed %d" applied
+              committed;
+          match R.Failover.promote ~primary_dir:pdir ~dir:rdir () with
+          | Ok (ndb, report) ->
+            Db.close ndb;
+            R.Failover.promoted report
+            && report.R.Failover.f_divergences = []
+            && report.R.Failover.f_committed_bytes = applied
+            && Storage.Stats.(summary_count (snapshot stats) Frames_applied) > 0
+          | Error report ->
+            QCheck.Test.fail_reportf "promotion refused: %s"
+              (R.Failover.report_to_string report)
+          | exception (R.Replica.Replica_error _ | Db.Recovery_error _) when not seeded -> true))
+
 (* Every component that subscribes to a store detaches when closed:
    built and closed one by one over one base, each must leave the
    store's listener count where it found it.  A replica's listeners sit
@@ -843,4 +915,5 @@ let suite =
         test_promote_detects_prefix_mismatch );
       ("crash at every replica slice write, promote", `Slow, test_crash_sweep);
       Qc.to_alcotest prop_replica_equals_primary;
+      Qc.to_alcotest prop_failover_after_random_kill;
     ]

@@ -2,8 +2,9 @@
    expiry-at-every-checkpoint sweep), pool exception isolation, the
    token bucket, the circuit breaker's trip/half-open/backoff protocol,
    and the admission front's shed policies, rate limiting, accounting
-   identity and brownout mode — everything driven by simulated clocks
-   and manual pumping, so each decision replays deterministically. *)
+   identity and brownout mode — driven by simulated clocks and manual
+   pumping, so each decision replays deterministically.  One case runs
+   the spawned front open-loop on the wall clock, past saturation. *)
 
 module E = Core.Exec
 module D = Core.Decomposition
@@ -582,6 +583,122 @@ let test_spawned_dispatcher_smoke () =
   Front.shutdown front;
   Server.shutdown server
 
+(* ---------------- open-loop overload ---------------- *)
+
+let p99 xs =
+  let sorted = Array.of_list (List.sort Float.compare xs) in
+  let len = Array.length sorted in
+  if len = 0 then 0.0
+  else sorted.(min (len - 1) (int_of_float ((0.99 *. float_of_int (len - 1)) +. 0.5)))
+
+(* The spawned front driven past saturation on the wall clock.  A
+   closed-loop calibration measures the uncontended p99 (one query in
+   flight) and the saturation rate (back-to-back batches); then 300
+   paced open-loop arrivals are offered at 0.5x, 1x, 2x and 4x that
+   rate, the 4x phase interleaving writes so brownout is on the path.
+   Every phase balances offered = answered + shed + timed_out + failed
+   with failed = 0; the phases at 2x and above shed or time out
+   something rather than queue without bound; admitted queries at 0.5x
+   keep their p99 within max(5 x uncontended p99, deadline) + 50 ms;
+   and every front and the server shut down, joining their domains. *)
+let test_open_loop_overload () =
+  let store, path =
+    Workload.Generator.build
+      (Workload.Generator.spec ~seed:23 ~counts:[ 60; 120; 240; 480 ]
+         ~defined:[ 55; 110; 220 ] ~fan:[ 2; 2; 2 ] ())
+  in
+  let n = Gom.Path.length path in
+  let pool =
+    List.map
+      (fun srcs -> Server.Forward { q_path = path; q_i = 0; q_j = n; q_sources = srcs })
+      (Test_parallel.chunks 8 (Gom.Store.extent store "T0"))
+    @ List.map
+        (fun tgts -> Server.Backward { q_path = path; q_i = 0; q_j = n; q_targets = tgts })
+        (Test_parallel.chunks 8
+           (List.map (fun o -> V.Ref o) (Gom.Store.extent store (Printf.sprintf "T%d" n))))
+  in
+  let pool_size = List.length pool in
+  let jobs = max 2 (min 4 (Domain.recommended_domain_count () - 1)) in
+  let server = Server.create ~jobs ~specs:(specs_for path) store in
+  ignore (Server.serve server pool);
+  let p99_unc =
+    p99
+      (List.map
+         (fun q ->
+           let t0 = Unix.gettimeofday () in
+           ignore (Server.serve server [ q ]);
+           Unix.gettimeofday () -. t0)
+         pool)
+  in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 3 do
+    ignore (Server.serve server pool)
+  done;
+  let sat_qps = float_of_int (3 * pool_size) /. Float.max (Unix.gettimeofday () -. t0) 1e-9 in
+  (* A query resolves when its whole batch returns, so the budget must
+     absorb a dispatch round: floor it well above a batch's serve time. *)
+  let deadline_s = Float.max (4.0 *. p99_unc) 0.010 in
+  let phase mult =
+    let front =
+      Front.create
+        ~config:
+          {
+            Front.max_queue = 64;
+            high_watermark = 48;
+            low_watermark = 16;
+            shed_policy = Front.Deadline_aware;
+            deadline_s = Some deadline_s;
+            rate_limit = None;
+            batch = 8;
+          }
+        ~spawn:true server
+    in
+    let interval = 1.0 /. (mult *. sat_qps) in
+    let t0 = Unix.gettimeofday () in
+    let tickets =
+      List.init 300 (fun i ->
+          (* Sleep the bulk of the gap to the next arrival, spin the rest. *)
+          let due = t0 +. (float_of_int i *. interval) in
+          let rec pace () =
+            let gap = due -. Unix.gettimeofday () in
+            if gap > 0.0005 then begin
+              Unix.sleepf (gap -. 0.0003);
+              pace ()
+            end
+            else if gap > 0.0 then begin
+              Domain.cpu_relax ();
+              pace ()
+            end
+          in
+          pace ();
+          if mult >= 4.0 && i mod 64 = 0 then
+            ignore (Front.update front (fun st -> Gom.Store.new_object st "T0"));
+          Front.submit front (List.nth pool (i mod pool_size)))
+    in
+    let admitted =
+      List.filter_map
+        (fun t -> if is_answer (Front.await front t) then Front.latency_s t else None)
+        tickets
+    in
+    let c = Front.counters front in
+    Front.shutdown front;
+    let label what = Printf.sprintf "%.1fx: %s" mult what in
+    check_int (label "offered") 300 c.Front.offered;
+    check_int (label "offered = answered + shed + timed_out + failed") c.Front.offered
+      (c.Front.answered + c.Front.shed + c.Front.timed_out + c.Front.failed);
+    check_int (label "failed") 0 c.Front.failed;
+    (c, p99 admitted)
+  in
+  let phases = List.map (fun mult -> (mult, phase mult)) [ 0.5; 1.0; 2.0; 4.0 ] in
+  Server.shutdown server;
+  check "past 2x saturation the front sheds or times out" true
+    (List.exists
+       (fun (mult, (c, _)) -> mult >= 2.0 && c.Front.shed + c.Front.timed_out > 0)
+       phases);
+  let p99_half = snd (List.assoc 0.5 phases) in
+  let bound = Float.max (5. *. p99_unc) deadline_s +. 0.050 in
+  check (Printf.sprintf "p99 at 0.5x %.4f s <= %.4f s" p99_half bound) true (p99_half <= bound)
+
 (* ---------------- stats plumbing ---------------- *)
 
 let test_overload_stats_algebra () =
@@ -652,6 +769,8 @@ let suite =
       test_brownout_breaker_open_keeps_serving;
     Alcotest.test_case "spawned dispatcher closed-loop smoke" `Quick
       test_spawned_dispatcher_smoke;
+    Alcotest.test_case "open-loop overload at 0.5-4x saturation" `Quick
+      test_open_loop_overload;
     Alcotest.test_case "overload counters: merge/json/absorb/reset" `Quick
       test_overload_stats_algebra;
     Alcotest.test_case "scrub yields at deadline checkpoints" `Quick test_scrub_deadline;
